@@ -38,7 +38,8 @@ class CircuitBreaker {
   /// Whether the caller may issue a request now. In kOpen past the
   /// cooldown this transitions to kHalfOpen and admits the caller as the
   /// probe; the caller MUST then report the outcome via RecordSuccess /
-  /// RecordFailure or the breaker stays half-open forever.
+  /// RecordFailure / RecordAbandoned or the breaker stays half-open
+  /// forever.
   bool AllowRequest(Clock::time_point now = Clock::now()) {
     std::lock_guard<std::mutex> lock(mu_);
     switch (state_) {
@@ -76,6 +77,16 @@ class CircuitBreaker {
       state_ = State::kOpen;
       open_until_ = now + options_.cooldown;
     }
+  }
+
+  /// The caller gave up on an admitted request without an outcome (its
+  /// client left, or a hedge won). An abandoned probe returns the breaker
+  /// to kOpen, due for a new probe at once; other states are unchanged.
+  void RecordAbandoned(Clock::time_point now = Clock::now()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (state_ != State::kHalfOpen) return;
+    state_ = State::kOpen;
+    open_until_ = now;
   }
 
   State state() const {

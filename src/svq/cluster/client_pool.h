@@ -1,82 +1,74 @@
 #ifndef SVQ_CLUSTER_CLIENT_POOL_H_
 #define SVQ_CLUSTER_CLIENT_POOL_H_
 
-#include <chrono>
+#include <unistd.h>
+
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "svq/cluster/shard_map.h"
-#include "svq/common/result.h"
-#include "svq/server/client.h"
 
 namespace svq::cluster {
 
-/// A small pool of wire connections to one svqd backend. server::Client is
-/// blocking and single-request, so the router checks a connection out for
-/// the duration of one forwarded request and returns it afterwards;
-/// concurrent requests to the same backend each get their own connection.
+/// Idle wire connections to one svqd backend: non-blocking sockets that
+/// finished a clean round trip. A backend call checks one out for one
+/// request and returns it afterwards, so concurrent requests to the same
+/// backend each get their own connection.
 ///
-/// Connections are only reused after a clean round trip: any transport
-/// error discards the connection (its stream state is unknown), and the
-/// next Acquire dials afresh with the pool's connect timeout — which is
-/// what keeps a black-holed backend from hanging the router
-/// (Client::Connect's non-blocking connect path).
+/// A connection whose request failed at the transport layer is closed,
+/// never returned (its stream state is unknown); the next call dials
+/// afresh under the router's connect timeout.
 class ClientPool {
  public:
-  ClientPool(ShardEndpoint endpoint,
-             std::chrono::milliseconds connect_timeout,
-             std::chrono::milliseconds recv_timeout)
-      : endpoint_(std::move(endpoint)),
-        connect_timeout_(connect_timeout),
-        recv_timeout_(recv_timeout) {}
+  explicit ClientPool(ShardEndpoint endpoint)
+      : endpoint_(std::move(endpoint)) {}
+  ~ClientPool() { Clear(); }
 
   ClientPool(const ClientPool&) = delete;
   ClientPool& operator=(const ClientPool&) = delete;
 
   const ShardEndpoint& endpoint() const { return endpoint_; }
 
-  /// A connected client: pooled if one is idle, freshly dialed otherwise.
-  /// Errors: IOError (dial failed / timed out).
-  Result<server::Client> Acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!idle_.empty()) {
-        server::Client client = std::move(idle_.back());
-        idle_.pop_back();
-        return client;
-      }
-    }
-    server::Client client;
-    SVQ_RETURN_NOT_OK(client.Connect(endpoint_.host, endpoint_.port,
-                                     recv_timeout_, connect_timeout_));
-    return client;
+  /// An idle connected socket, or -1 when none is pooled (dial one).
+  int Acquire() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (idle_.empty()) return -1;
+    const int fd = idle_.back();
+    idle_.pop_back();
+    return fd;
   }
 
-  /// Returns a client after a clean round trip. Callers simply drop
-  /// clients whose last request failed at the transport layer.
-  void Release(server::Client client) {
-    if (!client.connected()) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (idle_.size() < kMaxIdle) idle_.push_back(std::move(client));
-    // else: client destructor closes the surplus connection.
+  /// Takes back a socket after a clean round trip; surplus ones close.
+  void Release(int fd) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (idle_.size() < kMaxIdle) {
+        idle_.push_back(fd);
+        return;
+      }
+    }
+    ::close(fd);
   }
 
   /// Closes every idle connection (shutdown path).
   void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    idle_.clear();
+    std::vector<int> idle;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      idle.swap(idle_);
+    }
+    for (const int fd : idle) ::close(fd);
   }
 
  private:
+  /// More than the router's workers, so a busy router does not redial.
   static constexpr size_t kMaxIdle = 8;
 
   const ShardEndpoint endpoint_;
-  const std::chrono::milliseconds connect_timeout_;
-  const std::chrono::milliseconds recv_timeout_;
 
   std::mutex mu_;
-  std::vector<server::Client> idle_;
+  std::vector<int> idle_;
 };
 
 }  // namespace svq::cluster

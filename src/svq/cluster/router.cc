@@ -1,9 +1,7 @@
 #include "svq/cluster/router.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,21 +9,41 @@
 #include <cctype>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
 #include "svq/core/topk_merge.h"
 #include "svq/query/binder.h"
 #include "svq/query/parser.h"
+#include "svq/server/client.h"
 
 namespace svq::cluster {
 
 namespace {
 
+using server::Dispatch;
 using server::MessageType;
 using server::QueryResponse;
 using server::ServerStatsWire;
 using server::WireCursor;
+
+/// Client connections served at once: svqd's default cap.
+constexpr int kMaxConnections = 64;
+/// Routed requests in flight at once, svqd's default worker count. A
+/// worker waiting on its backends sleeps in poll; each worker thread also
+/// costs a malloc arena (megabytes of resident memory once warm), so the
+/// pool stays small.
+constexpr int kWorkers = 4;
+/// Requests queued behind the workers. Workers plus queue slots equal the
+/// connection cap, so a client that keeps one request per connection is
+/// never turned away while it stays under the cap.
+constexpr int kMaxQueue = kMaxConnections - kWorkers;
+/// How long Shutdown lets admitted requests finish before cancelling them.
+constexpr std::chrono::milliseconds kDrainBudget{5000};
+/// How often a backend call that is waiting checks its cancellation: a
+/// client that disconnects frees its router worker within this interval.
+constexpr std::chrono::milliseconds kPollInterval{10};
 
 double ElapsedMicros(Router::Clock::time_point begin,
                      Router::Clock::time_point end) {
@@ -57,15 +75,37 @@ std::string_view StripLeadingKeyword(std::string_view statement,
   return statement.substr(rest);
 }
 
-/// The statement's PROCESS target ("*" for a broadcast), or empty when the
-/// statement does not parse — the router then forwards it verbatim so the
+/// The statement parsed once, past a leading EXPLAIN [ANALYZE]: routing
+/// reads its PROCESS target ("*" for a broadcast) and a broadcast binds
+/// it. A statement that does not parse is forwarded verbatim, so the
 /// backend produces the same diagnostic a single svqd would.
-std::string RouteTargetOf(std::string_view statement) {
+Result<query::SelectStatement> RouteTargetOf(std::string_view statement) {
   statement = StripLeadingKeyword(statement, "EXPLAIN");
   statement = StripLeadingKeyword(statement, "ANALYZE");
-  auto parsed = query::Parse(statement);
-  if (!parsed.ok()) return std::string();
-  return parsed->process.video;
+  return query::Parse(statement);
+}
+
+/// One shard's reply as a `Response`. The outcomes the router produces
+/// itself — the budget ran out, or the client left — become the response's
+/// status, as a backend would report them; a transport failure stays an
+/// error.
+template <typename Response>
+Result<Response> DecodeReply(const Result<std::string>& reply,
+                             Status (*decode)(WireCursor*, Response*)) {
+  Response response;
+  if (!reply.ok()) {
+    if (!reply.status().IsDeadlineExceeded() &&
+        !reply.status().IsCancelled()) {
+      return reply.status();
+    }
+    response.status = reply.status();
+    return response;
+  }
+  WireCursor cursor(*reply);
+  MessageType type = MessageType::kQueryResponse;
+  SVQ_RETURN_NOT_OK(server::DecodePayloadHeader(&cursor, &type));
+  SVQ_RETURN_NOT_OK(decode(&cursor, &response));
+  return response;
 }
 
 /// A gathered sequence tagged with its origin for the cross-shard merge:
@@ -104,6 +144,367 @@ void MergeHistogram(const server::WireHistogram& in,
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// The backend call.
+
+/// The state of one CallBackends: per shard a primary leg and, once the
+/// shard is hedge_after late, a hedge leg. Each leg runs the retry loop on
+/// its own connection; one poll loop on the calling thread drives them all.
+class Router::Gather {
+ public:
+  Gather(Router* router, const std::vector<size_t>& shards,
+         const BackendRequest& request)
+      : router_(*router),
+        request_(request),
+        results_(shards.size(), Status::Unavailable("no reply")) {
+    shards_.reserve(shards.size());
+    for (size_t slot = 0; slot < shards.size(); ++slot) {
+      Shard& shard = shards_.emplace_back();
+      shard.slot = slot;
+      shard.index = shards[slot];
+    }
+  }
+
+  std::vector<Result<std::string>> Run();
+
+ private:
+  struct Leg {
+    explicit Leg(size_t max_frame_bytes) : in(max_frame_bytes) {}
+
+    enum class Phase { kWaiting, kConnecting, kSending, kReceiving, kDone };
+    Phase phase = Phase::kWaiting;
+    /// Attempts started so far.
+    int attempts = 0;
+    int fd = -1;
+    /// The attempt's request frame and how much of it is sent.
+    std::string out;
+    size_t sent = 0;
+    server::FrameAssembler in;
+    /// kWaiting: when the next attempt starts; otherwise the IO deadline.
+    Clock::time_point due{};
+  };
+  struct Shard {
+    size_t slot = 0;
+    size_t index = 0;
+    std::vector<Leg> legs;
+    Clock::time_point hedge_at = Clock::time_point::max();
+    bool decided = false;
+  };
+
+  Backend& BackendOf(const Shard& shard) {
+    return *router_.backends_[shard.index];
+  }
+  std::string Describe(const Shard& shard) {
+    const ShardEndpoint& endpoint = BackendOf(shard).pool.endpoint();
+    return "shard " + std::to_string(shard.index) + " (" + endpoint.host +
+           ":" + std::to_string(endpoint.port) + ")";
+  }
+  static bool Outstanding(const Leg& leg) {
+    return leg.phase != Leg::Phase::kWaiting &&
+           leg.phase != Leg::Phase::kDone;
+  }
+
+  void AddLeg(Shard& shard, Clock::time_point now);
+  void StartAttempt(Shard& shard, Leg& leg, Clock::time_point now);
+  /// A transport failure of the leg's attempt: breaker + backoff + retry.
+  void FailAttempt(Shard& shard, Leg& leg, const Status& why,
+                   Clock::time_point now);
+  /// The leg gave up with `why`; the shard fails once every leg has.
+  void FinishLeg(Shard& shard, Leg& leg, Status why);
+  void Decide(Shard& shard, Result<std::string> result);
+  /// IO progress on the leg's socket.
+  void Advance(Shard& shard, Leg& leg, Clock::time_point now);
+  void SendSome(Shard& shard, Leg& leg, Clock::time_point now);
+  void ReceiveSome(Shard& shard, Leg& leg, Clock::time_point now);
+
+  Router& router_;
+  const BackendRequest& request_;
+  std::vector<Shard> shards_;
+  std::vector<Result<std::string>> results_;
+  size_t undecided_ = 0;
+};
+
+std::vector<Result<std::string>> Router::Gather::Run() {
+  Clock::time_point now = Clock::now();
+  undecided_ = shards_.size();
+  for (Shard& shard : shards_) {
+    shard.legs.reserve(2);  // legs never move once started
+    if (request_.hedge && router_.options_.hedge_after.count() > 0) {
+      shard.hedge_at = now + router_.options_.hedge_after;
+    }
+    AddLeg(shard, now);
+  }
+  std::vector<pollfd> fds;
+  std::vector<std::pair<Shard*, Leg*>> polled;
+  while (undecided_ > 0) {
+    if (request_.cancel.cancelled()) {
+      for (Shard& shard : shards_) {
+        if (!shard.decided) {
+          Decide(shard, Status::Cancelled("request cancelled before " +
+                                          Describe(shard) + " replied"));
+        }
+      }
+      break;
+    }
+    now = Clock::now();
+    Clock::time_point wake = now + kPollInterval;
+    fds.clear();
+    polled.clear();
+    for (Shard& shard : shards_) {
+      if (!shard.decided && now >= shard.hedge_at) {
+        shard.hedge_at = Clock::time_point::max();
+        router_.hedges_->Increment();
+        AddLeg(shard, now);
+      }
+      if (shard.decided) continue;
+      wake = std::min(wake, shard.hedge_at);
+      for (Leg& leg : shard.legs) {
+        if (leg.phase != Leg::Phase::kDone && now >= leg.due) {
+          if (leg.phase == Leg::Phase::kWaiting) {
+            StartAttempt(shard, leg, now);
+          } else {
+            FailAttempt(shard, leg,
+                        Status::IOError(leg.phase == Leg::Phase::kConnecting
+                                            ? "connect timed out"
+                                            : "receive timed out waiting for "
+                                              "the server"),
+                        now);
+          }
+        }
+        if (shard.decided) break;
+        if (leg.phase == Leg::Phase::kDone) continue;
+        wake = std::min(wake, leg.due);
+        if (Outstanding(leg)) {
+          const short events =
+              leg.phase == Leg::Phase::kReceiving ? POLLIN : POLLOUT;
+          fds.push_back({leg.fd, events, 0});
+          polled.emplace_back(&shard, &leg);
+        }
+      }
+    }
+    if (undecided_ == 0) break;
+    const auto timeout =
+        std::chrono::ceil<std::chrono::milliseconds>(wake - now).count();
+    if (::poll(fds.data(), fds.size(),
+               static_cast<int>(std::max<int64_t>(0, timeout))) <= 0) {
+      continue;  // a timer is due, or EINTR: re-check from the top
+    }
+    now = Clock::now();
+    for (size_t i = 0; i < fds.size(); ++i) {
+      auto [shard, leg] = polled[i];
+      if (fds[i].revents != 0 && !shard->decided && Outstanding(*leg)) {
+        Advance(*shard, *leg, now);
+      }
+    }
+  }
+  return std::move(results_);
+}
+
+void Router::Gather::AddLeg(Shard& shard, Clock::time_point now) {
+  shard.legs.emplace_back(router_.options_.max_frame_bytes);
+  StartAttempt(shard, shard.legs.back(), now);
+}
+
+void Router::Gather::StartAttempt(Shard& shard, Leg& leg,
+                                  Clock::time_point now) {
+  Backend& backend = BackendOf(shard);
+  uint32_t remaining = 0;
+  if (!RemainingBudget(request_.received, request_.timeout_ms, now,
+                       &remaining)) {
+    // Budget exhausted inside the router: this is the query's outcome, not
+    // a transport failure — report it on the query status exactly as a
+    // backend would.
+    router_.queries_deadline_->Increment();
+    Decide(shard, Status::DeadlineExceeded(
+                      "query budget exhausted before shard " +
+                      std::to_string(shard.index) + " responded"));
+    return;
+  }
+  if (!backend.breaker.AllowRequest(now)) {
+    FinishLeg(shard, leg,
+              Status::Unavailable(Describe(shard) + ": circuit breaker open"));
+    return;
+  }
+  if (leg.attempts > 0) router_.retries_->Increment();
+  ++leg.attempts;
+  leg.out = request_.encode(remaining);
+  leg.sent = 0;
+  leg.fd = backend.pool.Acquire();
+  bool connected = true;
+  if (leg.fd < 0) {
+    const ShardEndpoint& endpoint = backend.pool.endpoint();
+    const Status dialed =
+        server::Dial(endpoint.host, endpoint.port, &leg.fd, &connected);
+    if (!dialed.ok()) {
+      FailAttempt(shard, leg, dialed, now);
+      return;
+    }
+  }
+  if (!connected) {
+    leg.phase = Leg::Phase::kConnecting;
+    leg.due = now + router_.options_.connect_timeout;
+    return;
+  }
+  leg.phase = Leg::Phase::kSending;
+  leg.due = now + router_.options_.recv_timeout;
+  SendSome(shard, leg, now);
+}
+
+void Router::Gather::FailAttempt(Shard& shard, Leg& leg, const Status& why,
+                                 Clock::time_point now) {
+  // Never reuse the connection, feed the breaker, back off (capped
+  // exponential) before the next idempotent retry.
+  if (leg.fd >= 0) ::close(leg.fd);
+  leg.fd = -1;
+  leg.in = server::FrameAssembler(router_.options_.max_frame_bytes);
+  BackendOf(shard).breaker.RecordFailure(now);
+  router_.backend_failures_->Increment();
+  if (leg.attempts > request_.max_retries) {
+    FinishLeg(shard, leg,
+              Status::Unavailable(Describe(shard) + ": " + why.ToString()));
+    return;
+  }
+  auto backoff = router_.options_.retry_backoff;
+  for (int i = 1;
+       i < leg.attempts && backoff < router_.options_.retry_backoff_max; ++i) {
+    backoff *= 2;
+  }
+  leg.phase = Leg::Phase::kWaiting;
+  leg.due = now + std::min(backoff, router_.options_.retry_backoff_max);
+}
+
+void Router::Gather::FinishLeg(Shard& shard, Leg& leg, Status why) {
+  leg.phase = Leg::Phase::kDone;
+  for (const Leg& other : shard.legs) {
+    if (other.phase != Leg::Phase::kDone) return;  // the other may still win
+  }
+  Decide(shard, std::move(why));
+}
+
+void Router::Gather::Decide(Shard& shard, Result<std::string> result) {
+  shard.decided = true;
+  results_[shard.slot] = std::move(result);
+  --undecided_;
+  // Abandon whatever is still outstanding: its reply is no longer wanted,
+  // and a connection with a request in flight cannot be pooled.
+  for (Leg& leg : shard.legs) {
+    if (Outstanding(leg)) BackendOf(shard).breaker.RecordAbandoned();
+    if (leg.fd >= 0) ::close(leg.fd);
+    leg.fd = -1;
+    leg.phase = Leg::Phase::kDone;
+  }
+}
+
+void Router::Gather::Advance(Shard& shard, Leg& leg, Clock::time_point now) {
+  if (leg.phase == Leg::Phase::kConnecting) {
+    int error = 0;
+    socklen_t len = sizeof(error);
+    if (::getsockopt(leg.fd, SOL_SOCKET, SO_ERROR, &error, &len) < 0) {
+      error = errno;
+    }
+    if (error != 0) {
+      FailAttempt(shard, leg,
+                  Status::IOError(std::string("connect: ") +
+                                  std::strerror(error)),
+                  now);
+      return;
+    }
+    leg.phase = Leg::Phase::kSending;
+    leg.due = now + router_.options_.recv_timeout;
+  }
+  if (leg.phase == Leg::Phase::kSending) {
+    SendSome(shard, leg, now);
+  } else {
+    ReceiveSome(shard, leg, now);
+  }
+}
+
+void Router::Gather::SendSome(Shard& shard, Leg& leg, Clock::time_point now) {
+  while (leg.sent < leg.out.size()) {
+    const ssize_t n = ::send(leg.fd, leg.out.data() + leg.sent,
+                             leg.out.size() - leg.sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      leg.sent += static_cast<size_t>(n);
+      leg.due = now + router_.options_.recv_timeout;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    FailAttempt(shard, leg,
+                Status::IOError(std::string("send: ") + std::strerror(errno)),
+                now);
+    return;
+  }
+  leg.phase = Leg::Phase::kReceiving;
+}
+
+void Router::Gather::ReceiveSome(Shard& shard, Leg& leg,
+                                 Clock::time_point now) {
+  bool closed = false;
+  char buffer[65536];
+  for (;;) {
+    const ssize_t n = ::recv(leg.fd, buffer, sizeof(buffer), 0);
+    if (n > 0) {
+      leg.in.Feed(buffer, static_cast<size_t>(n));
+      leg.due = now + router_.options_.recv_timeout;
+      if (n < static_cast<ssize_t>(sizeof(buffer))) break;  // drained
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0) {
+      FailAttempt(shard, leg,
+                  Status::IOError(std::string("recv: ") + std::strerror(errno)),
+                  now);
+      return;
+    }
+    closed = true;
+    break;
+  }
+  std::string payload;
+  bool has_frame = false;
+  Status status = leg.in.Next(&payload, &has_frame);
+  if (status.ok() && !has_frame) {
+    if (!closed) return;  // wait for the rest of the frame
+    status = Status::IOError("server closed the connection");
+  }
+  if (status.ok()) {
+    WireCursor cursor(payload);
+    MessageType type = request_.reply_type;
+    status = server::DecodePayloadHeader(&cursor, &type);
+    if (status.ok() && type != request_.reply_type) {
+      status = Status::Corruption(
+          "expected frame type " +
+          std::to_string(static_cast<int>(request_.reply_type)) + ", got " +
+          std::to_string(static_cast<int>(type)));
+    }
+  }
+  if (!status.ok()) {
+    FailAttempt(shard, leg, status, now);
+    return;
+  }
+  Backend& backend = BackendOf(shard);
+  backend.breaker.RecordSuccess();
+  // A clean round trip leaves nothing buffered; only then is the
+  // connection's stream state known, so only then is it pooled.
+  if (!closed && leg.in.buffered_bytes() == 0) {
+    backend.pool.Release(leg.fd);
+  } else {
+    ::close(leg.fd);
+  }
+  leg.fd = -1;
+  leg.phase = Leg::Phase::kDone;
+  Decide(shard, std::move(payload));
+}
+
+std::vector<Result<std::string>> Router::CallBackends(
+    const std::vector<size_t>& shards, const BackendRequest& request) {
+  return Gather(this, shards, request).Run();
+}
+
+// ---------------------------------------------------------------------------
+// Router.
+
 Router::Router(ShardMap map, RouterOptions options)
     : map_(std::move(map)), options_(std::move(options)) {
   queries_total_ = registry_.counter("svq_router_queries_total",
@@ -127,6 +528,9 @@ Router::Router(ShardMap map, RouterOptions options)
                                         "EXPLAIN frames routed");
   connections_opened_ = registry_.counter(
       "svq_router_connections_opened_total", "Client connections accepted");
+  rejected_ = registry_.counter(
+      "svq_router_rejected_total",
+      "Requests turned away (admission queue full or draining)");
   backends_total_ =
       registry_.gauge("svq_router_backends_total", "Configured backends");
   backends_available_ = registry_.gauge(
@@ -134,12 +538,33 @@ Router::Router(ShardMap map, RouterOptions options)
       "Backends whose circuit breaker is not open");
   connections_open_ = registry_.gauge("svq_router_connections_open",
                                       "Client connections currently open");
+  queue_depth_ = registry_.gauge("svq_router_queue_depth",
+                                 "Requests queued behind admission");
+  in_flight_ = registry_.gauge("svq_router_in_flight",
+                               "Requests currently being routed");
   query_latency_ = registry_.histogram(
       "svq_router_query_latency_micros",
       "QUERY latency through the router (receipt to response encode)");
   fanout_latency_ = registry_.histogram(
       "svq_router_fanout_micros",
       "Scatter-gather fan-out latency (scatter start to last gather)");
+
+  server::TransportOptions transport;
+  transport.bind_address = options_.bind_address;
+  transport.port = options_.port;
+  transport.max_connections = kMaxConnections;
+  transport.workers = kWorkers;
+  transport.max_queue = kMaxQueue;
+  transport.max_frame_bytes = options_.max_frame_bytes;
+  server::TransportMetrics metrics;
+  metrics.connections_opened = connections_opened_;
+  metrics.connections_open = connections_open_;
+  metrics.queue_depth = queue_depth_;
+  metrics.in_flight = in_flight_;
+  metrics.rejected = rejected_;
+  server::Handler* handler = this;
+  transport_ = std::make_unique<server::Transport>(std::move(transport),
+                                                   metrics, handler);
 }
 
 Router::~Router() { Shutdown(); }
@@ -163,52 +588,12 @@ Status Router::Start() {
   }
   backends_.clear();
   for (const ShardEndpoint& endpoint : map_.shards) {
-    backends_.push_back(std::make_unique<Backend>(
-        endpoint, options_.connect_timeout, options_.recv_timeout,
-        options_.breaker));
+    backends_.push_back(std::make_unique<Backend>(endpoint, options_.breaker));
   }
   backends_total_->Set(static_cast<double>(backends_.size()));
   backends_available_->Set(static_cast<double>(backends_.size()));
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("invalid bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status status(StatusCode::kIOError,
-                        std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    const Status status(StatusCode::kIOError,
-                        std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  SVQ_RETURN_NOT_OK(transport_->Start());
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (options_.health_interval.count() > 0) {
     health_thread_ = std::thread([this] { HealthLoop(); });
   }
@@ -216,174 +601,29 @@ Status Router::Start() {
 }
 
 void Router::Shutdown() {
-  if (!running_.exchange(false)) return;
-  // Wake the accept loop and every connection worker.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  transport_->Shutdown(kDrainBudget);
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    // Under health_mu_, so the health loop cannot miss the wakeup between
+    // reading running_ and waiting.
+    std::lock_guard<std::mutex> lock(health_mu_);
+    if (!running_.exchange(false)) return;
   }
+  health_cancel_.Cancel();
   health_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (health_thread_.joinable()) health_thread_.join();
-  std::vector<std::thread> workers;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    workers.swap(conn_threads_);
-  }
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
   for (const std::unique_ptr<Backend>& backend : backends_) {
     backend->pool.Clear();
   }
 }
 
-void Router::AcceptLoop() {
-  while (running_.load()) {
-    sockaddr_in peer{};
-    socklen_t len = sizeof(peer);
-    const int fd = ::accept4(listen_fd_, reinterpret_cast<sockaddr*>(&peer),
-                             &len, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (!running_.load()) return;
-      if (errno == ECONNABORTED) continue;
-      return;  // listen socket is gone
-    }
-    if (!running_.load()) {
-      ::close(fd);
-      return;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_opened_->Increment();
-    connections_open_->Add(1.0);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void Router::HandleConnection(int fd) {
-  server::FrameAssembler assembler(options_.max_frame_bytes);
-  char buffer[65536];
-  bool open = true;
-  while (open && running_.load()) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    assembler.Feed(buffer, static_cast<size_t>(n));
-    for (;;) {
-      std::string payload;
-      bool has_frame = false;
-      if (!assembler.Next(&payload, &has_frame).ok()) {
-        open = false;  // oversized frame: the stream cannot resynchronize
-        break;
-      }
-      if (!has_frame) break;
-      const std::string response = HandlePayload(payload);
-      if (response.empty()) {
-        open = false;
-        break;
-      }
-      size_t sent = 0;
-      while (sent < response.size()) {
-        const ssize_t w = ::send(fd, response.data() + sent,
-                                 response.size() - sent, MSG_NOSIGNAL);
-        if (w < 0) {
-          if (errno == EINTR) continue;
-          open = false;
-          break;
-        }
-        sent += static_cast<size_t>(w);
-      }
-      if (!open) break;
-    }
-  }
-  ::close(fd);
-  connections_open_->Add(-1.0);
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                  conn_fds_.end());
-}
-
-std::string Router::HandlePayload(const std::string& payload) {
-  WireCursor cursor(payload);
-  MessageType type = MessageType::kQueryRequest;
-  const Status header = server::DecodePayloadHeader(&cursor, &type);
-  if (!header.ok()) {
-    // Same contract as svqd: answer the protocol mismatch once, then the
-    // caller drops the connection (empty follow-up is handled by the
-    // send already carrying close semantics — we return the one frame and
-    // the peer's decode fails identically either way).
-    QueryResponse response;
-    response.status = header;
-    return server::EncodeQueryResponse(response);
-  }
-  switch (type) {
-    case MessageType::kQueryRequest:
-      return HandleQuery(&cursor);
-    case MessageType::kStatsRequest:
-      return HandleStats();
-    case MessageType::kExplainRequest:
-      return HandleExplain(&cursor);
-    case MessageType::kSubscribeRequest: {
-      server::SubscribeRequest request;
-      server::SubscribeResponse response;
-      if (server::DecodeSubscribeRequest(&cursor, &request).ok()) {
-        response.request_id = request.request_id;
-      }
-      response.status = Status::Unimplemented(
-          "svq_router does not route streaming verbs; subscribe to a "
-          "backend directly");
-      return server::EncodeSubscribeResponse(response);
-    }
-    case MessageType::kFeedRequest: {
-      server::FeedRequest request;
-      server::FeedResponse response;
-      if (server::DecodeFeedRequest(&cursor, &request).ok()) {
-        response.request_id = request.request_id;
-      }
-      response.status = Status::Unimplemented(
-          "svq_router does not route streaming verbs; feed a backend "
-          "directly");
-      return server::EncodeFeedResponse(response);
-    }
-    case MessageType::kUnsubscribeRequest: {
-      server::UnsubscribeRequest request;
-      server::UnsubscribeResponse response;
-      if (server::DecodeUnsubscribeRequest(&cursor, &request).ok()) {
-        response.request_id = request.request_id;
-      }
-      response.status =
-          Status::Unimplemented("svq_router does not route streaming verbs");
-      return server::EncodeUnsubscribeResponse(response);
-    }
-    default: {
-      QueryResponse response;
-      response.status = Status::InvalidArgument(
-          "unexpected frame type " +
-          std::to_string(static_cast<int>(type)));
-      return server::EncodeQueryResponse(response);
-    }
-  }
-}
-
-bool Router::RemainingBudget(Clock::time_point admitted, uint32_t timeout_ms,
+bool Router::RemainingBudget(Clock::time_point received, uint32_t timeout_ms,
                              Clock::time_point now, uint32_t* remaining) {
   if (timeout_ms == 0) {
     *remaining = 0;  // unlimited propagates as unlimited
     return true;
   }
   const auto elapsed =
-      std::chrono::duration_cast<std::chrono::milliseconds>(now - admitted)
+      std::chrono::duration_cast<std::chrono::milliseconds>(now - received)
           .count();
   if (elapsed >= static_cast<int64_t>(timeout_ms)) return false;
   *remaining = std::max<uint32_t>(
@@ -391,7 +631,14 @@ bool Router::RemainingBudget(Clock::time_point admitted, uint32_t timeout_ms,
   return true;
 }
 
-int Router::FirstAvailableShard() const {
+int Router::ShardFor(const Result<query::SelectStatement>& parsed) const {
+  // A video the map does not know (or a statement that does not parse)
+  // goes to the first shard whose breaker admits requests; its NotFound or
+  // parser diagnostic matches a single svqd's.
+  if (parsed.ok()) {
+    const int owner = map_.ShardOf(parsed->process.video);
+    if (owner >= 0) return owner;
+  }
   for (size_t i = 0; i < backends_.size(); ++i) {
     if (backends_[i]->breaker.state() != CircuitBreaker::State::kOpen) {
       return static_cast<int>(i);
@@ -400,184 +647,139 @@ int Router::FirstAvailableShard() const {
   return -1;
 }
 
-Result<QueryResponse> Router::QueryBackend(size_t shard,
-                                           const std::string& statement,
-                                           Clock::time_point admitted,
-                                           uint32_t timeout_ms) {
-  Backend& backend = *backends_[shard];
-  const std::string endpoint = backend.pool.endpoint().host + ":" +
-                               std::to_string(backend.pool.endpoint().port);
-  Status last = Status::Unavailable("shard " + std::to_string(shard) + " (" +
-                                    endpoint + ") unavailable");
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    const Clock::time_point now = Clock::now();
-    uint32_t remaining = 0;
-    if (!RemainingBudget(admitted, timeout_ms, now, &remaining)) {
-      // Budget exhausted inside the router: this is the query's outcome,
-      // not a transport failure — report it on the query status exactly as
-      // a backend would.
-      queries_deadline_->Increment();
-      QueryResponse expired;
-      expired.status = Status::DeadlineExceeded(
-          "query budget exhausted before shard " + std::to_string(shard) +
-          " responded");
-      return expired;
-    }
-    if (!backend.breaker.AllowRequest(now)) {
-      return Status::Unavailable("shard " + std::to_string(shard) + " (" +
-                                 endpoint + "): circuit breaker open");
-    }
-    if (attempt > 0) retries_->Increment();
-    auto client = backend.pool.Acquire();
-    if (client.ok()) {
-      Result<QueryResponse> response =
-          client->Execute(statement, remaining);
-      if (response.ok()) {
-        backend.breaker.RecordSuccess();
-        backend.pool.Release(std::move(client).value());
-        return response;
-      }
-      last = response.status();
-    } else {
-      last = client.status();
-    }
-    // Transport failure: never reuse the connection, feed the breaker,
-    // back off (capped exponential) before the next idempotent retry.
-    backend.breaker.RecordFailure(Clock::now());
-    backend_failures_->Increment();
-    if (attempt < options_.max_retries) {
-      auto backoff = options_.retry_backoff * (1 << attempt);
-      if (backoff > options_.retry_backoff_max) {
-        backoff = options_.retry_backoff_max;
-      }
-      if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    }
-  }
-  return Status::Unavailable("shard " + std::to_string(shard) + " (" +
-                             endpoint + "): " + last.ToString());
+Router::BackendRequest Router::RequestFor(
+    Clock::time_point received, uint32_t timeout_ms,
+    const CancellationToken& cancel) const {
+  BackendRequest request;
+  request.received = received;
+  request.timeout_ms = timeout_ms;
+  request.max_retries = options_.max_retries;
+  request.cancel = cancel;
+  return request;
 }
 
-Result<QueryResponse> Router::QueryBackendHedged(
-    size_t shard, const std::string& statement, Clock::time_point admitted,
-    uint32_t timeout_ms) {
-  if (options_.hedge_after.count() <= 0) {
-    return QueryBackend(shard, statement, admitted, timeout_ms);
-  }
-  // First response wins. Both attempts run detached so the winner's caller
-  // never waits for the loser; Shutdown joins the stragglers via the
-  // connection-thread registry this function's threads are NOT in — they
-  // hold only `state` plus `this`, and Shutdown runs after every
-  // connection worker (their transitive caller) has been joined, so the
-  // detach is bounded by recv_timeout. To keep that bound airtight the
-  // loser is tracked in `state` and the last one out cleans up.
-  struct HedgeState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Result<QueryResponse> result = Status::Unavailable("hedge pending");
-  };
-  auto state = std::make_shared<HedgeState>();
-  auto run = [this, state, shard, statement, admitted, timeout_ms] {
-    Result<QueryResponse> response =
-        QueryBackend(shard, statement, admitted, timeout_ms);
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (!state->done) {
-      state->result = std::move(response);
-      state->done = true;
-      state->cv.notify_all();
+// ---------------------------------------------------------------------------
+// Decoding (IO thread).
+
+Dispatch Router::Decode(const server::Frame& frame) {
+  const Clock::time_point received = frame.received;
+  switch (frame.type) {
+    case MessageType::kQueryRequest:
+      return server::AdmitRequest(
+          frame, server::DecodeQueryRequest, server::EncodeQueryResponse,
+          [this, received](const server::QueryRequest& request,
+                           const CancellationToken& cancel) {
+            return RunQuery(request, received, cancel);
+          });
+    case MessageType::kExplainRequest:
+      return server::AdmitRequest(
+          frame, server::DecodeExplainRequest, server::EncodeExplainResponse,
+          [this, received](const server::ExplainRequest& request,
+                           const CancellationToken& cancel) {
+            return RunExplain(request, received, cancel);
+          });
+    case MessageType::kStatsRequest: {
+      server::Job job;
+      job.run = [this](const CancellationToken& cancel) {
+        return RunStats(cancel);
+      };
+      // STATS has no status to carry a rejection; a router too busy to ask
+      // its backends answers with its own registry alone.
+      job.reject = [this](const Status&) { return StatsResponse({}); };
+      return Dispatch::Admit(std::move(job));
     }
-  };
-  std::thread primary(run);
-  std::unique_lock<std::mutex> lock(state->mu);
-  if (state->cv.wait_for(lock, options_.hedge_after,
-                         [&] { return state->done; })) {
-    lock.unlock();
-    primary.join();
-    return std::move(state->result);
+    case MessageType::kSubscribeRequest: {
+      server::SubscribeRequest request;
+      (void)server::DecodeSubscribeRequest(frame.body, &request);
+      return Dispatch::Reply(server::EncodeFailure(
+          server::EncodeSubscribeResponse, request.request_id,
+          Status::Unimplemented("svq_router does not route streaming verbs; "
+                                "subscribe to a backend directly")));
+    }
+    case MessageType::kFeedRequest: {
+      server::FeedRequest request;
+      (void)server::DecodeFeedRequest(frame.body, &request);
+      return Dispatch::Reply(server::EncodeFailure(
+          server::EncodeFeedResponse, request.request_id,
+          Status::Unimplemented("svq_router does not route streaming verbs; "
+                                "feed a backend directly")));
+    }
+    default: {
+      server::UnsubscribeRequest request;
+      (void)server::DecodeUnsubscribeRequest(frame.body, &request);
+      return Dispatch::Reply(server::EncodeFailure(
+          server::EncodeUnsubscribeResponse, request.request_id,
+          Status::Unimplemented("svq_router does not route streaming verbs")));
+    }
   }
-  lock.unlock();
-  hedges_->Increment();
-  std::thread hedge(run);
-  lock.lock();
-  state->cv.wait(lock, [&] { return state->done; });
-  Result<QueryResponse> result = std::move(state->result);
-  lock.unlock();
-  // Both attempts are bounded by recv_timeout / the retry budget; joining
-  // keeps every backend interaction inside the router's lifetime.
-  primary.join();
-  hedge.join();
-  return result;
 }
 
-std::string Router::HandleQuery(WireCursor* cursor) {
-  const Clock::time_point admitted = Clock::now();
-  server::QueryRequest request;
-  const Status decoded = server::DecodeQueryRequest(cursor, &request);
+// ---------------------------------------------------------------------------
+// Routing (workers).
+
+std::string Router::RunQuery(const server::QueryRequest& request,
+                             Clock::time_point received,
+                             const CancellationToken& cancel) {
+  queries_total_->Increment();
   QueryResponse response;
   response.request_id = request.request_id;
-  if (!decoded.ok()) {
-    response.status = decoded;
+  const auto finish = [&]() {
+    query_latency_->Record(ElapsedMicros(received, Clock::now()));
     return server::EncodeQueryResponse(response);
-  }
-  queries_total_->Increment();
-  const std::string target = RouteTargetOf(request.statement);
+  };
+  server::QueryRequest forwarded = request;
+  BackendRequest call = RequestFor(received, request.timeout_ms, cancel);
+  call.encode = [&forwarded](uint32_t budget_ms) {
+    forwarded.timeout_ms = budget_ms;
+    return server::EncodeQueryRequest(forwarded);
+  };
+  call.reply_type = MessageType::kQueryResponse;
+  call.hedge = true;
+  const Result<query::SelectStatement> parsed =
+      RouteTargetOf(request.statement);
 
-  if (target != "*") {
-    // Single-video (or unparseable) statement: forward to the owning
-    // shard; a video the map does not know goes to the first available
-    // shard, whose NotFound diagnostic matches a single svqd's.
-    int shard = target.empty() ? -1 : map_.ShardOf(target);
-    if (shard < 0) shard = FirstAvailableShard();
+  if (!parsed.ok() || parsed->process.video != "*") {
+    // Single-video (or unparseable) statement: forward to one shard.
+    const int shard = ShardFor(parsed);
     if (shard < 0) {
       response.status =
           Status::Unavailable("no shard available for this statement");
-    } else {
-      Result<QueryResponse> routed = QueryBackendHedged(
-          static_cast<size_t>(shard), request.statement, admitted,
-          request.timeout_ms);
-      if (routed.ok()) {
-        response = std::move(routed).value();
-        response.request_id = request.request_id;
-      } else {
-        response.status = routed.status();
-      }
+      return finish();
     }
-    query_latency_->Record(ElapsedMicros(admitted, Clock::now()));
-    return server::EncodeQueryResponse(response);
+    Result<QueryResponse> routed =
+        DecodeReply(CallBackends({static_cast<size_t>(shard)}, call)[0],
+                    server::DecodeQueryResponse);
+    if (routed.ok()) {
+      response = std::move(routed).value();
+      response.request_id = request.request_id;
+    } else {
+      response.status = routed.status();
+    }
+    return finish();
   }
 
-  // Broadcast: bind locally for K, scatter to every shard, gather with the
-  // shared score-ordered merge.
-  auto bound = query::ParseAndBind(request.statement);
+  // Broadcast: bind the parsed statement for K, scatter to every shard,
+  // gather with the shared score-ordered merge.
+  const Result<query::BoundQuery> bound = query::Bind(*parsed);
   if (!bound.ok()) {
-    // The statement parses (RouteTargetOf saw PROCESS *) but does not
-    // bind; answer with the binder's diagnostic like a single svqd would.
+    // The statement parses but does not bind; answer with the binder's
+    // diagnostic like a single svqd would.
     response.status = bound.status();
-    query_latency_->Record(ElapsedMicros(admitted, Clock::now()));
-    return server::EncodeQueryResponse(response);
+    return finish();
   }
   const int k = static_cast<int>(bound->k);
 
+  std::vector<size_t> shards(backends_.size());
+  std::iota(shards.begin(), shards.end(), size_t{0});
   const Clock::time_point scatter_begin = Clock::now();
-  std::vector<Result<QueryResponse>> gathered(
-      backends_.size(), Result<QueryResponse>(Status::Unavailable("")));
-  {
-    std::vector<std::thread> scatter;
-    scatter.reserve(backends_.size());
-    for (size_t shard = 0; shard < backends_.size(); ++shard) {
-      scatter.emplace_back([this, shard, &request, admitted, &gathered] {
-        gathered[shard] = QueryBackendHedged(
-            shard, request.statement, admitted, request.timeout_ms);
-      });
-    }
-    for (std::thread& thread : scatter) thread.join();
-  }
+  const std::vector<Result<std::string>> replies = CallBackends(shards, call);
   fanout_latency_->Record(ElapsedMicros(scatter_begin, Clock::now()));
 
   std::vector<GatherEntry> entries;
   std::vector<std::string> failed;
-  for (size_t shard = 0; shard < gathered.size(); ++shard) {
-    Result<QueryResponse>& result = gathered[shard];
+  for (size_t shard = 0; shard < replies.size(); ++shard) {
+    Result<QueryResponse> result =
+        DecodeReply(replies[shard], server::DecodeQueryResponse);
     if (!result.ok()) {
       failed.push_back(result.status().message());
       continue;
@@ -588,8 +790,7 @@ std::string Router::HandleQuery(WireCursor* cursor) {
       // query's, not the transport's: surface the first one verbatim.
       response.status = result->status;
       response.sequences.clear();
-      query_latency_->Record(ElapsedMicros(admitted, Clock::now()));
-      return server::EncodeQueryResponse(response);
+      return finish();
     }
     for (size_t rank = 0; rank < result->sequences.size(); ++rank) {
       entries.push_back({shard, rank, result->sequences[rank]});
@@ -612,12 +813,12 @@ std::string Router::HandleQuery(WireCursor* cursor) {
 
   if (!failed.empty()) {
     std::ostringstream message;
-    if (failed.size() == gathered.size()) {
+    if (failed.size() == replies.size()) {
       message << "all shards unavailable: ";
     } else {
       queries_partial_->Increment();
-      message << "partial results (" << gathered.size() - failed.size()
-              << "/" << gathered.size() << " shards): ";
+      message << "partial results (" << replies.size() - failed.size()
+              << "/" << replies.size() << " shards): ";
     }
     for (size_t i = 0; i < failed.size(); ++i) {
       if (i > 0) message << "; ";
@@ -625,87 +826,40 @@ std::string Router::HandleQuery(WireCursor* cursor) {
     }
     response.status = Status::Unavailable(message.str());
   }
-  query_latency_->Record(ElapsedMicros(admitted, Clock::now()));
-  return server::EncodeQueryResponse(response);
+  return finish();
 }
 
-Result<server::ExplainResponse> Router::ExplainBackend(
-    size_t shard, const server::ExplainRequest& request,
-    Clock::time_point admitted) {
-  Backend& backend = *backends_[shard];
-  const std::string endpoint = backend.pool.endpoint().host + ":" +
-                               std::to_string(backend.pool.endpoint().port);
-  Status last = Status::Unavailable("unreachable");
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    const Clock::time_point now = Clock::now();
-    uint32_t remaining = 0;
-    if (!RemainingBudget(admitted, request.timeout_ms, now, &remaining)) {
-      queries_deadline_->Increment();
-      server::ExplainResponse expired;
-      expired.status =
-          Status::DeadlineExceeded("explain budget exhausted in the router");
-      return expired;
-    }
-    if (!backend.breaker.AllowRequest(now)) {
-      return Status::Unavailable("shard " + std::to_string(shard) + " (" +
-                                 endpoint + "): circuit breaker open");
-    }
-    if (attempt > 0) retries_->Increment();
-    auto client = backend.pool.Acquire();
-    if (client.ok()) {
-      Result<server::ExplainResponse> response =
-          client->Explain(request.statement, request.analyze, remaining);
-      if (response.ok()) {
-        backend.breaker.RecordSuccess();
-        backend.pool.Release(std::move(client).value());
-        return response;
-      }
-      last = response.status();
-    } else {
-      last = client.status();
-    }
-    backend.breaker.RecordFailure(Clock::now());
-    backend_failures_->Increment();
-    if (attempt < options_.max_retries) {
-      auto backoff = options_.retry_backoff * (1 << attempt);
-      if (backoff > options_.retry_backoff_max) {
-        backoff = options_.retry_backoff_max;
-      }
-      if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    }
-  }
-  return Status::Unavailable("shard " + std::to_string(shard) + " (" +
-                             endpoint + "): " + last.ToString());
-}
-
-std::string Router::HandleExplain(WireCursor* cursor) {
-  const Clock::time_point admitted = Clock::now();
-  server::ExplainRequest request;
-  const Status decoded = server::DecodeExplainRequest(cursor, &request);
+std::string Router::RunExplain(const server::ExplainRequest& request,
+                               Clock::time_point received,
+                               const CancellationToken& cancel) {
+  explain_requests_->Increment();
   server::ExplainResponse response;
   response.request_id = request.request_id;
-  if (!decoded.ok()) {
-    response.status = decoded;
-    return server::EncodeExplainResponse(response);
-  }
-  explain_requests_->Increment();
-  const std::string target = RouteTargetOf(request.statement);
-  if (target == "*") {
+  const Result<query::SelectStatement> parsed =
+      RouteTargetOf(request.statement);
+  if (parsed.ok() && parsed->process.video == "*") {
     // Matches single-node behavior: EXPLAIN over PROCESS * is
     // Unimplemented there too (the planner is per-video).
     response.status = Status::Unimplemented(
         "EXPLAIN over PROCESS * is not supported; explain a single video");
     return server::EncodeExplainResponse(response);
   }
-  int shard = target.empty() ? -1 : map_.ShardOf(target);
-  if (shard < 0) shard = FirstAvailableShard();
+  const int shard = ShardFor(parsed);
   if (shard < 0) {
     response.status =
         Status::Unavailable("no shard available for this statement");
     return server::EncodeExplainResponse(response);
   }
+  server::ExplainRequest forwarded = request;
+  BackendRequest call = RequestFor(received, request.timeout_ms, cancel);
+  call.encode = [&forwarded](uint32_t budget_ms) {
+    forwarded.timeout_ms = budget_ms;
+    return server::EncodeExplainRequest(forwarded);
+  };
+  call.reply_type = MessageType::kExplainResponse;
   Result<server::ExplainResponse> routed =
-      ExplainBackend(static_cast<size_t>(shard), request, admitted);
+      DecodeReply(CallBackends({static_cast<size_t>(shard)}, call)[0],
+                  server::DecodeExplainResponse);
   if (routed.ok()) {
     response = std::move(routed).value();
     response.request_id = request.request_id;
@@ -715,66 +869,51 @@ std::string Router::HandleExplain(WireCursor* cursor) {
   return server::EncodeExplainResponse(response);
 }
 
-Result<ServerStatsWire> Router::StatsBackend(size_t shard) {
-  Backend& backend = *backends_[shard];
-  Status last = Status::Unavailable("unreachable");
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (!backend.breaker.AllowRequest(Clock::now())) {
-      return Status::Unavailable("circuit breaker open");
-    }
-    if (attempt > 0) retries_->Increment();
-    auto client = backend.pool.Acquire();
-    if (client.ok()) {
-      Result<ServerStatsWire> stats = client->GetStats();
-      if (stats.ok()) {
-        backend.breaker.RecordSuccess();
-        backend.pool.Release(std::move(client).value());
-        return stats;
-      }
-      last = stats.status();
-    } else {
-      last = client.status();
-    }
-    backend.breaker.RecordFailure(Clock::now());
-    backend_failures_->Increment();
-    if (attempt < options_.max_retries) {
-      auto backoff = options_.retry_backoff * (1 << attempt);
-      if (backoff > options_.retry_backoff_max) {
-        backoff = options_.retry_backoff_max;
-      }
-      if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    }
-  }
-  return last;
+std::string Router::RunStats(const CancellationToken& cancel) {
+  stats_requests_->Increment();
+  BackendRequest call = RequestFor(Clock::now(), 0, cancel);
+  call.encode = [](uint32_t) { return server::EncodeStatsRequest(); };
+  call.reply_type = MessageType::kStatsResponse;
+  std::vector<size_t> shards(backends_.size());
+  std::iota(shards.begin(), shards.end(), size_t{0});
+  return StatsResponse(CallBackends(shards, call));
 }
 
-std::string Router::HandleStats() {
-  stats_requests_->Increment();
+std::string Router::StatsResponse(
+    const std::vector<Result<std::string>>& replies) {
   ServerStatsWire aggregate;
   std::map<std::string, double> registry_sum;
   size_t available = 0;
-  for (size_t shard = 0; shard < backends_.size(); ++shard) {
-    Result<ServerStatsWire> stats = StatsBackend(shard);
-    if (!stats.ok()) continue;
+  for (const Result<std::string>& reply : replies) {
+    if (!reply.ok()) continue;
+    ServerStatsWire stats;
+    WireCursor cursor(*reply);
+    MessageType type = MessageType::kStatsResponse;
+    if (!server::DecodePayloadHeader(&cursor, &type).ok() ||
+        !server::DecodeStatsResponse(&cursor, &stats).ok()) {
+      continue;
+    }
     ++available;
-    aggregate.queries_accepted += stats->queries_accepted;
-    aggregate.queries_rejected += stats->queries_rejected;
-    aggregate.queries_ok += stats->queries_ok;
-    aggregate.queries_failed += stats->queries_failed;
-    aggregate.queries_cancelled += stats->queries_cancelled;
-    aggregate.queries_deadline_exceeded += stats->queries_deadline_exceeded;
-    aggregate.stats_requests += stats->stats_requests;
-    aggregate.connections_opened += stats->connections_opened;
-    aggregate.connections_open += stats->connections_open;
-    aggregate.queue_depth += stats->queue_depth;
-    aggregate.in_flight += stats->in_flight;
-    MergeHistogram(stats->query_latency, &aggregate.query_latency);
-    MergeHistogram(stats->stats_latency, &aggregate.stats_latency);
-    for (const auto& [name, value] : stats->registry) {
+    aggregate.queries_accepted += stats.queries_accepted;
+    aggregate.queries_rejected += stats.queries_rejected;
+    aggregate.queries_ok += stats.queries_ok;
+    aggregate.queries_failed += stats.queries_failed;
+    aggregate.queries_cancelled += stats.queries_cancelled;
+    aggregate.queries_deadline_exceeded += stats.queries_deadline_exceeded;
+    aggregate.stats_requests += stats.stats_requests;
+    aggregate.connections_opened += stats.connections_opened;
+    aggregate.connections_open += stats.connections_open;
+    aggregate.queue_depth += stats.queue_depth;
+    aggregate.in_flight += stats.in_flight;
+    MergeHistogram(stats.query_latency, &aggregate.query_latency);
+    MergeHistogram(stats.stats_latency, &aggregate.stats_latency);
+    for (const auto& [name, value] : stats.registry) {
       registry_sum[name] += value;
     }
   }
-  backends_available_->Set(static_cast<double>(available));
+  if (!replies.empty()) {
+    backends_available_->Set(static_cast<double>(available));
+  }
   // The router's own metrics ride along under their svq_router_* names —
   // one STATS round trip observes the whole cluster.
   for (const auto& [name, value] : registry_.Snapshot().Flatten()) {
@@ -785,6 +924,11 @@ std::string Router::HandleStats() {
 }
 
 void Router::HealthLoop() {
+  // No budget: a probe is bounded by connect_timeout and recv_timeout.
+  BackendRequest probe = RequestFor(Clock::now(), 0, health_cancel_.token());
+  probe.encode = [](uint32_t) { return server::EncodeStatsRequest(); };
+  probe.reply_type = MessageType::kStatsResponse;
+  probe.max_retries = 0;
   while (running_.load()) {
     {
       std::unique_lock<std::mutex> lock(health_mu_);
@@ -794,30 +938,16 @@ void Router::HealthLoop() {
     if (!running_.load()) return;
     size_t available = 0;
     for (size_t shard = 0; shard < backends_.size(); ++shard) {
-      Backend& backend = *backends_[shard];
-      if (backend.breaker.state() == CircuitBreaker::State::kClosed) {
+      if (backends_[shard]->breaker.state() ==
+          CircuitBreaker::State::kClosed) {
         ++available;
         continue;
       }
-      // Open (or half-open) breaker: try to become the probe. A healthy
-      // answer closes the breaker without waiting for client traffic.
-      if (!backend.breaker.AllowRequest(Clock::now())) continue;
-      auto client = backend.pool.Acquire();
-      bool healthy = false;
-      if (client.ok()) {
-        auto stats = client->GetStats();
-        if (stats.ok()) {
-          healthy = true;
-          backend.pool.Release(std::move(client).value());
-        }
-      }
-      if (healthy) {
-        backend.breaker.RecordSuccess();
-        ++available;
-      } else {
-        backend.breaker.RecordFailure(Clock::now());
-        backend_failures_->Increment();
-      }
+      // Open (or half-open) breaker: probe with STATS through the one call
+      // path, which the breaker admits only as its half-open probe. A
+      // healthy answer closes the breaker without waiting for client
+      // traffic.
+      if (CallBackends({shard}, probe)[0].ok()) ++available;
     }
     backends_available_->Set(static_cast<double>(available));
   }

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -15,8 +16,11 @@
 #include "svq/cluster/breaker.h"
 #include "svq/cluster/client_pool.h"
 #include "svq/cluster/shard_map.h"
+#include "svq/common/execution_context.h"
 #include "svq/common/result.h"
 #include "svq/observability/metrics.h"
+#include "svq/query/ast.h"
+#include "svq/server/transport.h"
 #include "svq/server/wire.h"
 
 namespace svq::cluster {
@@ -35,20 +39,21 @@ struct RouterOptions {
   std::chrono::milliseconds retry_backoff{10};
   std::chrono::milliseconds retry_backoff_max{200};
 
-  /// Hedging for scatter-gather QUERYs: when > 0, a shard that has not
-  /// answered within this budget gets a duplicate request on a fresh
-  /// connection; the first response wins. 0 disables hedging.
+  /// Hedging for QUERYs: when > 0, a shard that has not answered within
+  /// this budget gets a duplicate request on another connection; the first
+  /// reply wins, and a copy that fails leaves the other running. 0
+  /// disables hedging.
   std::chrono::milliseconds hedge_after{0};
 
   /// Circuit breaker per backend (svq/cluster/breaker.h).
   CircuitBreaker::Options breaker;
 
-  /// Dial budget for every backend connection (Client::Connect's
-  /// non-blocking connect path); must be > 0 so a black-holed backend
-  /// cannot hang a router worker.
+  /// Dial budget for every backend connection (a non-blocking connect);
+  /// must be > 0 so a black-holed backend cannot hang a router worker.
   std::chrono::milliseconds connect_timeout{1000};
-  /// Receive budget per backend round trip; must comfortably exceed the
-  /// largest query timeout the deployment issues.
+  /// How long a backend request may go without progress (no byte sent or
+  /// received) before it fails; must comfortably exceed the largest query
+  /// timeout the deployment issues.
   std::chrono::milliseconds recv_timeout{120000};
 
   /// Period of the background health checker, which probes open-breaker
@@ -74,7 +79,8 @@ struct RouterOptions {
 ///    (svq/core/topk_merge.h), ties broken by (shard, per-shard rank).
 ///  - Deadlines propagate by decrementing the remaining budget per hop:
 ///    every forwarded timeout is the client's budget minus time already
-///    spent in the router (queueing, earlier attempts, backoff).
+///    spent since the router received the frame (queueing, earlier
+///    attempts, backoff).
 ///  - Transport failures retry with capped exponential backoff (the verbs
 ///    the router forwards are idempotent), feed the backend's circuit
 ///    breaker, and — for scatter-gather — degrade to partial results: the
@@ -87,29 +93,34 @@ struct RouterOptions {
 ///    Unimplemented: standing queries pin per-feed state that a
 ///    stateless router does not replicate.
 ///
-/// Threading: one accept thread, one blocking worker thread per client
-/// connection (each request may fan out one extra thread per shard), one
-/// health-check thread.
-class Router {
+/// Threading: the router is a handler set on server::Transport — one IO
+/// thread for every client socket, a fixed pool of workers behind a
+/// bounded admission queue (constants in router.cc: 64 connections, and
+/// workers plus queue slots equal to that cap), and one health-check
+/// thread. A worker sends each shard's request on a pooled connection and
+/// waits for all of them in one poll loop, so no thread is started per
+/// connection, per shard or per hedge. A client that disconnects cancels
+/// its request's backend calls.
+class Router : private server::Handler {
  public:
   using Clock = std::chrono::steady_clock;
 
   Router(ShardMap map, RouterOptions options);
-  ~Router();
+  ~Router() override;
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Binds, listens, and starts the accept + health threads.
+  /// Binds, listens, and starts the transport and health threads.
   /// Errors: InvalidArgument (bad map/options), IOError.
   Status Start();
 
-  /// Stops accepting, closes every connection, joins all threads.
-  /// Idempotent.
+  /// Drains (stops accepting, lets admitted requests finish within a fixed
+  /// budget, cancels the rest), then stops every thread. Idempotent.
   void Shutdown();
 
   /// The bound port (valid after Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return transport_->port(); }
 
   const ShardMap& shard_map() const { return map_; }
 
@@ -127,52 +138,70 @@ class Router {
 
  private:
   struct Backend {
-    Backend(ShardEndpoint endpoint, std::chrono::milliseconds connect,
-            std::chrono::milliseconds recv, CircuitBreaker::Options breaker)
-        : pool(std::move(endpoint), connect, recv),
-          breaker(breaker) {}
+    Backend(ShardEndpoint endpoint, CircuitBreaker::Options breaker)
+        : pool(std::move(endpoint)), breaker(breaker) {}
 
     ClientPool pool;
     CircuitBreaker breaker;
   };
 
-  void AcceptLoop();
-  void HandleConnection(int fd);
+  /// One request as CallBackends sends it to each shard.
+  struct BackendRequest {
+    /// Encodes one attempt's request frame; `budget_ms` is the client's
+    /// remaining budget (0 = unlimited).
+    std::function<std::string(uint32_t budget_ms)> encode;
+    server::MessageType reply_type = server::MessageType::kQueryResponse;
+    /// The client's budget: `timeout_ms` (0 = unlimited) from `received`.
+    Clock::time_point received{};
+    uint32_t timeout_ms = 0;
+    int max_retries = 0;
+    /// Duplicate a shard's request once it is options_.hedge_after late.
+    bool hedge = false;
+    /// Abandons every outstanding backend request when it fires.
+    CancellationToken cancel;
+  };
+  class Gather;
+
+  /// The one backend-call path, for QUERY, EXPLAIN, STATS and the health
+  /// probe: sends `request` to each of `shards` on pooled connections and
+  /// waits for the replies in one poll loop, with per-shard retries,
+  /// breaker accounting and hedging. Returns each shard's reply payload
+  /// (header included), or why there is none: Unavailable (transport or
+  /// breaker), DeadlineExceeded (the budget ran out in the router) or
+  /// Cancelled (`request.cancel` fired).
+  std::vector<Result<std::string>> CallBackends(
+      const std::vector<size_t>& shards, const BackendRequest& request);
+
+  // Handler: decoding runs on the transport's IO thread, the Run* methods
+  // on its workers.
+  server::Dispatch Decode(const server::Frame& frame) override;
+  std::string RunQuery(const server::QueryRequest& request,
+                       Clock::time_point received,
+                       const CancellationToken& cancel);
+  std::string RunExplain(const server::ExplainRequest& request,
+                         Clock::time_point received,
+                         const CancellationToken& cancel);
+  std::string RunStats(const CancellationToken& cancel);
+  /// The STATS response over the backends' replies plus the router's own
+  /// registry.
+  std::string StatsResponse(const std::vector<Result<std::string>>& replies);
+
   void HealthLoop();
-
-  /// Dispatches one complete frame payload; returns the encoded response
-  /// frame, or an empty string when the connection must be dropped.
-  std::string HandlePayload(const std::string& payload);
-
-  std::string HandleQuery(server::WireCursor* cursor);
-  std::string HandleExplain(server::WireCursor* cursor);
-  std::string HandleStats();
-
-  /// One QUERY to one backend with breaker + retry + per-hop deadline
-  /// decrement. `admitted` / `timeout_ms` describe the client's budget.
-  Result<server::QueryResponse> QueryBackend(size_t shard,
-                                             const std::string& statement,
-                                             Clock::time_point admitted,
-                                             uint32_t timeout_ms);
-  /// QueryBackend plus optional hedging (options_.hedge_after).
-  Result<server::QueryResponse> QueryBackendHedged(
-      size_t shard, const std::string& statement, Clock::time_point admitted,
-      uint32_t timeout_ms);
-
-  Result<server::ExplainResponse> ExplainBackend(
-      size_t shard, const server::ExplainRequest& request,
-      Clock::time_point admitted);
-  Result<server::ServerStatsWire> StatsBackend(size_t shard);
 
   /// Remaining per-hop budget: client budget minus elapsed. Returns false
   /// when the budget is exhausted (0 client budget = unlimited, always
   /// true with *remaining = 0).
-  static bool RemainingBudget(Clock::time_point admitted,
+  static bool RemainingBudget(Clock::time_point received,
                               uint32_t timeout_ms, Clock::time_point now,
                               uint32_t* remaining);
 
-  /// First shard whose breaker currently admits requests; -1 when none.
-  int FirstAvailableShard() const;
+  /// The shard a single-video statement goes to: the video's owner, else
+  /// the first shard whose breaker admits requests; -1 when none does.
+  int ShardFor(const Result<query::SelectStatement>& parsed) const;
+
+  /// The request template every routed verb starts from.
+  BackendRequest RequestFor(Clock::time_point received, uint32_t timeout_ms,
+                            const CancellationToken& cancel) const;
 
   const ShardMap map_;
   const RouterOptions options_;
@@ -189,24 +218,23 @@ class Router {
   observability::Counter* stats_requests_ = nullptr;
   observability::Counter* explain_requests_ = nullptr;
   observability::Counter* connections_opened_ = nullptr;
+  observability::Counter* rejected_ = nullptr;
   observability::Gauge* backends_total_ = nullptr;
   observability::Gauge* backends_available_ = nullptr;
   observability::Gauge* connections_open_ = nullptr;
+  observability::Gauge* queue_depth_ = nullptr;
+  observability::Gauge* in_flight_ = nullptr;
   observability::Histogram* query_latency_ = nullptr;
   observability::Histogram* fanout_latency_ = nullptr;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
+  std::unique_ptr<server::Transport> transport_;
 
-  std::thread accept_thread_;
+  std::atomic<bool> running_{false};
   std::thread health_thread_;
   std::mutex health_mu_;
   std::condition_variable health_cv_;
-
-  std::mutex conns_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  /// Fired by Shutdown so a probe in progress does not hold it up.
+  CancellationSource health_cancel_;
 };
 
 }  // namespace svq::cluster

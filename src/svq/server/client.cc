@@ -23,112 +23,95 @@ void Client::Close() {
   }
 }
 
-Status Client::Connect(const std::string& host, uint16_t port,
-                       std::chrono::milliseconds recv_timeout,
-                       std::chrono::milliseconds connect_timeout) {
-  Close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
+Status Dial(const std::string& host, uint16_t port, int* fd_out,
+            bool* connected) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    Close();
     return Status::InvalidArgument("invalid host address '" + host + "'");
   }
-  const std::string endpoint = host + ":" + std::to_string(port);
-  if (connect_timeout.count() <= 0) {
-    // Historical behavior: blocking connect, bounded only by the kernel's
-    // SYN-retry budget.
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-        0) {
-      const Status status(StatusCode::kIOError, "connect to " + endpoint +
-                                                    ": " +
-                                                    std::strerror(errno));
-      Close();
-      return status;
-    }
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    *connected = true;
+  } else if (errno == EINPROGRESS || errno == EINTR) {
+    // An interrupted connect proceeds asynchronously, same as EINPROGRESS.
+    *connected = false;
   } else {
-    // Non-blocking connect + poll: a black-holed endpoint (no SYN-ACK, no
-    // RST) fails within `connect_timeout` instead of hanging the caller.
-    // The cluster router's health checker depends on this bound.
-    const int flags = ::fcntl(fd_, F_GETFL, 0);
-    if (flags < 0 || ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) < 0) {
-      const Status status(
-          StatusCode::kIOError,
-          std::string("fcntl O_NONBLOCK: ") + std::strerror(errno));
+    const Status status(StatusCode::kIOError,
+                        "connect to " + host + ":" + std::to_string(port) +
+                            ": " + std::strerror(errno));
+    ::close(fd);
+    return status;
+  }
+  *fd_out = fd;
+  return Status::OK();
+}
+
+Status Client::Connect(const std::string& host, uint16_t port,
+                       std::chrono::milliseconds recv_timeout,
+                       std::chrono::milliseconds connect_timeout) {
+  Close();
+  const std::string endpoint = host + ":" + std::to_string(port);
+  bool connected = false;
+  SVQ_RETURN_NOT_OK(Dial(host, port, &fd_, &connected));
+  if (!connected) {
+    // Wait for the handshake: a black-holed endpoint (no SYN-ACK, no RST)
+    // fails within `connect_timeout` instead of hanging the caller; zero
+    // waits as long as the kernel's SYN-retry budget, like a blocking
+    // connect.
+    pollfd pfd{fd_, POLLOUT, 0};
+    const auto deadline = std::chrono::steady_clock::now() + connect_timeout;
+    for (;;) {
+      int wait_ms = -1;
+      if (connect_timeout.count() > 0) {
+        wait_ms = static_cast<int>(
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now())
+                .count());
+        if (wait_ms <= 0) {
+          Close();
+          return Status::IOError("connect to " + endpoint + ": timed out");
+        }
+      }
+      const int ready = ::poll(&pfd, 1, wait_ms);
+      if (ready > 0) break;
+      if (ready == 0) {
+        Close();
+        return Status::IOError("connect to " + endpoint + ": timed out");
+      }
+      if (errno == EINTR) continue;
+      const Status status(StatusCode::kIOError,
+                          std::string("poll: ") + std::strerror(errno));
       Close();
       return status;
     }
-    int rc = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof(addr));
-    if (rc < 0 && errno == EINTR) {
-      // An interrupted connect proceeds asynchronously, same as
-      // EINPROGRESS.
-      rc = -1;
-      errno = EINPROGRESS;
-    }
-    if (rc < 0) {
-      if (errno != EINPROGRESS) {
-        const Status status(StatusCode::kIOError, "connect to " + endpoint +
-                                                      ": " +
-                                                      std::strerror(errno));
-        Close();
-        return status;
-      }
-      pollfd pfd{};
-      pfd.fd = fd_;
-      pfd.events = POLLOUT;
-      const auto deadline =
-          std::chrono::steady_clock::now() + connect_timeout;
-      for (;;) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-        if (remaining.count() <= 0) {
-          Close();
-          return Status::IOError("connect to " + endpoint + ": timed out");
-        }
-        const int ready =
-            ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-        if (ready < 0) {
-          if (errno == EINTR) continue;
-          const Status status(
-              StatusCode::kIOError,
-              std::string("poll: ") + std::strerror(errno));
-          Close();
-          return status;
-        }
-        if (ready == 0) {
-          Close();
-          return Status::IOError("connect to " + endpoint + ": timed out");
-        }
-        break;
-      }
-      int so_error = 0;
-      socklen_t len = sizeof(so_error);
-      if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0 ||
-          so_error != 0) {
-        const Status status(
-            StatusCode::kIOError,
-            "connect to " + endpoint + ": " +
-                std::strerror(so_error != 0 ? so_error : errno));
-        Close();
-        return status;
-      }
-    }
-    if (::fcntl(fd_, F_SETFL, flags) < 0) {
+    int so_error = 0;
+    socklen_t len = sizeof(so_error);
+    if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0 ||
+        so_error != 0) {
       const Status status(
           StatusCode::kIOError,
-          std::string("fcntl restore flags: ") + std::strerror(errno));
+          "connect to " + endpoint + ": " +
+              std::strerror(so_error != 0 ? so_error : errno));
       Close();
       return status;
     }
   }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  // The client itself is blocking; SO_RCVTIMEO bounds every receive.
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd_, F_SETFL, flags & ~O_NONBLOCK) < 0) {
+    const Status status(StatusCode::kIOError,
+                        std::string("fcntl: ") + std::strerror(errno));
+    Close();
+    return status;
+  }
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(recv_timeout.count() / 1000);
   tv.tv_usec = static_cast<suseconds_t>((recv_timeout.count() % 1000) * 1000);

@@ -12,6 +12,12 @@
 
 namespace svq::server {
 
+/// Starts a non-blocking TCP connect to `host:port` (TCP_NODELAY set);
+/// `*connected` reports a connect that completed at once, otherwise the
+/// socket turns writable when the handshake ends (SO_ERROR says how).
+Status Dial(const std::string& host, uint16_t port, int* fd,
+            bool* connected);
+
 /// A blocking wire-level client for svqd. One connection, one outstanding
 /// request at a time (the protocol allows pipelining; this client does
 /// not). Not thread safe — use one Client per thread.

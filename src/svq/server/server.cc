@@ -1,15 +1,5 @@
 #include "svq/server/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <utility>
 
 #include "svq/query/executor.h"
@@ -241,596 +231,188 @@ Server::Server(core::VideoQueryEngine* engine, ServerOptions options)
       std::make_unique<stream::StreamDispatcher>(engine_, stream_options);
   dispatcher_->set_event_callback(
       [this](uint64_t subscription_id) { OnStreamEvent(subscription_id); });
+
+  TransportOptions transport;
+  transport.bind_address = options_.bind_address;
+  transport.port = options_.port;
+  transport.max_connections = options_.max_connections;
+  transport.workers = options_.max_in_flight;
+  transport.max_queue = options_.max_queue;
+  transport.max_frame_bytes = options_.max_frame_bytes;
+  TransportMetrics metrics;
+  metrics.connections_opened = connections_opened_;
+  metrics.connections_open = connections_open_gauge_;
+  metrics.queue_depth = queue_depth_gauge_;
+  metrics.in_flight = in_flight_gauge_;
+  metrics.admitted = queries_accepted_;
+  metrics.rejected = queries_rejected_;
+  metrics.cancelled = queries_cancelled_;
+  Handler* handler = this;
+  transport_ =
+      std::make_unique<Transport>(std::move(transport), metrics, handler);
 }
 
 Server::~Server() { Shutdown(std::chrono::milliseconds(0)); }
 
 Status Server::Start() {
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  if (started_) return Status::FailedPrecondition("server already started");
   if (engine_ == nullptr) return Status::InvalidArgument("engine must be set");
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("invalid bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status status(StatusCode::kIOError,
-                        std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    const Status status(StatusCode::kIOError,
-                        std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
-
-  int pipe_fds[2];
-  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError(std::string("pipe2: ") + std::strerror(errno));
-  }
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-
-  started_ = true;
-  const int workers = std::max(1, options_.max_in_flight);
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
-  }
-  io_thread_ = std::thread([this]() { IoLoop(); });
-  return Status::OK();
+  return transport_->Start();
 }
 
-void Server::WakeIo() {
-  if (wake_write_fd_ < 0) return;
-  const char byte = 1;
-  // EAGAIN means a wake is already pending — exactly what we need.
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
+void Server::Shutdown(std::chrono::milliseconds drain_timeout) {
+  transport_->Shutdown(drain_timeout);
 }
 
 // ---------------------------------------------------------------------------
-// IO thread.
+// Decoding (IO thread).
 
-void Server::IoLoop() {
-  for (;;) {
-    std::vector<pollfd> fds;
-    std::vector<ConnectionPtr> polled;
-    size_t listen_index = SIZE_MAX;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (draining_ && listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-      }
-      if (stop_io_) {
-        bool pending = false;
-        for (const auto& [id, conn] : connections_) {
-          if (!conn->outbox.empty()) {
-            pending = true;
-            break;
-          }
-        }
-        if (!pending || Clock::now() >= io_flush_deadline_) break;
-      }
-      fds.push_back({wake_read_fd_, POLLIN, 0});
-      if (listen_fd_ >= 0) {
-        listen_index = fds.size();
-        fds.push_back({listen_fd_, POLLIN, 0});
-      }
-      for (const auto& [id, conn] : connections_) {
-        short events = POLLIN;
-        if (!conn->outbox.empty()) events |= POLLOUT;
-        fds.push_back({conn->fd, events, 0});
-        polled.push_back(conn);
-      }
-    }
-    if (::poll(fds.data(), fds.size(), /*timeout_ms=*/100) < 0) {
-      // EINTR: a signal (e.g. the drain handler) interrupted the wait —
-      // loop and re-poll. Any other failure leaves revents unspecified, so
-      // fall through to the next round rather than acting on them.
-      continue;
-    }
-
-    if (fds[0].revents & POLLIN) {
-      char scratch[256];
-      while (::read(wake_read_fd_, scratch, sizeof(scratch)) > 0) {
-      }
-    }
-    if (listen_index != SIZE_MAX && (fds[listen_index].revents & POLLIN)) {
-      AcceptPending();
-    }
-    const size_t conn_base = fds.size() - polled.size();
-    for (size_t i = 0; i < polled.size(); ++i) {
-      const ConnectionPtr& conn = polled[i];
-      const short revents = fds[conn_base + i].revents;
-      if (revents & (POLLIN | POLLHUP | POLLERR)) {
-        ReadFromConnection(conn);
-      }
-      if (conn->fd >= 0) FlushConnection(conn);
-    }
-  }
-}
-
-void Server::AcceptPending() {
-  for (;;) {
-    const int fd =
-        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;  // interrupted: retry immediately
-      return;  // EAGAIN or a transient error: try next poll round
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(mu_);
-    if (static_cast<int>(connections_.size()) >= options_.max_connections) {
-      ::close(fd);
-      continue;
-    }
-    auto conn = std::make_shared<Connection>(options_.max_frame_bytes);
-    conn->id = next_connection_id_++;
-    conn->fd = fd;
-    connections_.emplace(conn->id, conn);
-    connections_opened_->Increment();
-  }
-}
-
-void Server::ReadFromConnection(const ConnectionPtr& conn) {
-  char buffer[65536];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-    if (n > 0) {
-      conn->assembler.Feed(buffer, static_cast<size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof(buffer))) break;
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;  // interrupted: retry the recv
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // EOF or a hard error: the peer is gone.
-    CloseConnection(conn);
-    return;
-  }
-  for (;;) {
-    std::string payload;
-    bool has_frame = false;
-    const Status status = conn->assembler.Next(&payload, &has_frame);
-    if (!status.ok()) {
-      // Oversized frame: the stream cannot be resynchronized.
-      CloseConnection(conn);
-      return;
-    }
-    if (!has_frame) return;
-    HandlePayload(conn, payload);
-    if (conn->fd < 0) return;
-  }
-}
-
-void Server::HandlePayload(const ConnectionPtr& conn,
-                           const std::string& payload) {
-  const Clock::time_point received = Clock::now();
-  WireCursor cursor(payload);
-  MessageType type = MessageType::kQueryRequest;
-  const Status header = DecodePayloadHeader(&cursor, &type);
-  if (!header.ok()) {
-    // Unknown version or type: answer once, then drop the connection — the
-    // peer speaks a different protocol.
-    QueryResponse response;
-    response.status = header;
-    std::lock_guard<std::mutex> lock(mu_);
-    SendLocked(conn, EncodeQueryResponse(response));
-    conn->close_after_flush = true;
-    return;
-  }
-  switch (type) {
+Dispatch Server::Decode(const Frame& frame) {
+  const Clock::time_point received = frame.received;
+  switch (frame.type) {
     case MessageType::kStatsRequest: {
-      std::string frame;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_requests_->Increment();
-        frame = EncodeStatsResponse(StatsLocked());
-        SendLocked(conn, std::move(frame));
-      }
+      stats_requests_->Increment();
+      Dispatch dispatch = Dispatch::Reply(EncodeStatsResponse(Stats()));
       stats_latency_->Record(ElapsedMs(received, Clock::now()) * 1000.0);
-      return;
+      return dispatch;
     }
-    case MessageType::kQueryRequest: {
-      QueryRequest request;
-      const Status decoded = DecodeQueryRequest(&cursor, &request);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!decoded.ok()) {
-        QueryResponse response;
-        response.request_id = request.request_id;
-        response.status = decoded;
-        SendLocked(conn, EncodeQueryResponse(response));
-        return;
-      }
-      PendingQuery pending;
-      pending.verb = PendingQuery::Verb::kQuery;
-      pending.request = std::move(request);
-      AdmitLocked(conn, std::move(pending));
-      return;
-    }
-    case MessageType::kExplainRequest: {
-      ExplainRequest request;
-      const Status decoded = DecodeExplainRequest(&cursor, &request);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!decoded.ok()) {
-        ExplainResponse response;
-        response.request_id = request.request_id;
-        response.status = decoded;
-        SendLocked(conn, EncodeExplainResponse(response));
-        return;
-      }
+    case MessageType::kQueryRequest:
+      // Pin the catalog at request entry: everything this query observes —
+      // binding, USING resolution, execution — is the catalog as of this
+      // moment, no matter how long it waits in the queue or what writers do
+      // meanwhile. (Streaming verbs don't pin here: a feed pins its own
+      // snapshot at creation and keeps it for the feed's whole life.)
+      return AdmitRequest(
+          frame, DecodeQueryRequest, EncodeQueryResponse,
+          [this, snapshot = engine_->Pin(), received](
+              const QueryRequest& request, const CancellationToken& cancel) {
+            return RunQuery(request, snapshot, received, cancel);
+          });
+    case MessageType::kExplainRequest:
       // EXPLAIN rides the same admission queue as QUERY: under ANALYZE the
       // statement genuinely executes, so it must compete for workers like
       // any query instead of bypassing admission control.
-      PendingQuery pending;
-      pending.verb = PendingQuery::Verb::kExplain;
-      pending.explain_analyze = request.analyze;
-      pending.request.request_id = request.request_id;
-      pending.request.statement = std::move(request.statement);
-      pending.request.timeout_ms = request.timeout_ms;
-      AdmitLocked(conn, std::move(pending));
-      return;
-    }
-    case MessageType::kSubscribeRequest: {
-      SubscribeRequest request;
-      const Status decoded = DecodeSubscribeRequest(&cursor, &request);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!decoded.ok()) {
-        SubscribeResponse response;
-        response.request_id = request.request_id;
-        response.status = decoded;
-        SendLocked(conn, EncodeSubscribeResponse(response));
-        return;
-      }
-      PendingQuery pending;
-      pending.verb = PendingQuery::Verb::kSubscribe;
-      pending.subscribe = std::move(request);
-      AdmitLocked(conn, std::move(pending));
-      return;
-    }
-    case MessageType::kFeedRequest: {
-      FeedRequest request;
-      const Status decoded = DecodeFeedRequest(&cursor, &request);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!decoded.ok()) {
-        FeedResponse response;
-        response.request_id = request.request_id;
-        response.status = decoded;
-        SendLocked(conn, EncodeFeedResponse(response));
-        return;
-      }
-      PendingQuery pending;
-      pending.verb = PendingQuery::Verb::kFeed;
-      pending.feed = std::move(request);
-      AdmitLocked(conn, std::move(pending));
-      return;
-    }
-    case MessageType::kUnsubscribeRequest: {
-      UnsubscribeRequest request;
-      const Status decoded = DecodeUnsubscribeRequest(&cursor, &request);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!decoded.ok()) {
-        UnsubscribeResponse response;
-        response.request_id = request.request_id;
-        response.status = decoded;
-        SendLocked(conn, EncodeUnsubscribeResponse(response));
-        return;
-      }
-      PendingQuery pending;
-      pending.verb = PendingQuery::Verb::kUnsubscribe;
-      pending.unsubscribe = request;
-      AdmitLocked(conn, std::move(pending));
-      return;
-    }
-    case MessageType::kQueryResponse:
-    case MessageType::kStatsResponse:
-    case MessageType::kExplainResponse:
-    case MessageType::kSubscribeResponse:
-    case MessageType::kFeedResponse:
-    case MessageType::kEvent:
-    case MessageType::kUnsubscribeResponse: {
-      // A response or event frame from a client is a protocol violation.
-      QueryResponse response;
-      response.status =
-          Status::InvalidArgument("response frames are server-to-client");
-      std::lock_guard<std::mutex> lock(mu_);
-      SendLocked(conn, EncodeQueryResponse(response));
-      conn->close_after_flush = true;
-      return;
-    }
-  }
-}
-
-std::string Server::EncodeFailure(const PendingQuery& pending,
-                                  const Status& status) {
-  switch (pending.verb) {
-    case PendingQuery::Verb::kExplain: {
-      ExplainResponse response;
-      response.request_id = pending.request.request_id;
-      response.status = status;
-      return EncodeExplainResponse(response);
-    }
-    case PendingQuery::Verb::kSubscribe: {
-      SubscribeResponse response;
-      response.request_id = pending.subscribe.request_id;
-      response.status = status;
-      return EncodeSubscribeResponse(response);
-    }
-    case PendingQuery::Verb::kFeed: {
-      FeedResponse response;
-      response.request_id = pending.feed.request_id;
-      response.status = status;
-      return EncodeFeedResponse(response);
-    }
-    case PendingQuery::Verb::kUnsubscribe: {
-      UnsubscribeResponse response;
-      response.request_id = pending.unsubscribe.request_id;
-      response.status = status;
-      return EncodeUnsubscribeResponse(response);
-    }
-    case PendingQuery::Verb::kQuery:
-      break;
-  }
-  QueryResponse response;
-  response.request_id = pending.request.request_id;
-  response.status = status;
-  return EncodeQueryResponse(response);
-}
-
-void Server::AdmitLocked(const ConnectionPtr& conn, PendingQuery pending) {
-  auto reject = [&](std::string why) {
-    queries_rejected_->Increment();
-    SendLocked(conn,
-               EncodeFailure(pending, Status::ResourceExhausted(std::move(why))));
-  };
-  if (draining_) {
-    reject("server draining, not accepting new queries");
-    return;
-  }
-  if (static_cast<int>(queue_.size()) >= options_.max_queue) {
-    reject("admission queue full (" + std::to_string(options_.max_in_flight) +
-           " in flight + " + std::to_string(options_.max_queue) +
-           " queued); retry later");
-    return;
-  }
-  queries_accepted_->Increment();
-  switch (pending.verb) {
-    case PendingQuery::Verb::kExplain:
-      explain_requests_->Increment();
-      break;
-    case PendingQuery::Verb::kSubscribe:
-      subscribe_requests_->Increment();
-      break;
-    case PendingQuery::Verb::kFeed:
-      feed_requests_->Increment();
-      break;
-    case PendingQuery::Verb::kUnsubscribe:
-      unsubscribe_requests_->Increment();
-      break;
-    case PendingQuery::Verb::kQuery:
-      break;
-  }
-  pending.internal_id = next_query_id_++;
-  pending.connection_id = conn->id;
-  pending.admitted_at = Clock::now();
-  if (pending.request.timeout_ms > 0) {
-    pending.has_deadline = true;
-    pending.deadline = pending.admitted_at +
-                       std::chrono::milliseconds(pending.request.timeout_ms);
-  }
-  if (pending.verb == PendingQuery::Verb::kQuery ||
-      pending.verb == PendingQuery::Verb::kExplain) {
-    // Pin the catalog at request entry: everything this query observes —
-    // binding, USING resolution, execution — is the catalog as of this
-    // moment, no matter how long it waits in the queue or what writers do
-    // meanwhile. (Streaming verbs don't pin here: a feed pins its own
-    // snapshot at creation and keeps it for the feed's whole life.)
-    pending.snapshot = engine_->Pin();
-  }
-  conn->inflight.emplace(pending.internal_id, pending.cancel);
-  queue_.push_back(std::move(pending));
-  work_cv_.notify_one();
-}
-
-void Server::SendLocked(const ConnectionPtr& conn, std::string frame) {
-  if (conn->fd < 0) return;
-  conn->outbox.push_back(std::move(frame));
-  WakeIo();
-}
-
-void Server::FlushConnection(const ConnectionPtr& conn) {
-  bool should_close = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (!conn->outbox.empty()) {
-      const std::string& front = conn->outbox.front();
-      const ssize_t n =
-          ::send(conn->fd, front.data() + conn->write_offset,
-                 front.size() - conn->write_offset, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->write_offset += static_cast<size_t>(n);
-        if (conn->write_offset == front.size()) {
-          conn->outbox.pop_front();
-          conn->write_offset = 0;
-        }
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;  // interrupted: retry the send
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      should_close = true;
-      break;
-    }
-    // The socket caught up: resume event forwarding for any subscription
-    // that was paused by the outbox cap (the bounded queues buffered — or
-    // gap-marked — meanwhile).
-    if (!should_close && !conn->subscriptions.empty() &&
-        conn->outbox.size() < options_.max_outbox_frames) {
-      for (const uint64_t subscription_id : conn->subscriptions) {
-        DrainSubscriptionLocked(conn, subscription_id);
-      }
-    }
-    if (!should_close && conn->outbox.empty() && conn->close_after_flush) {
-      should_close = true;
-    }
-  }
-  if (should_close) CloseConnection(conn);
-}
-
-void Server::CloseConnection(const ConnectionPtr& conn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A vanished client abandons its queries: fire their cancellation so
-    // in-flight work unwinds instead of computing a result nobody reads.
-    for (auto& [id, source] : conn->inflight) source.Cancel();
-    conn->inflight.clear();
-    // Likewise its standing queries: Unsubscribe is cheap (cancel + detach
-    // flag; the dispatch loop prunes lazily), so it is safe from the IO
-    // thread — this is cancellation-on-disconnect for feeds.
-    for (const uint64_t subscription_id : conn->subscriptions) {
-      (void)dispatcher_->Unsubscribe(subscription_id);
-      sub_conn_.erase(subscription_id);
-    }
-    conn->subscriptions.clear();
-    connections_.erase(conn->id);
-  }
-  if (conn->fd >= 0) {
-    ::close(conn->fd);
-    conn->fd = -1;
+      return AdmitRequest(
+          frame, DecodeExplainRequest, EncodeExplainResponse,
+          [this, snapshot = engine_->Pin(), received](
+              const ExplainRequest& request, const CancellationToken& cancel) {
+            return RunExplain(request, snapshot, received, cancel);
+          },
+          explain_requests_);
+    case MessageType::kSubscribeRequest:
+      return AdmitRequest(
+          frame, DecodeSubscribeRequest, EncodeSubscribeResponse,
+          [this, connection = frame.connection](
+              const SubscribeRequest& request,
+              const CancellationToken& cancel) {
+            return RunSubscribe(connection, request, cancel);
+          },
+          subscribe_requests_);
+    case MessageType::kFeedRequest:
+      return AdmitRequest(
+          frame, DecodeFeedRequest, EncodeFeedResponse,
+          [this](const FeedRequest& request, const CancellationToken&) {
+            return RunFeed(request);
+          },
+          feed_requests_);
+    default:  // kUnsubscribeRequest, the last request verb
+      return AdmitRequest(
+          frame, DecodeUnsubscribeRequest, EncodeUnsubscribeResponse,
+          [this, connection = frame.connection](
+              const UnsubscribeRequest& request, const CancellationToken&) {
+            return RunUnsubscribe(connection, request);
+          },
+          unsubscribe_requests_);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Workers.
+// Execution (workers).
 
-void Server::WorkerLoop() {
-  for (;;) {
-    PendingQuery pending;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [this]() { return stop_workers_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_workers_ with a drained queue
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    const Clock::time_point exec_begin = Clock::now();
-    const double queue_ms = ElapsedMs(pending.admitted_at, exec_begin);
+namespace {
 
-    // Per-query trace: recorded only from this worker (the engine detaches
-    // it before any parallel fan-out), folded into the phase histograms
-    // below once the query finishes.
-    observability::QueryTrace trace;
-    ExecutionContext context;
-    if (pending.has_deadline) context.set_deadline(pending.deadline);
-    context.set_cancellation(pending.cancel.token());
-    context.set_trace(&trace);
-    query::StatementOptions statement_options;
-    statement_options.offline.runtime.num_threads = options_.threads_per_query;
+/// The context a worker runs a statement under: the client's budget counted
+/// from frame receipt, so queue wait spends it, plus the transport's
+/// cancellation and the per-query trace.
+ExecutionContext StatementContext(uint32_t timeout_ms,
+                                  ExecutionContext::Clock::time_point received,
+                                  const CancellationToken& cancel,
+                                  observability::QueryTrace* trace) {
+  ExecutionContext context;
+  if (timeout_ms > 0) {
+    context.set_deadline(received + std::chrono::milliseconds(timeout_ms));
+  }
+  context.set_cancellation(cancel);
+  context.set_trace(trace);
+  return context;
+}
 
-    Status outcome;
-    std::string frame;
-    switch (pending.verb) {
-      case PendingQuery::Verb::kExplain: {
-        query::ExplainOptions explain_options;
-        explain_options.analyze = pending.explain_analyze;
-        explain_options.statement = statement_options;
-        const Result<std::string> rendered = query::ExplainStatementOn(
-            pending.snapshot, pending.request.statement, explain_options,
-            context);
-        ExplainResponse response;
-        response.request_id = pending.request.request_id;
-        response.status = rendered.status();
-        if (rendered.ok()) response.text = *rendered;
-        outcome = rendered.status();
-        frame = EncodeExplainResponse(response);
-        const double exec_ms = ElapsedMs(exec_begin, Clock::now());
-        query_latency_->Record((queue_ms + exec_ms) * 1000.0);
-        break;
-      }
-      case PendingQuery::Verb::kSubscribe:
-        frame = ExecuteSubscribe(pending, &outcome);
-        break;
-      case PendingQuery::Verb::kFeed:
-        frame = ExecuteFeed(pending, &outcome);
-        break;
-      case PendingQuery::Verb::kUnsubscribe:
-        frame = ExecuteUnsubscribe(pending, &outcome);
-        break;
-      case PendingQuery::Verb::kQuery: {
-        const Result<query::StatementResult> result =
-            query::ExecuteStatementOn(pending.snapshot,
-                                      pending.request.statement, context,
-                                      statement_options);
+}  // namespace
 
-        QueryResponse response;
-        response.request_id = pending.request.request_id;
-        response.status = result.status();
-        if (result.ok()) FillResponse(*result, &response);
-        const double exec_ms = ElapsedMs(exec_begin, Clock::now());
-        response.metrics.server_queue_ms = queue_ms;
-        response.metrics.server_exec_ms = exec_ms;
-        outcome = response.status;
-        frame = EncodeQueryResponse(response);
-        query_latency_->Record((queue_ms + exec_ms) * 1000.0);
-        RecordQueryMetrics(response.metrics, trace);
-        break;
-      }
-    }
+std::string Server::RunQuery(const QueryRequest& request,
+                             const core::SnapshotPtr& snapshot,
+                             Clock::time_point received,
+                             const CancellationToken& cancel) {
+  const Clock::time_point exec_begin = Clock::now();
+  const double queue_ms = ElapsedMs(received, exec_begin);
+  // Per-query trace: recorded only from this worker (the engine detaches it
+  // before any parallel fan-out), folded into the phase histograms below.
+  observability::QueryTrace trace;
+  const ExecutionContext context =
+      StatementContext(request.timeout_ms, received, cancel, &trace);
+  query::StatementOptions statement_options;
+  statement_options.offline.runtime.num_threads = options_.threads_per_query;
+  const Result<query::StatementResult> result = query::ExecuteStatementOn(
+      snapshot, request.statement, context, statement_options);
 
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      switch (outcome.code()) {
-        case StatusCode::kOk:
-          queries_ok_->Increment();
-          break;
-        case StatusCode::kCancelled:
-          queries_cancelled_->Increment();
-          break;
-        case StatusCode::kDeadlineExceeded:
-          queries_deadline_exceeded_->Increment();
-          break;
-        default:
-          queries_failed_->Increment();
-          break;
-      }
-      auto it = connections_.find(pending.connection_id);
-      if (it != connections_.end()) {
-        it->second->inflight.erase(pending.internal_id);
-        SendLocked(it->second, std::move(frame));
-      }
-      --in_flight_;
-    }
-    drain_cv_.notify_all();
+  QueryResponse response;
+  response.request_id = request.request_id;
+  response.status = result.status();
+  if (result.ok()) FillResponse(*result, &response);
+  const double exec_ms = ElapsedMs(exec_begin, Clock::now());
+  response.metrics.server_queue_ms = queue_ms;
+  response.metrics.server_exec_ms = exec_ms;
+  query_latency_->Record((queue_ms + exec_ms) * 1000.0);
+  RecordQueryMetrics(response.metrics, trace);
+  CountOutcome(response.status);
+  return EncodeQueryResponse(response);
+}
+
+std::string Server::RunExplain(const ExplainRequest& request,
+                               const core::SnapshotPtr& snapshot,
+                               Clock::time_point received,
+                               const CancellationToken& cancel) {
+  observability::QueryTrace trace;
+  const ExecutionContext context =
+      StatementContext(request.timeout_ms, received, cancel, &trace);
+  query::ExplainOptions explain_options;
+  explain_options.analyze = request.analyze;
+  explain_options.statement.offline.runtime.num_threads =
+      options_.threads_per_query;
+  const Result<std::string> rendered = query::ExplainStatementOn(
+      snapshot, request.statement, explain_options, context);
+  ExplainResponse response;
+  response.request_id = request.request_id;
+  response.status = rendered.status();
+  if (rendered.ok()) response.text = *rendered;
+  query_latency_->Record(ElapsedMs(received, Clock::now()) * 1000.0);
+  CountOutcome(response.status);
+  return EncodeExplainResponse(response);
+}
+
+void Server::CountOutcome(const Status& outcome) {
+  switch (outcome.code()) {
+    case StatusCode::kOk:
+      queries_ok_->Increment();
+      break;
+    case StatusCode::kCancelled:
+      queries_cancelled_->Increment();
+      break;
+    case StatusCode::kDeadlineExceeded:
+      queries_deadline_exceeded_->Increment();
+      break;
+    default:
+      queries_failed_->Increment();
+      break;
   }
 }
 
@@ -853,16 +435,16 @@ std::string EncodeStreamEvent(uint64_t subscription_id,
 
 }  // namespace
 
-std::string Server::ExecuteSubscribe(const PendingQuery& pending,
-                                     Status* outcome) {
-  const SubscribeRequest& request = pending.subscribe;
+std::string Server::RunSubscribe(ConnectionId connection,
+                                 const SubscribeRequest& request,
+                                 const CancellationToken& cancel) {
   SubscribeResponse response;
   response.request_id = request.request_id;
   if (request.mode > 1) {
     response.status = Status::InvalidArgument(
         "unknown online mode " + std::to_string(request.mode) +
         " (0 = SVAQ, 1 = SVAQD)");
-    *outcome = response.status;
+    CountOutcome(response.status);
     return EncodeSubscribeResponse(response);
   }
   stream::SubscribeOptions sub_options;
@@ -873,28 +455,27 @@ std::string Server::ExecuteSubscribe(const PendingQuery& pending,
   const Result<stream::SubscriptionPtr> sub =
       dispatcher_->Subscribe(request.feed, request.statement, sub_options);
   response.status = sub.status();
-  *outcome = sub.status();
   if (sub.ok()) {
     response.subscription_id = (*sub)->id();
     response.feed = (*sub)->feed();
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = connections_.find(pending.connection_id);
-    if (it == connections_.end()) {
+    // The transport fires `cancel` before OnClose takes mu_, so either
+    // OnClose sees this subscription or this check sees the disconnect.
+    if (cancel.cancelled()) {
       // The client vanished between admission and execution: nobody will
       // ever poll this subscription, so tear it down right away.
       (void)dispatcher_->Unsubscribe((*sub)->id());
       response.status = Status::Cancelled("client disconnected");
-      *outcome = response.status;
     } else {
-      it->second->subscriptions.insert((*sub)->id());
-      sub_conn_[(*sub)->id()] = pending.connection_id;
+      conn_subs_[connection].insert((*sub)->id());
+      sub_conn_[(*sub)->id()] = connection;
     }
   }
+  CountOutcome(response.status);
   return EncodeSubscribeResponse(response);
 }
 
-std::string Server::ExecuteFeed(const PendingQuery& pending, Status* outcome) {
-  const FeedRequest& request = pending.feed;
+std::string Server::RunFeed(const FeedRequest& request) {
   FeedResponse response;
   response.request_id = request.request_id;
   // Runs with no server lock held: the dispatcher's event callback fires
@@ -902,25 +483,24 @@ std::string Server::ExecuteFeed(const PendingQuery& pending, Status* outcome) {
   const Result<stream::FeedProgress> progress =
       dispatcher_->FeedClips(request.feed, request.clip_count);
   response.status = progress.status();
-  *outcome = progress.status();
   if (progress.ok()) {
     response.clips_dispatched = progress->clips_dispatched;
     response.next_clip = progress->next_clip;
     response.feed_closed = progress->closed;
   }
+  CountOutcome(response.status);
   return EncodeFeedResponse(response);
 }
 
-std::string Server::ExecuteUnsubscribe(const PendingQuery& pending,
-                                       Status* outcome) {
-  const UnsubscribeRequest& request = pending.unsubscribe;
+std::string Server::RunUnsubscribe(ConnectionId connection,
+                                   const UnsubscribeRequest& request) {
   UnsubscribeResponse response;
   response.request_id = request.request_id;
   Status status;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sub_conn_.find(request.subscription_id);
-    if (it == sub_conn_.end() || it->second != pending.connection_id) {
+    if (it == sub_conn_.end() || it->second != connection) {
       // Covers both unknown ids and another connection's subscription — a
       // client can only tear down what it registered.
       status = Status::NotFound("no subscription " +
@@ -935,46 +515,66 @@ std::string Server::ExecuteUnsubscribe(const PendingQuery& pending,
         dispatcher_->Find(request.subscription_id);
     status = dispatcher_->Unsubscribe(request.subscription_id);
     std::lock_guard<std::mutex> lock(mu_);
-    auto conn_it = connections_.find(pending.connection_id);
-    if (conn_it != connections_.end()) {
-      if (sub != nullptr) {
-        // Everything the subscription produced is delivered ahead of the
-        // acknowledgement (no outbox cap: this flush is final and bounded
-        // by the queue capacity).
-        auto events = sub->Poll();
-        for (stream::StreamEvent& event : events) {
-          SendLocked(conn_it->second,
-                     EncodeStreamEvent(request.subscription_id,
-                                       std::move(event)));
-        }
+    if (sub != nullptr) {
+      // Everything the subscription produced is delivered ahead of the
+      // acknowledgement (no outbox cap: this flush is final and bounded by
+      // the queue capacity).
+      for (stream::StreamEvent& event : sub->Poll()) {
+        transport_->Send(connection,
+                         EncodeStreamEvent(request.subscription_id,
+                                           std::move(event)));
       }
-      conn_it->second->subscriptions.erase(request.subscription_id);
     }
+    auto subs = conn_subs_.find(connection);
+    if (subs != conn_subs_.end()) subs->second.erase(request.subscription_id);
     sub_conn_.erase(request.subscription_id);
   }
   response.status = status;
-  *outcome = status;
+  CountOutcome(status);
   return EncodeUnsubscribeResponse(response);
+}
+
+void Server::OnClose(ConnectionId connection) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = conn_subs_.find(connection);
+  if (it == conn_subs_.end()) return;
+  // Unsubscribe is cheap (cancel + detach flag; the dispatch loop prunes
+  // lazily), so it is safe from the IO thread — this is
+  // cancellation-on-disconnect for feeds.
+  for (const uint64_t subscription_id : it->second) {
+    (void)dispatcher_->Unsubscribe(subscription_id);
+    sub_conn_.erase(subscription_id);
+  }
+  conn_subs_.erase(it);
+}
+
+void Server::OnDrained(ConnectionId connection) {
+  // The socket caught up: resume event forwarding for any subscription the
+  // backlog cap paused (the bounded queues buffered — or gap-marked —
+  // meanwhile).
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = conn_subs_.find(connection);
+  if (it == conn_subs_.end()) return;
+  for (const uint64_t subscription_id : it->second) {
+    DrainSubscriptionLocked(connection, subscription_id);
+  }
 }
 
 void Server::OnStreamEvent(uint64_t subscription_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sub_conn_.find(subscription_id);
   if (it == sub_conn_.end()) return;
-  auto conn_it = connections_.find(it->second);
-  if (conn_it == connections_.end()) return;
-  DrainSubscriptionLocked(conn_it->second, subscription_id);
+  DrainSubscriptionLocked(it->second, subscription_id);
 }
 
-void Server::DrainSubscriptionLocked(const ConnectionPtr& conn,
+void Server::DrainSubscriptionLocked(ConnectionId connection,
                                      uint64_t subscription_id) {
-  if (conn->fd < 0) return;
-  if (conn->outbox.size() >= options_.max_outbox_frames) return;
+  if (transport_->Backlog(connection) >= options_.max_outbox_frames) return;
   const stream::SubscriptionPtr sub = dispatcher_->Find(subscription_id);
   if (sub == nullptr) return;
-  auto events = sub->Poll();
-  for (stream::StreamEvent& event : events) {
-    SendLocked(conn, EncodeStreamEvent(subscription_id, std::move(event)));
+  for (stream::StreamEvent& event : sub->Poll()) {
+    transport_->Send(connection,
+                     EncodeStreamEvent(subscription_id, std::move(event)));
   }
 }
 
@@ -1002,68 +602,9 @@ void Server::BridgeStreamStatsLocked() const {
 }
 
 // ---------------------------------------------------------------------------
-// Lifecycle + stats.
+// Stats.
 
-void Server::Shutdown(std::chrono::milliseconds drain_timeout) {
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!started_ || shut_down_) return;
-    draining_ = true;
-  }
-  WakeIo();  // the IO loop closes the listen socket on its next pass
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Give admitted queries the drain budget to finish on their own.
-    drain_cv_.wait_for(lock, drain_timeout, [this]() {
-      return queue_.empty() && in_flight_ == 0;
-    });
-    // Budget exhausted: cancel the backlog with an explicit response ...
-    while (!queue_.empty()) {
-      PendingQuery pending = std::move(queue_.front());
-      queue_.pop_front();
-      queries_cancelled_->Increment();
-      auto it = connections_.find(pending.connection_id);
-      if (it != connections_.end()) {
-        it->second->inflight.erase(pending.internal_id);
-        SendLocked(it->second,
-                   EncodeFailure(pending,
-                                 Status::Cancelled("server shutting down")));
-      }
-    }
-    // ... and fire cancellation on everything still executing; the engine
-    // polls its context cooperatively, so workers unwind promptly.
-    for (const auto& [id, conn] : connections_) {
-      for (auto& [qid, source] : conn->inflight) source.Cancel();
-    }
-    drain_cv_.wait(lock, [this]() { return in_flight_ == 0; });
-    stop_workers_ = true;
-    stop_io_ = true;
-    io_flush_deadline_ = Clock::now() + std::chrono::seconds(1);
-    shut_down_ = true;
-  }
-  work_cv_.notify_all();
-  WakeIo();
-  for (std::thread& worker : workers_) worker.join();
-  if (io_thread_.joinable()) io_thread_.join();
-  // The IO thread has exited: sockets are single-owner again.
-  for (const auto& [id, conn] : connections_) {
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-  }
-  connections_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
-  listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
-}
-
-void Server::RefreshGaugesLocked() const {
-  connections_open_gauge_->Set(static_cast<double>(connections_.size()));
-  queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-  in_flight_gauge_->Set(static_cast<double>(in_flight_));
+void Server::BridgeCountersLocked() const {
   BridgeCacheStatsLocked();
   BridgePlannerStatsLocked();
   BridgeStreamStatsLocked();
@@ -1136,7 +677,7 @@ void Server::RecordQueryMetrics(const WireQueryMetrics& metrics,
 }
 
 ServerStatsWire Server::StatsLocked() const {
-  RefreshGaugesLocked();
+  BridgeCountersLocked();
   ServerStatsWire stats;
   stats.queries_accepted = static_cast<int64_t>(queries_accepted_->value());
   stats.queries_rejected = static_cast<int64_t>(queries_rejected_->value());
@@ -1148,9 +689,10 @@ ServerStatsWire Server::StatsLocked() const {
   stats.stats_requests = static_cast<int64_t>(stats_requests_->value());
   stats.connections_opened =
       static_cast<int64_t>(connections_opened_->value());
-  stats.connections_open = static_cast<int64_t>(connections_.size());
-  stats.queue_depth = static_cast<int64_t>(queue_.size());
-  stats.in_flight = in_flight_;
+  stats.connections_open =
+      static_cast<int64_t>(connections_open_gauge_->value());
+  stats.queue_depth = static_cast<int64_t>(queue_depth_gauge_->value());
+  stats.in_flight = static_cast<int64_t>(in_flight_gauge_->value());
   stats.query_latency = ToWireHistogram(query_latency_->Snapshot());
   stats.stats_latency = ToWireHistogram(stats_latency_->Snapshot());
   stats.registry = registry_.Snapshot().Flatten();
@@ -1165,7 +707,7 @@ ServerStatsWire Server::Stats() const {
 observability::MetricsSnapshot Server::Metrics() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    RefreshGaugesLocked();
+    BridgeCountersLocked();
   }
   return registry_.Snapshot();
 }

@@ -2,16 +2,12 @@
 #define SVQ_SERVER_SERVER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "svq/common/execution_context.h"
 #include "svq/common/status.h"
@@ -19,6 +15,7 @@
 #include "svq/observability/metrics.h"
 #include "svq/observability/trace.h"
 #include "svq/plan/planner.h"
+#include "svq/server/transport.h"
 #include "svq/server/wire.h"
 #include "svq/stream/dispatcher.h"
 
@@ -59,29 +56,32 @@ struct ServerOptions {
   size_t max_outbox_frames = 256;
 };
 
-/// A poll-based TCP server exposing a VideoQueryEngine over the svqd wire
-/// protocol (docs/server.md).
+/// svqd: a VideoQueryEngine served over the svqd wire protocol
+/// (docs/server.md), as one handler set on the shared server::Transport.
 ///
-/// Threading model: one IO thread owns every socket (accept, frame
-/// assembly, response writes) and `max_in_flight` worker threads execute
-/// admitted queries. A request is pinned to a catalog snapshot at entry —
+/// Threading model: the transport's IO thread owns every socket (accept,
+/// frame assembly, close) and decodes each request; STATS is answered
+/// right there, every other verb is admitted to the bounded queue that
+/// `max_in_flight` worker threads drain. A worker writes its response
+/// straight to the socket unless the connection has a backlog, which the
+/// IO thread flushes. A request is pinned to a catalog snapshot at entry —
 /// on the IO thread, before it ever waits in the admission queue — so the
 /// results a client sees correspond to the catalog as of request arrival,
 /// exactly like an in-process ExecuteTopKOn caller. The client's
 /// timeout_ms becomes the query's ExecutionContext deadline, so an expired
 /// request unwinds server-side (cooperatively, within one clip / iterator
 /// step) instead of burning a worker; a client that disconnects mid-query
-/// fires the query's CancellationSource the same way.
+/// fires the query's cancellation the same way.
 ///
 /// Shutdown(drain) implements graceful drain: stop accepting connections,
 /// reject new queries with kResourceExhausted, let in-flight queries finish
 /// within the drain budget, cancel whatever remains, flush responses, then
 /// exit. The svqd binary wires SIGINT/SIGTERM to exactly this.
-class Server {
+class Server : private Handler {
  public:
   /// `engine` is borrowed and must outlive the server.
   Server(core::VideoQueryEngine* engine, ServerOptions options);
-  ~Server();
+  ~Server() override;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -91,7 +91,7 @@ class Server {
   Status Start();
 
   /// The bound port (valid after Start; resolves port 0 requests).
-  uint16_t port() const { return bound_port_; }
+  uint16_t port() const { return transport_->port(); }
 
   /// Graceful drain, then stop. Safe to call more than once.
   void Shutdown(std::chrono::milliseconds drain_timeout =
@@ -112,135 +112,57 @@ class Server {
   void DumpPrometheus(std::ostream& out) const;
 
  private:
-  struct Connection {
-    uint64_t id = 0;
-    int fd = -1;
-    FrameAssembler assembler;
-    /// Encoded response frames awaiting the socket, oldest first; the
-    /// front may be partially written (write_offset into it).
-    std::deque<std::string> outbox;
-    size_t write_offset = 0;
-    bool close_after_flush = false;
-    /// Cancellation handles of this connection's admitted-but-unfinished
-    /// queries, keyed by internal query id; fired on disconnect.
-    std::map<uint64_t, CancellationSource> inflight;
-    /// Standing-query subscriptions owned by this connection; disconnect
-    /// unsubscribes them all (cancellation-on-disconnect for feeds).
-    std::set<uint64_t> subscriptions;
+  using Clock = ExecutionContext::Clock;
 
-    explicit Connection(size_t max_frame_bytes)
-        : assembler(max_frame_bytes) {}
-  };
-  using ConnectionPtr = std::shared_ptr<Connection>;
+  // Handler: every verb is decoded on the transport's IO thread.
+  Dispatch Decode(const Frame& frame) override;
+  /// Cancellation-on-disconnect for standing queries.
+  void OnClose(ConnectionId connection) override;
+  /// Resumes event forwarding that the outbox cap paused.
+  void OnDrained(ConnectionId connection) override;
 
-  struct PendingQuery {
-    /// Which wire verb this admitted request carries. EXPLAIN shares the
-    /// admission queue with QUERY because under ANALYZE the statement
-    /// genuinely executes; the streaming verbs ride the same queue so a
-    /// FEED burst competes for workers like any query instead of starving
-    /// them.
-    enum class Verb : uint8_t {
-      kQuery,
-      kExplain,
-      kSubscribe,
-      kFeed,
-      kUnsubscribe,
-    };
-    Verb verb = Verb::kQuery;
-    uint64_t internal_id = 0;
-    uint64_t connection_id = 0;
-    QueryRequest request;
-    core::SnapshotPtr snapshot;
-    bool has_deadline = false;
-    ExecutionContext::Clock::time_point deadline{};
-    CancellationSource cancel;
-    ExecutionContext::Clock::time_point admitted_at{};
-    /// EXPLAIN ANALYZE: also execute the statement.
-    bool explain_analyze = false;
-    /// Decoded streaming-verb requests (valid per `verb`). The dispatcher
-    /// pins its own snapshot at feed creation, so these carry no
-    /// `snapshot`.
-    SubscribeRequest subscribe;
-    FeedRequest feed;
-    UnsubscribeRequest unsubscribe;
-  };
-
-  void IoLoop();
-  void WorkerLoop();
-
-  /// IO-thread helpers. All take mu_ themselves where shared state is
-  /// touched; socket reads/writes happen outside the lock.
-  void AcceptPending();
-  void ReadFromConnection(const ConnectionPtr& conn);
-  void FlushConnection(const ConnectionPtr& conn);
-  void CloseConnection(const ConnectionPtr& conn);
-  void HandlePayload(const ConnectionPtr& conn, const std::string& payload);
-  /// Admission control for one decoded request of any verb (mu_ held by
-  /// caller). `pending.verb` plus the matching body must be filled in;
-  /// rejections answer with the verb's own response type.
-  void AdmitLocked(const ConnectionPtr& conn, PendingQuery pending);
-  /// Encodes a rejection/cancellation response for `pending`'s verb.
-  static std::string EncodeFailure(const PendingQuery& pending,
-                                   const Status& status);
-
-  /// Worker-side execution of the admitted streaming verbs; each returns
-  /// the encoded response frame to send.
-  std::string ExecuteSubscribe(const PendingQuery& pending, Status* outcome);
-  std::string ExecuteFeed(const PendingQuery& pending, Status* outcome);
-  std::string ExecuteUnsubscribe(const PendingQuery& pending,
-                                 Status* outcome);
+  /// Worker-side execution of the admitted verbs; each returns the encoded
+  /// response frame. Statements run on the snapshot pinned at arrival,
+  /// with `timeout_ms` counted from `received`.
+  std::string RunQuery(const QueryRequest& request,
+                       const core::SnapshotPtr& snapshot,
+                       Clock::time_point received,
+                       const CancellationToken& cancel);
+  std::string RunExplain(const ExplainRequest& request,
+                         const core::SnapshotPtr& snapshot,
+                         Clock::time_point received,
+                         const CancellationToken& cancel);
+  std::string RunSubscribe(ConnectionId connection,
+                           const SubscribeRequest& request,
+                           const CancellationToken& cancel);
+  std::string RunFeed(const FeedRequest& request);
+  std::string RunUnsubscribe(ConnectionId connection,
+                             const UnsubscribeRequest& request);
+  /// Folds a finished request's outcome into the outcome counters.
+  void CountOutcome(const Status& outcome);
 
   /// Dispatcher event callback: forwards a subscription's queued events to
   /// its connection as EVENT frames. Invoked with no dispatcher/feed locks
   /// held, from whichever thread dispatched the clip.
   void OnStreamEvent(uint64_t subscription_id);
-  /// Drains a subscription's queue into its connection's outbox as EVENT
-  /// frames (mu_ held by caller). Skips when the outbox is past
-  /// max_outbox_frames — FlushConnection re-drains once the socket
-  /// catches up, and the bounded queue ages out the backlog meanwhile.
-  void DrainSubscriptionLocked(const ConnectionPtr& conn,
+  /// Drains a subscription's queue to its connection as EVENT frames (mu_
+  /// held by caller). Skips while the connection's backlog is past
+  /// max_outbox_frames — OnDrained re-drains once the socket catches up,
+  /// and the bounded queue ages out the backlog meanwhile.
+  void DrainSubscriptionLocked(ConnectionId connection,
                                uint64_t subscription_id);
-
-  /// Queues an encoded frame on `conn` (mu_ held by caller) — the IO loop
-  /// flushes it on the next POLLOUT.
-  void SendLocked(const ConnectionPtr& conn, std::string frame);
-  void WakeIo();
 
   ServerStatsWire StatsLocked() const;
 
   core::VideoQueryEngine* const engine_;
   const ServerOptions options_;
 
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
-  uint16_t bound_port_ = 0;
-  bool started_ = false;
-  bool shut_down_ = false;
-
-  /// Serializes Start/Shutdown against each other (mu_ cannot be held
-  /// across thread joins).
-  std::mutex lifecycle_mu_;
-
-  std::thread io_thread_;
-  std::vector<std::thread> workers_;
-
+  /// Guards the bridge baselines below and the subscription maps.
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: queue_ or stop_workers_
-  std::condition_variable drain_cv_;  // Shutdown: queue empty + idle
-  std::map<uint64_t, ConnectionPtr> connections_;
-  std::deque<PendingQuery> queue_;
-  uint64_t next_connection_id_ = 1;
-  uint64_t next_query_id_ = 1;
-  int in_flight_ = 0;
-  bool draining_ = false;
-  bool stop_workers_ = false;
-  bool stop_io_ = false;
-  ExecutionContext::Clock::time_point io_flush_deadline_{};
 
-  /// Refreshes the instantaneous gauges from queue/connection state
+  /// Folds the engine, planner and dispatcher counters into the registry
   /// (mu_ held by caller).
-  void RefreshGaugesLocked() const;
+  void BridgeCountersLocked() const;
 
   /// Folds one finished query's engine-side accounting and trace into the
   /// registry (lock-free: counters and histograms are relaxed atomics).
@@ -332,10 +254,15 @@ class Server {
   observability::Counter* stream_model_ms_run_;
   observability::Counter* stream_model_ms_charged_;
 
-  /// Subscription id -> owning connection id (guarded by mu_); the event
-  /// callback routes through this, and disconnect tears down every entry
-  /// of its connection.
-  std::map<uint64_t, uint64_t> sub_conn_;
+  /// Subscription id -> owning connection, and each connection's
+  /// subscriptions (guarded by mu_); the event callback routes through the
+  /// first, and disconnect tears down every entry of the second.
+  std::map<uint64_t, ConnectionId> sub_conn_;
+  std::map<ConnectionId, std::set<uint64_t>> conn_subs_;
+
+  /// The socket layer; declared before the dispatcher so it outlives the
+  /// dispatcher's thread, which may still call OnStreamEvent.
+  std::unique_ptr<Transport> transport_;
 
   /// The standing-query multiplexer (docs/streaming.md). Declared last so
   /// it is destroyed first: its worker thread may still invoke

@@ -1,27 +1,36 @@
 // Integration tests for the cluster layer (docs/cluster.md): an svq_router
 // in front of per-shard svqd backends must be indistinguishable from a
 // single svqd over the full catalog — broadcast `PROCESS *` answers are
-// compared sequence-by-sequence against the single-node oracle — and must
-// degrade explicitly, not silently: a killed backend surfaces as a
-// partial-result Unavailable status, deadlines shrink per hop and expire
-// as kDeadlineExceeded, circuit breakers open after consecutive failures
-// and recover through the health prober, and slow shards trigger hedging.
+// compared sequence-by-sequence against the single-node oracle at 1, 2 and
+// 4 shards — and must degrade explicitly, not silently: a killed backend
+// surfaces as a partial-result Unavailable status, deadlines shrink per
+// hop and expire as kDeadlineExceeded, circuit breakers open after
+// consecutive failures and recover through the health prober, and slow
+// shards trigger hedging. The router's transport is held to the same
+// bounds as svqd's: a connection cap, an admission bound, one error reply
+// then EOF for a malformed frame, flat memory across connection churn, a
+// prompt Shutdown, and backend work cancelled when its client disconnects.
 //
 // Runs under `ctest -L tsan` (with -DSVQ_SANITIZE=thread): the router's
-// scatter threads, hedge threads, health checker, and connection workers
-// all share breakers and the metrics registry.
+// IO thread, workers and health checker share breakers, connection pools
+// and the metrics registry.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -88,6 +97,108 @@ double RegistryValue(const Router& router, const std::string& name) {
   return 0.0;
 }
 
+/// Polls `done` for up to 5 s.
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// A blocking loopback socket connected to `port` whose receives give up
+/// after `recv_timeout` (so a peer that never closes fails the test instead
+/// of hanging it).
+int RawConnect(uint16_t port, std::chrono::milliseconds recv_timeout =
+                                  std::chrono::milliseconds(5000)) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(recv_timeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((recv_timeout.count() % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+bool SendAll(int fd, const std::string& bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Reads until EOF; `*eof` is false when the receive timed out or failed
+/// first.
+std::string ReadUntilEof(int fd, bool* eof) {
+  std::string received;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n > 0) {
+      received.append(buffer, static_cast<size_t>(n));
+      continue;
+    }
+    *eof = n == 0;
+    return received;
+  }
+}
+
+/// The process's virtual size in kB (VmSize in /proc/self/status).
+int64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+/// A listener that accepts nothing: connects succeed (the SYN queue
+/// absorbs them) but no byte ever comes back — a backend that hangs.
+struct SilentListener {
+  SilentListener() {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(::listen(fd, 16), 0);
+    sockaddr_in bound{};
+    socklen_t len = sizeof(bound);
+    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len),
+              0);
+    port = ntohs(bound.sin_port);
+  }
+  ~SilentListener() { ::close(fd); }
+  SilentListener(const SilentListener&) = delete;
+  SilentListener& operator=(const SilentListener&) = delete;
+
+  /// A one-shard map whose only backend is this listener.
+  ShardMap Map() const {
+    ShardMap map;
+    map.version = 1;
+    map.shards.push_back({"127.0.0.1", port});
+    map.assignments["serving_0"] = 0;
+    return map;
+  }
+
+  int fd = -1;
+  uint16_t port = 0;
+};
+
 /// A 2-shard cluster over four videos plus a single-node oracle engine
 /// holding the full catalog: the contract under test is that clients
 /// cannot tell the two apart (until a shard dies).
@@ -101,9 +212,14 @@ class ClusterTest : public ::testing::Test {
     for (int i = 0; i < kVideos; ++i) {
       auto video = ClusterVideo(i);
       names.push_back(video->name());
-      ASSERT_TRUE(oracle_.AddVideo(video).ok());
+      if (!oracle_ready_) {
+        ASSERT_TRUE(oracle_.AddVideo(video).ok());
+      }
     }
-    ASSERT_TRUE(oracle_.IngestAll().ok());
+    if (!oracle_ready_) {
+      ASSERT_TRUE(oracle_.IngestAll().ok());
+      oracle_ready_ = true;
+    }
 
     for (size_t s = 0; s < num_shards; ++s) {
       engines_.push_back(std::make_unique<core::VideoQueryEngine>());
@@ -136,10 +252,16 @@ class ClusterTest : public ::testing::Test {
     ASSERT_TRUE(router_->Start().ok());
   }
 
-  void TearDown() override {
+  /// Stops the router, then every backend; the oracle stays.
+  void StopCluster() {
     if (router_) router_->Shutdown();
     for (auto& server : servers_) server->Shutdown();
+    router_.reset();
+    servers_.clear();
+    engines_.clear();
   }
+
+  void TearDown() override { StopCluster(); }
 
   server::Client RouterClient() {
     server::Client client;
@@ -148,6 +270,7 @@ class ClusterTest : public ::testing::Test {
   }
 
   core::VideoQueryEngine oracle_;
+  bool oracle_ready_ = false;
   std::vector<std::unique_ptr<core::VideoQueryEngine>> engines_;
   std::vector<std::unique_ptr<server::Server>> servers_;
   std::unique_ptr<Router> router_;
@@ -172,22 +295,29 @@ void ExpectMatchesRepository(
 }
 
 TEST_F(ClusterTest, BroadcastMatchesSingleNodeOracle) {
-  StartCluster();
-  const std::string statement = RankedStatement("*", 6);
-  auto reference = query::ExecuteStatementOn(oracle_.Pin(), statement);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  ASSERT_TRUE(reference->repo.has_value());
-  ASSERT_FALSE(reference->repo->sequences.empty());
+  // One shard (a router over a single svqd), two, and four (one video per
+  // shard): every partition answers exactly like the single node.
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    StartCluster(TestOptions(), shards);
+    const std::string statement = RankedStatement("*", 6);
+    auto reference = query::ExecuteStatementOn(oracle_.Pin(), statement);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_TRUE(reference->repo.has_value());
+    ASSERT_FALSE(reference->repo->sequences.empty());
 
-  server::Client client = RouterClient();
-  auto response = client.Execute(statement);
-  ASSERT_TRUE(response.ok()) << response.status();
-  ASSERT_TRUE(response->status.ok()) << response->status;
-  EXPECT_TRUE(response->ranked);
-  ExpectMatchesRepository(*response, reference->repo->sequences);
-  EXPECT_DOUBLE_EQ(RegistryValue(*router_, "svq_router_queries_total"), 1.0);
-  EXPECT_DOUBLE_EQ(
-      RegistryValue(*router_, "svq_router_queries_partial_total"), 0.0);
+    server::Client client = RouterClient();
+    auto response = client.Execute(statement);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->status.ok()) << response->status;
+    EXPECT_TRUE(response->ranked);
+    ExpectMatchesRepository(*response, reference->repo->sequences);
+    EXPECT_DOUBLE_EQ(RegistryValue(*router_, "svq_router_queries_total"),
+                     1.0);
+    EXPECT_DOUBLE_EQ(
+        RegistryValue(*router_, "svq_router_queries_partial_total"), 0.0);
+    StopCluster();
+  }
 }
 
 TEST_F(ClusterTest, SingleVideoStatementRoutesToOwningShard) {
@@ -400,6 +530,186 @@ TEST_F(ClusterTest, BreakerOpensAfterConsecutiveFailuresThenRecovers) {
   EXPECT_TRUE(response->status.ok()) << response->status;
 }
 
+TEST_F(ClusterTest, MalformedFrameClosesConnectionCleanly) {
+  StartCluster();
+  // The same contract as svqd: a frame with a bogus wire version gets one
+  // error reply, then EOF — the peer speaks another protocol.
+  const int fd = RawConnect(router_->port());
+  const unsigned char bad[] = {2, 0, 0, 0, /*version=*/9, /*type=*/1};
+  ASSERT_EQ(::send(fd, bad, sizeof(bad), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(bad)));
+  bool eof = false;
+  const std::string received = ReadUntilEof(fd, &eof);
+  ::close(fd);
+  EXPECT_TRUE(eof) << "the router kept the connection open";
+  server::FrameAssembler assembler;
+  assembler.Feed(received.data(), received.size());
+  std::string payload;
+  bool has_frame = false;
+  ASSERT_TRUE(assembler.Next(&payload, &has_frame).ok());
+  ASSERT_TRUE(has_frame) << "no error reply before EOF";
+  server::WireCursor cursor(payload);
+  server::MessageType type = server::MessageType::kQueryRequest;
+  ASSERT_TRUE(server::DecodePayloadHeader(&cursor, &type).ok());
+  ASSERT_EQ(type, server::MessageType::kQueryResponse);
+  server::QueryResponse reply;
+  ASSERT_TRUE(server::DecodeQueryResponse(&cursor, &reply).ok());
+  EXPECT_TRUE(reply.status.IsUnimplemented()) << reply.status;
+  EXPECT_EQ(assembler.buffered_bytes(), 0u) << "more than one reply";
+
+  // And the router still serves well-formed clients.
+  server::Client client = RouterClient();
+  auto response = client.Execute(RankedStatement("serving_0", 3));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->status.ok()) << response->status;
+}
+
+TEST_F(ClusterTest, ConnectQueryCloseCyclesKeepMemoryFlat) {
+  StartCluster();
+  const std::string statement = RankedStatement("serving_3", 3);
+  const auto cycle = [&]() {
+    server::Client client = RouterClient();
+    auto response = client.Execute(statement);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->status.ok()) << response->status;
+  };
+  // Warm up: pooled backend connections, allocator state.
+  for (int i = 0; i < 20; ++i) cycle();
+  const int64_t before = VmSizeKb();
+  ASSERT_GT(before, 0);
+  // A router that kept anything per connection it ever served (a thread,
+  // its stack) would grow by that much per cycle.
+  for (int i = 0; i < 200; ++i) cycle();
+  const int64_t growth_kb = VmSizeKb() - before;
+  EXPECT_LT(growth_kb, 64 * 1024) << "VmSize grew by " << growth_kb << " kB";
+}
+
+TEST_F(ClusterTest, ConnectionsBeyondTheRouterCapAreClosed) {
+  StartCluster();
+  constexpr int kCap = 64;  // the router's connection cap, svqd's default
+  std::vector<int> held;
+  for (int i = 0; i < kCap; ++i) held.push_back(RawConnect(router_->port()));
+  ASSERT_TRUE(WaitFor([&]() {
+    return RegistryValue(*router_, "svq_router_connections_open") == kCap;
+  }));
+
+  // The kernel completes the handshake, but the router closes the socket
+  // unserved.
+  server::Client over;
+  ASSERT_TRUE(over.Connect("127.0.0.1", router_->port(),
+                           std::chrono::milliseconds(5000))
+                  .ok());
+  auto refused = over.Execute(RankedStatement("serving_0", 3));
+  EXPECT_FALSE(refused.ok()) << "served past the connection cap";
+  EXPECT_DOUBLE_EQ(RegistryValue(*router_, "svq_router_connections_open"),
+                   kCap);
+
+  // A freed slot admits the next connection.
+  ::close(held.back());
+  held.pop_back();
+  ASSERT_TRUE(WaitFor([&]() {
+    return RegistryValue(*router_, "svq_router_connections_open") == kCap - 1;
+  }));
+  server::Client next = RouterClient();
+  auto response = next.Execute(RankedStatement("serving_0", 3));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->status.ok()) << response->status;
+  for (const int fd : held) ::close(fd);
+}
+
+TEST_F(ClusterTest, PipelinedRequestsPastTheAdmissionBoundAreRejected) {
+  StartCluster();
+  const std::string statement = RankedStatement("serving_3", 3);
+  auto reference = query::ExecuteStatementOn(oracle_.Pin(), statement);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(reference->topk.has_value());
+  const auto& expected = reference->topk->sequences;
+
+  // Far more requests on one connection than the router holds admitted at
+  // once (workers plus queue slots = the connection cap, 64), sent in one
+  // burst.
+  constexpr uint64_t kRequests = 300;
+  std::string burst;
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    burst += server::EncodeQueryRequest({id, statement, 0});
+  }
+  const int fd = RawConnect(router_->port(), std::chrono::seconds(30));
+  ASSERT_TRUE(SendAll(fd, burst));
+
+  std::map<uint64_t, server::QueryResponse> responses;
+  server::FrameAssembler assembler;
+  while (responses.size() < kRequests) {
+    std::string payload;
+    bool has_frame = false;
+    ASSERT_TRUE(assembler.Next(&payload, &has_frame).ok());
+    if (!has_frame) {
+      char buffer[65536];
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+      ASSERT_GT(n, 0) << "after " << responses.size() << " responses";
+      assembler.Feed(buffer, static_cast<size_t>(n));
+      continue;
+    }
+    server::WireCursor cursor(payload);
+    server::MessageType type = server::MessageType::kQueryRequest;
+    ASSERT_TRUE(server::DecodePayloadHeader(&cursor, &type).ok());
+    server::QueryResponse response;
+    ASSERT_TRUE(server::DecodeQueryResponse(&cursor, &response).ok());
+    ASSERT_TRUE(responses.emplace(response.request_id, response).second)
+        << "request " << response.request_id << " answered twice";
+  }
+  ::close(fd);
+
+  int ok = 0;
+  int rejected = 0;
+  for (const auto& [id, response] : responses) {
+    ASSERT_GE(id, 1u);
+    ASSERT_LE(id, kRequests);
+    if (response.status.IsResourceExhausted()) {
+      ++rejected;
+      continue;
+    }
+    ASSERT_TRUE(response.status.ok()) << id << ": " << response.status;
+    ++ok;
+    ASSERT_EQ(response.sequences.size(), expected.size()) << id;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(response.sequences[i].begin, expected[i].clips.begin) << id;
+      EXPECT_EQ(response.sequences[i].end, expected[i].clips.end) << id;
+      EXPECT_DOUBLE_EQ(response.sequences[i].lower_bound,
+                       expected[i].lower_bound)
+          << id;
+    }
+  }
+  EXPECT_GE(ok, 1);
+  EXPECT_GE(rejected, 1);
+  EXPECT_DOUBLE_EQ(RegistryValue(*router_, "svq_router_rejected_total"),
+                   rejected);
+}
+
+TEST_F(ClusterTest, ShutdownReturnsPromptlyUnderConnectionChurn) {
+  StartCluster();
+  std::atomic<bool> stop{false};
+  std::thread churn([&]() {
+    const uint16_t port = router_->port();
+    while (!stop.load()) {
+      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_port = htons(port);
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      (void)::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+      ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto begin = Clock::now();
+  router_->Shutdown();
+  const auto elapsed = Clock::now() - begin;
+  stop.store(true);
+  churn.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
 TEST(CircuitBreakerTest, ThresholdCooldownAndHalfOpenProbe) {
   CircuitBreaker::Options options;
   options.failure_threshold = 3;
@@ -437,35 +747,31 @@ TEST(CircuitBreakerTest, ThresholdCooldownAndHalfOpenProbe) {
   breaker.RecordSuccess();
   EXPECT_EQ(breaker.state(), State::kClosed);
   EXPECT_TRUE(breaker.AllowRequest(probe_time));
+  // An abandoned probe (its client left) must not strand the breaker
+  // half-open: it reopens, due for a new probe at once.
+  for (int i = 0; i < 3; ++i) breaker.RecordFailure(probe_time);
+  const auto second_probe = probe_time + std::chrono::milliseconds(100);
+  EXPECT_TRUE(breaker.AllowRequest(second_probe));
+  EXPECT_EQ(breaker.state(), State::kHalfOpen);
+  breaker.RecordAbandoned(second_probe);
+  EXPECT_EQ(breaker.state(), State::kOpen);
+  EXPECT_TRUE(breaker.AllowRequest(second_probe));
+  EXPECT_EQ(breaker.state(), State::kHalfOpen);
+  // Abandoning outside a probe changes nothing.
+  breaker.RecordSuccess();
+  breaker.RecordAbandoned(second_probe);
+  EXPECT_EQ(breaker.state(), State::kClosed);
 }
 
 TEST(RouterHedgingTest, SlowShardTriggersAHedgeRequest) {
-  // A listener that accepts nothing: connects succeed (the SYN queue
-  // absorbs them) but no byte ever comes back, so the primary request
-  // stalls past hedge_after and the router must issue a hedge.
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listener, 16), 0);
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ASSERT_EQ(
-      ::getsockname(listener, reinterpret_cast<sockaddr*>(&bound), &len), 0);
-
-  ShardMap map;
-  map.version = 1;
-  map.shards.push_back({"127.0.0.1", ntohs(bound.sin_port)});
-  map.assignments["serving_0"] = 0;
+  // The only backend accepts nothing, so the primary request stalls past
+  // hedge_after and the router must issue a hedge.
+  SilentListener backend;
   RouterOptions options = TestOptions();
   options.max_retries = 0;
   options.hedge_after = std::chrono::milliseconds(20);
   options.recv_timeout = std::chrono::milliseconds(150);
-  Router router(map, options);
+  Router router(backend.Map(), options);
   ASSERT_TRUE(router.Start().ok());
 
   server::Client client;
@@ -475,7 +781,46 @@ TEST(RouterHedgingTest, SlowShardTriggersAHedgeRequest) {
   EXPECT_TRUE(response->status.IsUnavailable()) << response->status;
   EXPECT_GE(RegistryValue(router, "svq_router_hedges_total"), 1.0);
   router.Shutdown();
-  ::close(listener);
+}
+
+TEST(RouterCancelTest, ClientDisconnectCancelsBackendWork) {
+  // The only backend accepts nothing and recv_timeout is long, so without
+  // cancellation the routed request would hold its worker and its backend
+  // connection for 30 s after the client left.
+  SilentListener backend;
+  RouterOptions options = TestOptions();
+  options.max_retries = 0;
+  options.recv_timeout = std::chrono::seconds(30);
+  Router router(backend.Map(), options);
+  ASSERT_TRUE(router.Start().ok());
+
+  const int client = RawConnect(router.port());
+  ASSERT_TRUE(SendAll(client, server::EncodeQueryRequest(
+                                  {1, RankedStatement("serving_0", 3), 0})));
+  // Wait until the router has dialed the backend, then leave mid-request.
+  pollfd dialed{backend.fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&dialed, 1, 5000), 1);
+  const int accepted = ::accept(backend.fd, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+  timeval tv{5, 0};
+  ::setsockopt(accepted, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::close(client);
+
+  // The router abandons the backend request: it closes its side of the
+  // backend connection (after the request bytes) well within the 5 s
+  // receive timeout.
+  const auto left = Clock::now();
+  bool eof = false;
+  ReadUntilEof(accepted, &eof);
+  ::close(accepted);
+  EXPECT_TRUE(eof) << "the backend connection outlived its client";
+  EXPECT_LT(Clock::now() - left, std::chrono::seconds(2));
+  // The worker is free again, so drain has nothing to wait for.
+  EXPECT_TRUE(WaitFor(
+      [&]() { return RegistryValue(router, "svq_router_in_flight") == 0.0; }));
+  const auto shutdown = Clock::now();
+  router.Shutdown();
+  EXPECT_LT(Clock::now() - shutdown, std::chrono::seconds(1));
 }
 
 TEST(ShardMapTest, AssignContiguousSaveLoadRoundTrip) {

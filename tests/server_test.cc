@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -358,9 +359,12 @@ TEST_F(ServerTest, BadStatementReturnsErrorNotDisconnect) {
 TEST_F(ServerTest, MalformedFrameClosesConnectionCleanly) {
   StartServer();
   // Speak raw TCP: a frame with a bogus wire version must not crash the
-  // server; it answers with an error response and closes the connection.
+  // server; it answers with one error response and closes the connection.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
+  // A server that kept the connection open fails the test, not hangs it.
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(server_->port());
@@ -378,7 +382,23 @@ TEST_F(ServerTest, MalformedFrameClosesConnectionCleanly) {
     received.append(buffer, static_cast<size_t>(n));
   }
   ::close(fd);
+  EXPECT_EQ(n, 0) << "the server kept the connection open";
   EXPECT_GT(received.size(), kFrameHeaderBytes);
+  // Exactly one reply: a QUERY response carrying the version mismatch.
+  FrameAssembler assembler;
+  assembler.Feed(received.data(), received.size());
+  std::string payload;
+  bool has_frame = false;
+  ASSERT_TRUE(assembler.Next(&payload, &has_frame).ok());
+  ASSERT_TRUE(has_frame);
+  WireCursor cursor(payload);
+  MessageType type = MessageType::kQueryRequest;
+  ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
+  ASSERT_EQ(type, MessageType::kQueryResponse);
+  QueryResponse reply;
+  ASSERT_TRUE(DecodeQueryResponse(&cursor, &reply).ok());
+  EXPECT_TRUE(reply.status.IsUnimplemented()) << reply.status;
+  EXPECT_EQ(assembler.buffered_bytes(), 0u) << "more than one reply";
 
   // And the server is still healthy for well-formed clients.
   Client client = Connected();
