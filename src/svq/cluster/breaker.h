@@ -17,8 +17,8 @@ namespace svq::cluster {
 ///                Probe success closes the breaker, probe failure re-opens
 ///                it for another cooldown.
 ///
-/// Thread safe: router workers and the health checker share one breaker
-/// per backend. Callers pass their own `now` so tests can drive time.
+/// Thread safe: the router's IO thread and its health checker share one
+/// breaker per backend. Callers pass their own `now` so tests can drive time.
 class CircuitBreaker {
  public:
   using Clock = std::chrono::steady_clock;
@@ -37,18 +37,21 @@ class CircuitBreaker {
 
   /// Whether the caller may issue a request now. In kOpen past the
   /// cooldown this transitions to kHalfOpen and admits the caller as the
-  /// probe; the caller MUST then report the outcome via RecordSuccess /
-  /// RecordFailure / RecordAbandoned or the breaker stays half-open
-  /// forever.
-  bool AllowRequest(Clock::time_point now = Clock::now()) {
+  /// probe (`*probe` says so when given); the caller MUST then report the
+  /// outcome via RecordSuccess / RecordFailure / RecordAbandoned or the
+  /// breaker stays half-open forever.
+  bool AllowRequest(Clock::time_point now = Clock::now(),
+                    bool* probe = nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
+    if (probe != nullptr) *probe = false;
     switch (state_) {
       case State::kClosed:
         return true;
       case State::kOpen:
         if (now >= open_until_) {
           state_ = State::kHalfOpen;
-          return true;  // the probe
+          if (probe != nullptr) *probe = true;
+          return true;
         }
         return false;
       case State::kHalfOpen:
@@ -79,9 +82,11 @@ class CircuitBreaker {
     }
   }
 
-  /// The caller gave up on an admitted request without an outcome (its
-  /// client left, or a hedge won). An abandoned probe returns the breaker
-  /// to kOpen, due for a new probe at once; other states are unchanged.
+  /// The caller gave up on the probe without an outcome (its client left,
+  /// or a hedge won): the breaker returns to kOpen, due for a new probe at
+  /// once. Only the probe's caller reports this — a request admitted while
+  /// the breaker was closed says nothing about a later probe. Outside
+  /// kHalfOpen this changes nothing.
   void RecordAbandoned(Clock::time_point now = Clock::now()) {
     std::lock_guard<std::mutex> lock(mu_);
     if (state_ != State::kHalfOpen) return;

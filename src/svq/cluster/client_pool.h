@@ -62,7 +62,8 @@ class ClientPool {
   }
 
  private:
-  /// More than the router's workers, so a busy router does not redial.
+  /// Idle connections kept. Each holds one of the backend's connection
+  /// slots, so a burst beyond this redials rather than pinning more.
   static constexpr size_t kMaxIdle = 8;
 
   const ShardEndpoint endpoint_;

@@ -30,19 +30,16 @@ using server::WireCursor;
 
 /// Client connections served at once: svqd's default cap.
 constexpr int kMaxConnections = 64;
-/// Routed requests in flight at once, svqd's default worker count. A
-/// worker waiting on its backends sleeps in poll; each worker thread also
-/// costs a malloc arena (megabytes of resident memory once warm), so the
-/// pool stays small.
-constexpr int kWorkers = 4;
-/// Requests queued behind the workers. Workers plus queue slots equal the
-/// connection cap, so a client that keeps one request per connection is
-/// never turned away while it stays under the cap.
-constexpr int kMaxQueue = kMaxConnections - kWorkers;
+/// Requests admitted and unfinished at once: the connection cap, so a
+/// client that keeps one request per connection is never turned away while
+/// it stays under the cap. A routed request holds no thread while it waits
+/// on its backends — the transport's IO thread drives every one — so this
+/// bound, not a thread count, is what limits requests in flight.
+constexpr int kMaxAdmitted = kMaxConnections;
 /// How long Shutdown lets admitted requests finish before cancelling them.
 constexpr std::chrono::milliseconds kDrainBudget{5000};
-/// How often a backend call that is waiting checks its cancellation: a
-/// client that disconnects frees its router worker within this interval.
+/// How often the health checker's probe, which runs on its own thread,
+/// looks at its cancellation while it waits.
 constexpr std::chrono::milliseconds kPollInterval{10};
 
 double ElapsedMicros(Router::Clock::time_point begin,
@@ -147,25 +144,41 @@ void MergeHistogram(const server::WireHistogram& in,
 // ---------------------------------------------------------------------------
 // The backend call.
 
-/// The state of one CallBackends: per shard a primary leg and, once the
-/// shard is hedge_after late, a hedge leg. Each leg runs the retry loop on
-/// its own connection; one poll loop on the calling thread drives them all.
-class Router::Gather {
+/// The router's one backend call, for QUERY, EXPLAIN, STATS and the health
+/// probe: per shard a primary leg and, once the shard is hedge_after late,
+/// a hedge leg. Each leg runs the retry loop on its own pooled connection.
+/// A routed request's gather is a transport task, driven by the IO thread
+/// beside every other request; the health checker drives its probe itself
+/// with Run.
+class Router::Gather : public server::Task {
  public:
-  Gather(Router* router, const std::vector<size_t>& shards,
-         const BackendRequest& request)
+  Gather(Router* router, std::vector<size_t> shards, BackendRequest request,
+         Respond respond = nullptr)
       : router_(*router),
-        request_(request),
-        results_(shards.size(), Status::Unavailable("no reply")) {
-    shards_.reserve(shards.size());
+        request_(std::move(request)),
+        respond_(std::move(respond)),
+        deadline_(request_.timeout_ms > 0
+                      ? request_.received +
+                            std::chrono::milliseconds(request_.timeout_ms)
+                      : Clock::time_point::max()),
+        results_(shards.size(), Status::Unavailable("no reply")),
+        undecided_(shards.size()) {
+    shards_.reserve(shards.size());  // shards never move once started
     for (size_t slot = 0; slot < shards.size(); ++slot) {
       Shard& shard = shards_.emplace_back();
       shard.slot = slot;
       shard.index = shards[slot];
+      shard.legs.reserve(2);  // nor do legs
     }
   }
 
+  /// Drives the call on this thread until every shard is decided.
   std::vector<Result<std::string>> Run();
+
+  bool Prepare(Clock::time_point now, std::vector<pollfd>* fds,
+               Clock::time_point* wake) override;
+  bool Advance(Clock::time_point now, const pollfd* fds) override;
+  std::string Finish() override { return respond_(std::move(results_)); }
 
  private:
   struct Leg {
@@ -175,6 +188,8 @@ class Router::Gather {
     Phase phase = Phase::kWaiting;
     /// Attempts started so far.
     int attempts = 0;
+    /// The current attempt is the breaker's half-open probe.
+    bool probe = false;
     int fd = -1;
     /// The attempt's request frame and how much of it is sent.
     std::string out;
@@ -204,6 +219,10 @@ class Router::Gather {
            leg.phase != Leg::Phase::kDone;
   }
 
+  /// Starts every shard's primary leg (first Prepare).
+  void Start(Clock::time_point now);
+  /// Fires cancellation, the client's deadline, hedges and leg timers.
+  void FireTimers(Clock::time_point now);
   void AddLeg(Shard& shard, Clock::time_point now);
   void StartAttempt(Shard& shard, Leg& leg, Clock::time_point now);
   /// A transport failure of the leg's attempt: breaker + backoff + retry.
@@ -211,93 +230,130 @@ class Router::Gather {
                    Clock::time_point now);
   /// The leg gave up with `why`; the shard fails once every leg has.
   void FinishLeg(Shard& shard, Leg& leg, Status why);
+  /// The client's budget ran out before the shard replied: the query's
+  /// outcome, reported exactly as a backend would.
+  void Expire(Shard& shard);
   void Decide(Shard& shard, Result<std::string> result);
   /// IO progress on the leg's socket.
-  void Advance(Shard& shard, Leg& leg, Clock::time_point now);
+  void Progress(Shard& shard, Leg& leg, Clock::time_point now);
   void SendSome(Shard& shard, Leg& leg, Clock::time_point now);
   void ReceiveSome(Shard& shard, Leg& leg, Clock::time_point now);
 
   Router& router_;
-  const BackendRequest& request_;
+  const BackendRequest request_;
+  const Respond respond_;
+  /// When the client's budget runs out (max when it has none).
+  const Clock::time_point deadline_;
   std::vector<Shard> shards_;
   std::vector<Result<std::string>> results_;
   size_t undecided_ = 0;
+  bool started_ = false;
+  Clock::time_point started_at_{};
+  /// The legs behind the sockets the last Prepare appended, in order.
+  std::vector<std::pair<Shard*, Leg*>> polled_;
 };
 
 std::vector<Result<std::string>> Router::Gather::Run() {
-  Clock::time_point now = Clock::now();
-  undecided_ = shards_.size();
+  std::vector<pollfd> fds;
+  for (;;) {
+    const Clock::time_point now = Clock::now();
+    // Nothing wakes this thread when `request_.cancel` fires: look again
+    // every interval.
+    Clock::time_point wake = now + kPollInterval;
+    fds.clear();
+    if (Prepare(now, &fds, &wake)) break;
+    const auto timeout =
+        std::chrono::ceil<std::chrono::milliseconds>(wake - now).count();
+    if (::poll(fds.data(), fds.size(),
+               static_cast<int>(std::max<int64_t>(0, timeout))) > 0 &&
+        Advance(Clock::now(), fds.data())) {
+      break;
+    }
+  }
+  return std::move(results_);
+}
+
+bool Router::Gather::Prepare(Clock::time_point now, std::vector<pollfd>* fds,
+                             Clock::time_point* wake) {
+  polled_.clear();
+  if (!started_) Start(now);
+  FireTimers(now);
+  if (undecided_ == 0) return true;
+  *wake = std::min(*wake, deadline_);
   for (Shard& shard : shards_) {
-    shard.legs.reserve(2);  // legs never move once started
+    if (shard.decided) continue;
+    *wake = std::min(*wake, shard.hedge_at);
+    for (Leg& leg : shard.legs) {
+      if (leg.phase == Leg::Phase::kDone) continue;
+      *wake = std::min(*wake, leg.due);
+      if (Outstanding(leg)) {
+        const short events =
+            leg.phase == Leg::Phase::kReceiving ? POLLIN : POLLOUT;
+        fds->push_back({leg.fd, events, 0});
+        polled_.emplace_back(&shard, &leg);
+      }
+    }
+  }
+  return false;
+}
+
+bool Router::Gather::Advance(Clock::time_point now, const pollfd* fds) {
+  for (size_t i = 0; i < polled_.size(); ++i) {
+    auto [shard, leg] = polled_[i];
+    if (fds[i].revents != 0 && !shard->decided && Outstanding(*leg)) {
+      Progress(*shard, *leg, now);
+    }
+  }
+  polled_.clear();
+  return undecided_ == 0;
+}
+
+void Router::Gather::Start(Clock::time_point now) {
+  started_ = true;
+  started_at_ = now;
+  for (Shard& shard : shards_) {
     if (request_.hedge && router_.options_.hedge_after.count() > 0) {
       shard.hedge_at = now + router_.options_.hedge_after;
     }
     AddLeg(shard, now);
   }
-  std::vector<pollfd> fds;
-  std::vector<std::pair<Shard*, Leg*>> polled;
-  while (undecided_ > 0) {
-    if (request_.cancel.cancelled()) {
-      for (Shard& shard : shards_) {
-        if (!shard.decided) {
-          Decide(shard, Status::Cancelled("request cancelled before " +
-                                          Describe(shard) + " replied"));
-        }
-      }
-      break;
+}
+
+void Router::Gather::FireTimers(Clock::time_point now) {
+  const bool cancelled = request_.cancel.cancelled();
+  for (Shard& shard : shards_) {
+    if (shard.decided) continue;
+    if (cancelled) {
+      Decide(shard, Status::Cancelled("request cancelled before " +
+                                      Describe(shard) + " replied"));
+      continue;
     }
-    now = Clock::now();
-    Clock::time_point wake = now + kPollInterval;
-    fds.clear();
-    polled.clear();
-    for (Shard& shard : shards_) {
-      if (!shard.decided && now >= shard.hedge_at) {
-        shard.hedge_at = Clock::time_point::max();
-        router_.hedges_->Increment();
-        AddLeg(shard, now);
-      }
-      if (shard.decided) continue;
-      wake = std::min(wake, shard.hedge_at);
-      for (Leg& leg : shard.legs) {
-        if (leg.phase != Leg::Phase::kDone && now >= leg.due) {
-          if (leg.phase == Leg::Phase::kWaiting) {
-            StartAttempt(shard, leg, now);
-          } else {
-            FailAttempt(shard, leg,
-                        Status::IOError(leg.phase == Leg::Phase::kConnecting
-                                            ? "connect timed out"
-                                            : "receive timed out waiting for "
-                                              "the server"),
-                        now);
-          }
-        }
-        if (shard.decided) break;
-        if (leg.phase == Leg::Phase::kDone) continue;
-        wake = std::min(wake, leg.due);
-        if (Outstanding(leg)) {
-          const short events =
-              leg.phase == Leg::Phase::kReceiving ? POLLIN : POLLOUT;
-          fds.push_back({leg.fd, events, 0});
-          polled.emplace_back(&shard, &leg);
-        }
-      }
+    if (now >= deadline_) {
+      // Shards still working when the budget ran out are not waited for:
+      // the answer is due now, and their replies would come too late.
+      Expire(shard);
+      continue;
     }
-    if (undecided_ == 0) break;
-    const auto timeout =
-        std::chrono::ceil<std::chrono::milliseconds>(wake - now).count();
-    if (::poll(fds.data(), fds.size(),
-               static_cast<int>(std::max<int64_t>(0, timeout))) <= 0) {
-      continue;  // a timer is due, or EINTR: re-check from the top
+    if (now >= shard.hedge_at) {
+      shard.hedge_at = Clock::time_point::max();
+      router_.hedges_->Increment();
+      AddLeg(shard, now);
     }
-    now = Clock::now();
-    for (size_t i = 0; i < fds.size(); ++i) {
-      auto [shard, leg] = polled[i];
-      if (fds[i].revents != 0 && !shard->decided && Outstanding(*leg)) {
-        Advance(*shard, *leg, now);
+    for (Leg& leg : shard.legs) {
+      if (shard.decided) break;
+      if (leg.phase == Leg::Phase::kDone || now < leg.due) continue;
+      if (leg.phase == Leg::Phase::kWaiting) {
+        StartAttempt(shard, leg, now);
+      } else {
+        FailAttempt(shard, leg,
+                    Status::IOError(leg.phase == Leg::Phase::kConnecting
+                                        ? "connect timed out"
+                                        : "receive timed out waiting for "
+                                          "the server"),
+                    now);
       }
     }
   }
-  return std::move(results_);
 }
 
 void Router::Gather::AddLeg(Shard& shard, Clock::time_point now) {
@@ -311,16 +367,10 @@ void Router::Gather::StartAttempt(Shard& shard, Leg& leg,
   uint32_t remaining = 0;
   if (!RemainingBudget(request_.received, request_.timeout_ms, now,
                        &remaining)) {
-    // Budget exhausted inside the router: this is the query's outcome, not
-    // a transport failure — report it on the query status exactly as a
-    // backend would.
-    router_.queries_deadline_->Increment();
-    Decide(shard, Status::DeadlineExceeded(
-                      "query budget exhausted before shard " +
-                      std::to_string(shard.index) + " responded"));
+    Expire(shard);
     return;
   }
-  if (!backend.breaker.AllowRequest(now)) {
+  if (!backend.breaker.AllowRequest(now, &leg.probe)) {
     FinishLeg(shard, leg,
               Status::Unavailable(Describe(shard) + ": circuit breaker open"));
     return;
@@ -381,21 +431,31 @@ void Router::Gather::FinishLeg(Shard& shard, Leg& leg, Status why) {
   Decide(shard, std::move(why));
 }
 
+void Router::Gather::Expire(Shard& shard) {
+  router_.queries_deadline_->Increment();
+  Decide(shard, Status::DeadlineExceeded("query budget exhausted before shard " +
+                                         std::to_string(shard.index) +
+                                         " responded"));
+}
+
 void Router::Gather::Decide(Shard& shard, Result<std::string> result) {
   shard.decided = true;
   results_[shard.slot] = std::move(result);
-  --undecided_;
   // Abandon whatever is still outstanding: its reply is no longer wanted,
-  // and a connection with a request in flight cannot be pooled.
+  // and a connection with a request in flight cannot be pooled. A probe
+  // abandoned that way leaves the breaker due for another.
   for (Leg& leg : shard.legs) {
-    if (Outstanding(leg)) BackendOf(shard).breaker.RecordAbandoned();
+    if (Outstanding(leg) && leg.probe) BackendOf(shard).breaker.RecordAbandoned();
     if (leg.fd >= 0) ::close(leg.fd);
     leg.fd = -1;
     leg.phase = Leg::Phase::kDone;
   }
+  if (--undecided_ == 0 && request_.latency != nullptr) {
+    request_.latency->Record(ElapsedMicros(started_at_, Clock::now()));
+  }
 }
 
-void Router::Gather::Advance(Shard& shard, Leg& leg, Clock::time_point now) {
+void Router::Gather::Progress(Shard& shard, Leg& leg, Clock::time_point now) {
   if (leg.phase == Leg::Phase::kConnecting) {
     int error = 0;
     socklen_t len = sizeof(error);
@@ -497,11 +557,6 @@ void Router::Gather::ReceiveSome(Shard& shard, Leg& leg,
   Decide(shard, std::move(payload));
 }
 
-std::vector<Result<std::string>> Router::CallBackends(
-    const std::vector<size_t>& shards, const BackendRequest& request) {
-  return Gather(this, shards, request).Run();
-}
-
 // ---------------------------------------------------------------------------
 // Router.
 
@@ -538,10 +593,8 @@ Router::Router(ShardMap map, RouterOptions options)
       "Backends whose circuit breaker is not open");
   connections_open_ = registry_.gauge("svq_router_connections_open",
                                       "Client connections currently open");
-  queue_depth_ = registry_.gauge("svq_router_queue_depth",
-                                 "Requests queued behind admission");
-  in_flight_ = registry_.gauge("svq_router_in_flight",
-                               "Requests currently being routed");
+  in_flight_ = registry_.gauge(
+      "svq_router_in_flight", "Requests admitted and not yet answered");
   query_latency_ = registry_.histogram(
       "svq_router_query_latency_micros",
       "QUERY latency through the router (receipt to response encode)");
@@ -553,13 +606,12 @@ Router::Router(ShardMap map, RouterOptions options)
   transport.bind_address = options_.bind_address;
   transport.port = options_.port;
   transport.max_connections = kMaxConnections;
-  transport.workers = kWorkers;
-  transport.max_queue = kMaxQueue;
+  transport.workers = 0;  // every routed request is a driven task
+  transport.max_admitted = kMaxAdmitted;
   transport.max_frame_bytes = options_.max_frame_bytes;
   server::TransportMetrics metrics;
   metrics.connections_opened = connections_opened_;
   metrics.connections_open = connections_open_;
-  metrics.queue_depth = queue_depth_;
   metrics.in_flight = in_flight_;
   metrics.rejected = rejected_;
   server::Handler* handler = this;
@@ -647,47 +699,62 @@ int Router::ShardFor(const Result<query::SelectStatement>& parsed) const {
   return -1;
 }
 
-Router::BackendRequest Router::RequestFor(
-    Clock::time_point received, uint32_t timeout_ms,
-    const CancellationToken& cancel) const {
+Router::BackendRequest Router::RequestFor(Clock::time_point received,
+                                          uint32_t timeout_ms) const {
   BackendRequest request;
   request.received = received;
   request.timeout_ms = timeout_ms;
   request.max_retries = options_.max_retries;
-  request.cancel = cancel;
   return request;
 }
 
+std::vector<size_t> Router::AllShards() const {
+  std::vector<size_t> shards(backends_.size());
+  std::iota(shards.begin(), shards.end(), size_t{0});
+  return shards;
+}
+
+Dispatch Router::Call(std::vector<size_t> shards, BackendRequest request,
+                      Respond respond, Reject reject) {
+  server::Job job;
+  job.reject = std::move(reject);
+  job.start = [this, shards = std::move(shards), request = std::move(request),
+               respond = std::move(respond)](
+                  const CancellationToken& cancel) mutable
+      -> std::unique_ptr<server::Task> {
+    request.cancel = cancel;
+    return std::make_unique<Gather>(this, std::move(shards),
+                                    std::move(request), std::move(respond));
+  };
+  return Dispatch::Admit(std::move(job));
+}
+
 // ---------------------------------------------------------------------------
-// Decoding (IO thread).
+// Routing (IO thread).
 
 Dispatch Router::Decode(const server::Frame& frame) {
-  const Clock::time_point received = frame.received;
   switch (frame.type) {
-    case MessageType::kQueryRequest:
-      return server::AdmitRequest(
-          frame, server::DecodeQueryRequest, server::EncodeQueryResponse,
-          [this, received](const server::QueryRequest& request,
-                           const CancellationToken& cancel) {
-            return RunQuery(request, received, cancel);
-          });
-    case MessageType::kExplainRequest:
-      return server::AdmitRequest(
-          frame, server::DecodeExplainRequest, server::EncodeExplainResponse,
-          [this, received](const server::ExplainRequest& request,
-                           const CancellationToken& cancel) {
-            return RunExplain(request, received, cancel);
-          });
-    case MessageType::kStatsRequest: {
-      server::Job job;
-      job.run = [this](const CancellationToken& cancel) {
-        return RunStats(cancel);
-      };
-      // STATS has no status to carry a rejection; a router too busy to ask
-      // its backends answers with its own registry alone.
-      job.reject = [this](const Status&) { return StatsResponse({}); };
-      return Dispatch::Admit(std::move(job));
+    case MessageType::kQueryRequest: {
+      server::QueryRequest request;
+      const Status decoded = server::DecodeQueryRequest(frame.body, &request);
+      if (!decoded.ok()) {
+        return Dispatch::Reply(server::EncodeFailure(
+            server::EncodeQueryResponse, request.request_id, decoded));
+      }
+      return RouteQuery(std::move(request), frame.received);
     }
+    case MessageType::kExplainRequest: {
+      server::ExplainRequest request;
+      const Status decoded =
+          server::DecodeExplainRequest(frame.body, &request);
+      if (!decoded.ok()) {
+        return Dispatch::Reply(server::EncodeFailure(
+            server::EncodeExplainResponse, request.request_id, decoded));
+      }
+      return RouteExplain(std::move(request), frame.received);
+    }
+    case MessageType::kStatsRequest:
+      return RouteStats();
     case MessageType::kSubscribeRequest: {
       server::SubscribeRequest request;
       (void)server::DecodeSubscribeRequest(frame.body, &request);
@@ -714,48 +781,50 @@ Dispatch Router::Decode(const server::Frame& frame) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Routing (workers).
-
-std::string Router::RunQuery(const server::QueryRequest& request,
-                             Clock::time_point received,
-                             const CancellationToken& cancel) {
-  queries_total_->Increment();
-  QueryResponse response;
-  response.request_id = request.request_id;
-  const auto finish = [&]() {
+Dispatch Router::RouteQuery(server::QueryRequest request,
+                            Clock::time_point received) {
+  // Every answer but an admission rejection is counted and timed here.
+  const auto answer = [this, received, id = request.request_id](
+                          QueryResponse response) {
+    queries_total_->Increment();
+    response.request_id = id;
     query_latency_->Record(ElapsedMicros(received, Clock::now()));
     return server::EncodeQueryResponse(response);
   };
-  server::QueryRequest forwarded = request;
-  BackendRequest call = RequestFor(received, request.timeout_ms, cancel);
-  call.encode = [&forwarded](uint32_t budget_ms) {
+  const auto fail = [answer](Status status) {
+    QueryResponse response;
+    response.status = std::move(status);
+    return answer(std::move(response));
+  };
+  Reject reject = [id = request.request_id](const Status& status) {
+    return server::EncodeFailure(server::EncodeQueryResponse, id, status);
+  };
+  const Result<query::SelectStatement> parsed =
+      RouteTargetOf(request.statement);
+  BackendRequest call = RequestFor(received, request.timeout_ms);
+  call.encode = [forwarded = std::move(request)](uint32_t budget_ms) mutable {
     forwarded.timeout_ms = budget_ms;
     return server::EncodeQueryRequest(forwarded);
   };
   call.reply_type = MessageType::kQueryResponse;
   call.hedge = true;
-  const Result<query::SelectStatement> parsed =
-      RouteTargetOf(request.statement);
 
   if (!parsed.ok() || parsed->process.video != "*") {
     // Single-video (or unparseable) statement: forward to one shard.
     const int shard = ShardFor(parsed);
     if (shard < 0) {
-      response.status =
-          Status::Unavailable("no shard available for this statement");
-      return finish();
+      return Dispatch::Reply(
+          fail(Status::Unavailable("no shard available for this statement")));
     }
-    Result<QueryResponse> routed =
-        DecodeReply(CallBackends({static_cast<size_t>(shard)}, call)[0],
-                    server::DecodeQueryResponse);
-    if (routed.ok()) {
-      response = std::move(routed).value();
-      response.request_id = request.request_id;
-    } else {
-      response.status = routed.status();
-    }
-    return finish();
+    return Call(
+        {static_cast<size_t>(shard)}, std::move(call),
+        [answer, fail](std::vector<Result<std::string>> replies) {
+          Result<QueryResponse> routed =
+              DecodeReply(replies[0], server::DecodeQueryResponse);
+          return routed.ok() ? answer(std::move(routed).value())
+                             : fail(routed.status());
+        },
+        std::move(reject));
   }
 
   // Broadcast: bind the parsed statement for K, scatter to every shard,
@@ -764,17 +833,21 @@ std::string Router::RunQuery(const server::QueryRequest& request,
   if (!bound.ok()) {
     // The statement parses but does not bind; answer with the binder's
     // diagnostic like a single svqd would.
-    response.status = bound.status();
-    return finish();
+    return Dispatch::Reply(fail(bound.status()));
   }
-  const int k = static_cast<int>(bound->k);
+  call.latency = fanout_latency_;
+  return Call(
+      AllShards(), std::move(call),
+      [this, answer, k = static_cast<int>(bound->k)](
+          std::vector<Result<std::string>> replies) {
+        return answer(MergeShards(replies, k));
+      },
+      std::move(reject));
+}
 
-  std::vector<size_t> shards(backends_.size());
-  std::iota(shards.begin(), shards.end(), size_t{0});
-  const Clock::time_point scatter_begin = Clock::now();
-  const std::vector<Result<std::string>> replies = CallBackends(shards, call);
-  fanout_latency_->Record(ElapsedMicros(scatter_begin, Clock::now()));
-
+QueryResponse Router::MergeShards(
+    const std::vector<Result<std::string>>& replies, int k) {
+  QueryResponse response;
   std::vector<GatherEntry> entries;
   std::vector<std::string> failed;
   for (size_t shard = 0; shard < replies.size(); ++shard) {
@@ -790,7 +863,7 @@ std::string Router::RunQuery(const server::QueryRequest& request,
       // query's, not the transport's: surface the first one verbatim.
       response.status = result->status;
       response.sequences.clear();
-      return finish();
+      return response;
     }
     for (size_t rank = 0; rank < result->sequences.size(); ++rank) {
       entries.push_back({shard, rank, result->sequences[rank]});
@@ -826,57 +899,72 @@ std::string Router::RunQuery(const server::QueryRequest& request,
     }
     response.status = Status::Unavailable(message.str());
   }
-  return finish();
+  return response;
 }
 
-std::string Router::RunExplain(const server::ExplainRequest& request,
-                               Clock::time_point received,
-                               const CancellationToken& cancel) {
-  explain_requests_->Increment();
-  server::ExplainResponse response;
-  response.request_id = request.request_id;
+Dispatch Router::RouteExplain(server::ExplainRequest request,
+                              Clock::time_point received) {
+  const auto answer = [this, id = request.request_id](
+                          server::ExplainResponse response) {
+    explain_requests_->Increment();
+    response.request_id = id;
+    return server::EncodeExplainResponse(response);
+  };
+  const auto fail = [answer](Status status) {
+    server::ExplainResponse response;
+    response.status = std::move(status);
+    return answer(std::move(response));
+  };
   const Result<query::SelectStatement> parsed =
       RouteTargetOf(request.statement);
   if (parsed.ok() && parsed->process.video == "*") {
     // Matches single-node behavior: EXPLAIN over PROCESS * is
     // Unimplemented there too (the planner is per-video).
-    response.status = Status::Unimplemented(
-        "EXPLAIN over PROCESS * is not supported; explain a single video");
-    return server::EncodeExplainResponse(response);
+    return Dispatch::Reply(fail(Status::Unimplemented(
+        "EXPLAIN over PROCESS * is not supported; explain a single video")));
   }
   const int shard = ShardFor(parsed);
   if (shard < 0) {
-    response.status =
-        Status::Unavailable("no shard available for this statement");
-    return server::EncodeExplainResponse(response);
+    return Dispatch::Reply(
+        fail(Status::Unavailable("no shard available for this statement")));
   }
-  server::ExplainRequest forwarded = request;
-  BackendRequest call = RequestFor(received, request.timeout_ms, cancel);
-  call.encode = [&forwarded](uint32_t budget_ms) {
+  Reject reject = [id = request.request_id](const Status& status) {
+    return server::EncodeFailure(server::EncodeExplainResponse, id, status);
+  };
+  BackendRequest call = RequestFor(received, request.timeout_ms);
+  call.encode = [forwarded = std::move(request)](uint32_t budget_ms) mutable {
     forwarded.timeout_ms = budget_ms;
     return server::EncodeExplainRequest(forwarded);
   };
   call.reply_type = MessageType::kExplainResponse;
-  Result<server::ExplainResponse> routed =
-      DecodeReply(CallBackends({static_cast<size_t>(shard)}, call)[0],
-                  server::DecodeExplainResponse);
-  if (routed.ok()) {
-    response = std::move(routed).value();
-    response.request_id = request.request_id;
-  } else {
-    response.status = routed.status();
-  }
-  return server::EncodeExplainResponse(response);
+  return Call(
+      {static_cast<size_t>(shard)}, std::move(call),
+      [answer, fail](std::vector<Result<std::string>> replies) {
+        Result<server::ExplainResponse> routed =
+            DecodeReply(replies[0], server::DecodeExplainResponse);
+        return routed.ok() ? answer(std::move(routed).value())
+                           : fail(routed.status());
+      },
+      std::move(reject));
 }
 
-std::string Router::RunStats(const CancellationToken& cancel) {
-  stats_requests_->Increment();
-  BackendRequest call = RequestFor(Clock::now(), 0, cancel);
+Dispatch Router::RouteStats() {
+  BackendRequest call = RequestFor(Clock::now(), 0);
   call.encode = [](uint32_t) { return server::EncodeStatsRequest(); };
   call.reply_type = MessageType::kStatsResponse;
-  std::vector<size_t> shards(backends_.size());
-  std::iota(shards.begin(), shards.end(), size_t{0});
-  return StatsResponse(CallBackends(shards, call));
+  return Call(
+      AllShards(), std::move(call),
+      [this](std::vector<Result<std::string>> replies) {
+        stats_requests_->Increment();
+        last_stats_ = StatsResponse(replies);
+        return last_stats_;
+      },
+      // STATS has no status to carry a rejection. A router too busy to ask
+      // its backends repeats the last aggregate it built, so no counter a
+      // scraper reads goes backwards.
+      [this](const Status&) {
+        return last_stats_.empty() ? StatsResponse({}) : last_stats_;
+      });
 }
 
 std::string Router::StatsResponse(
@@ -925,10 +1013,11 @@ std::string Router::StatsResponse(
 
 void Router::HealthLoop() {
   // No budget: a probe is bounded by connect_timeout and recv_timeout.
-  BackendRequest probe = RequestFor(Clock::now(), 0, health_cancel_.token());
+  BackendRequest probe = RequestFor(Clock::now(), 0);
   probe.encode = [](uint32_t) { return server::EncodeStatsRequest(); };
   probe.reply_type = MessageType::kStatsResponse;
   probe.max_retries = 0;
+  probe.cancel = health_cancel_.token();
   while (running_.load()) {
     {
       std::unique_lock<std::mutex> lock(health_mu_);
@@ -947,7 +1036,7 @@ void Router::HealthLoop() {
       // path, which the breaker admits only as its half-open probe. A
       // healthy answer closes the breaker without waiting for client
       // traffic.
-      if (CallBackends({shard}, probe)[0].ok()) ++available;
+      if (Gather(this, {shard}, probe).Run()[0].ok()) ++available;
     }
     backends_available_->Set(static_cast<double>(available));
   }

@@ -49,7 +49,7 @@ struct RouterOptions {
   CircuitBreaker::Options breaker;
 
   /// Dial budget for every backend connection (a non-blocking connect);
-  /// must be > 0 so a black-holed backend cannot hang a router worker.
+  /// must be > 0 so a black-holed backend cannot hold a request.
   std::chrono::milliseconds connect_timeout{1000};
   /// How long a backend request may go without progress (no byte sent or
   /// received) before it fails; must comfortably exceed the largest query
@@ -93,12 +93,13 @@ struct RouterOptions {
 ///    Unimplemented: standing queries pin per-feed state that a
 ///    stateless router does not replicate.
 ///
-/// Threading: the router is a handler set on server::Transport — one IO
-/// thread for every client socket, a fixed pool of workers behind a
-/// bounded admission queue (constants in router.cc: 64 connections, and
-/// workers plus queue slots equal to that cap), and one health-check
-/// thread. A worker sends each shard's request on a pooled connection and
-/// waits for all of them in one poll loop, so no thread is started per
+/// Threading: the router is a handler set on server::Transport, and a
+/// routed request holds no thread while it waits on its backends. The
+/// transport's IO thread decodes each frame, sends each shard's request on
+/// a pooled connection and polls those connections beside the client
+/// sockets, so one poll loop drives every routed request; at most 64 are
+/// admitted at once, the connection cap (constants in router.cc). The only
+/// other thread is the health checker. No thread is started per
 /// connection, per shard or per hedge. A client that disconnects cancels
 /// its request's backend calls.
 class Router : private server::Handler {
@@ -145,13 +146,15 @@ class Router : private server::Handler {
     CircuitBreaker breaker;
   };
 
-  /// One request as CallBackends sends it to each shard.
+  /// One request as a Gather sends it to each shard.
   struct BackendRequest {
     /// Encodes one attempt's request frame; `budget_ms` is the client's
     /// remaining budget (0 = unlimited).
     std::function<std::string(uint32_t budget_ms)> encode;
     server::MessageType reply_type = server::MessageType::kQueryResponse;
     /// The client's budget: `timeout_ms` (0 = unlimited) from `received`.
+    /// Shards that have not replied when it runs out are decided as
+    /// DeadlineExceeded at that moment.
     Clock::time_point received{};
     uint32_t timeout_ms = 0;
     int max_retries = 0;
@@ -159,29 +162,37 @@ class Router : private server::Handler {
     bool hedge = false;
     /// Abandons every outstanding backend request when it fires.
     CancellationToken cancel;
+    /// When set, records the call's duration (first send to last reply).
+    observability::Histogram* latency = nullptr;
   };
+  /// What a routed request makes of its shards' replies — each reply's
+  /// payload (header included), or why there is none: Unavailable
+  /// (transport or breaker), DeadlineExceeded (the budget ran out in the
+  /// router) or Cancelled (the client left) — as its response frame.
+  using Respond =
+      std::function<std::string(std::vector<Result<std::string>> replies)>;
+  /// The response to a request admission turns away.
+  using Reject = std::function<std::string(const Status& status)>;
+  /// The one backend call (router.cc), for QUERY, EXPLAIN, STATS and the
+  /// health probe: per-shard legs on pooled non-blocking connections, with
+  /// retries, breaker accounting and hedging.
   class Gather;
 
-  /// The one backend-call path, for QUERY, EXPLAIN, STATS and the health
-  /// probe: sends `request` to each of `shards` on pooled connections and
-  /// waits for the replies in one poll loop, with per-shard retries,
-  /// breaker accounting and hedging. Returns each shard's reply payload
-  /// (header included), or why there is none: Unavailable (transport or
-  /// breaker), DeadlineExceeded (the budget ran out in the router) or
-  /// Cancelled (`request.cancel` fired).
-  std::vector<Result<std::string>> CallBackends(
-      const std::vector<size_t>& shards, const BackendRequest& request);
-
-  // Handler: decoding runs on the transport's IO thread, the Run* methods
-  // on its workers.
+  // Handler: everything below runs on the transport's IO thread.
   server::Dispatch Decode(const server::Frame& frame) override;
-  std::string RunQuery(const server::QueryRequest& request,
-                       Clock::time_point received,
-                       const CancellationToken& cancel);
-  std::string RunExplain(const server::ExplainRequest& request,
-                         Clock::time_point received,
-                         const CancellationToken& cancel);
-  std::string RunStats(const CancellationToken& cancel);
+  server::Dispatch RouteQuery(server::QueryRequest request,
+                              Clock::time_point received);
+  server::Dispatch RouteExplain(server::ExplainRequest request,
+                                Clock::time_point received);
+  server::Dispatch RouteStats();
+  /// Admits a Gather of `request` over `shards`, driven by the IO thread;
+  /// `respond` turns the replies into the response.
+  server::Dispatch Call(std::vector<size_t> shards, BackendRequest request,
+                        Respond respond, Reject reject);
+  /// The broadcast answer: the shards' sequences merged to the top `k`,
+  /// or the explicit partial / failed status.
+  server::QueryResponse MergeShards(
+      const std::vector<Result<std::string>>& replies, int k);
   /// The STATS response over the backends' replies plus the router's own
   /// registry.
   std::string StatsResponse(const std::vector<Result<std::string>>& replies);
@@ -200,8 +211,9 @@ class Router : private server::Handler {
   int ShardFor(const Result<query::SelectStatement>& parsed) const;
 
   /// The request template every routed verb starts from.
-  BackendRequest RequestFor(Clock::time_point received, uint32_t timeout_ms,
-                            const CancellationToken& cancel) const;
+  BackendRequest RequestFor(Clock::time_point received,
+                            uint32_t timeout_ms) const;
+  std::vector<size_t> AllShards() const;
 
   const ShardMap map_;
   const RouterOptions options_;
@@ -222,12 +234,14 @@ class Router : private server::Handler {
   observability::Gauge* backends_total_ = nullptr;
   observability::Gauge* backends_available_ = nullptr;
   observability::Gauge* connections_open_ = nullptr;
-  observability::Gauge* queue_depth_ = nullptr;
   observability::Gauge* in_flight_ = nullptr;
   observability::Histogram* query_latency_ = nullptr;
   observability::Histogram* fanout_latency_ = nullptr;
 
   std::unique_ptr<server::Transport> transport_;
+  /// The last STATS response built from the backends' replies: the answer
+  /// to a STATS that admission turns away (IO thread only).
+  std::string last_stats_;
 
   std::atomic<bool> running_{false};
   std::thread health_thread_;

@@ -1,5 +1,6 @@
 #include "svq/server/server.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "svq/query/executor.h"
@@ -236,8 +237,8 @@ Server::Server(core::VideoQueryEngine* engine, ServerOptions options)
   transport.bind_address = options_.bind_address;
   transport.port = options_.port;
   transport.max_connections = options_.max_connections;
-  transport.workers = options_.max_in_flight;
-  transport.max_queue = options_.max_queue;
+  transport.workers = std::max(1, options_.max_in_flight);
+  transport.max_admitted = transport.workers + options_.max_queue;
   transport.max_frame_bytes = options_.max_frame_bytes;
   TransportMetrics metrics;
   metrics.connections_opened = connections_opened_;

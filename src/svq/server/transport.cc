@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -29,6 +30,9 @@ bool IsRequest(MessageType type) {
       return false;
   }
 }
+
+/// The IO thread's longest sleep: how soon it notices a drain or stop.
+constexpr std::chrono::milliseconds kIoPollInterval{100};
 
 /// Sends `data` from `*offset` until it is all out or the socket is full.
 /// Returns false on a write error (the peer is gone).
@@ -132,9 +136,8 @@ Status Transport::Start() {
   wake_write_fd_ = pipe_fds[1];
 
   started_ = true;
-  const int workers = std::max(1, options_.workers);
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
+  workers_.reserve(static_cast<size_t>(std::max(0, options_.workers)));
+  for (int i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this]() { WorkerLoop(); });
   }
   io_thread_ = std::thread([this]() { IoLoop(); });
@@ -205,19 +208,27 @@ void Transport::IoLoop() {
       }
     }
     for (const ConnectionPtr& conn : broken) Close(conn);
-    if (::poll(fds.data(), fds.size(), /*timeout_ms=*/100) < 0) {
+    const Clock::time_point now = Clock::now();
+    Clock::time_point wake = now + kIoPollInterval;
+    PrepareTasks(now, &fds, &wake);
+    const auto timeout =
+        std::chrono::ceil<std::chrono::milliseconds>(wake - now).count();
+    if (::poll(fds.data(), fds.size(),
+               static_cast<int>(std::max<int64_t>(0, timeout))) < 0) {
       // EINTR: a signal (e.g. the drain handler) interrupted the wait —
       // loop and re-poll. Any other failure leaves revents unspecified, so
       // fall through to the next round rather than acting on them.
       continue;
     }
+    // Driven tasks first: what they were waiting for may finish a request.
+    AdvanceTasks(fds);
     if (fds[0].revents & POLLIN) {
       char scratch[256];
       while (::read(wake_read_fd_, scratch, sizeof(scratch)) > 0) {
       }
     }
     if (listening && (fds[1].revents & POLLIN)) AcceptPending();
-    const size_t base = fds.size() - polled.size();
+    const size_t base = 1 + (listening ? 1 : 0);
     for (size_t i = 0; i < polled.size(); ++i) {
       const ConnectionPtr& conn = polled[i];
       if ((fds[base + i].revents & (POLLIN | POLLHUP | POLLERR)) &&
@@ -301,7 +312,7 @@ void Transport::HandleFrame(const ConnectionPtr& conn,
     return;
   }
   Dispatch dispatch = handler_->Decode({conn->id, type, &cursor, received});
-  if (dispatch.job.run) {
+  if (dispatch.job.run || dispatch.job.start) {
     Admit(conn, std::move(dispatch.job));
     return;
   }
@@ -310,37 +321,89 @@ void Transport::HandleFrame(const ConnectionPtr& conn,
 
 void Transport::Admit(const ConnectionPtr& conn, Job job) {
   std::string why;
+  Driven driven;
+  CancellationSource cancel;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const int capacity = std::max(1, options_.workers) + options_.max_queue;
     if (draining_) {
       why = "server draining, not accepting new queries";
-    } else if (static_cast<int>(queue_.size()) + in_flight_ >= capacity) {
-      why = "admission queue full (" + std::to_string(options_.workers) +
-            " in flight + " + std::to_string(options_.max_queue) +
+    } else if (static_cast<int>(queue_.size()) + in_flight_ >=
+               options_.max_admitted) {
+      why = "admission queue full (" + std::to_string(in_flight_) +
+            " in flight + " + std::to_string(queue_.size()) +
             " queued); retry later";
     } else {
       if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
       if (job.admitted != nullptr) job.admitted->Increment();
-      Queued item;
-      item.id = next_job_id_++;
-      item.connection = conn;
-      item.job = std::move(job);
-      conn->inflight.emplace(item.id, item.cancel);
-      queue_.push_back(std::move(item));
+      const uint64_t id = next_job_id_++;
+      conn->inflight.emplace(id, cancel);
+      if (job.start) {
+        // Driven by this (the IO) thread from its next poll round on.
+        ++in_flight_;
+        driven.id = id;
+        driven.connection = conn;
+      } else {
+        Queued item;
+        item.id = id;
+        item.connection = conn;
+        item.job = std::move(job);
+        item.cancel = cancel;
+        queue_.push_back(std::move(item));
+      }
       RefreshGaugesLocked();
     }
     if (!why.empty() && metrics_.rejected != nullptr) {
       metrics_.rejected->Increment();
     }
   }
-  if (why.empty()) {
+  if (!why.empty()) {
+    SendTo(conn, job.reject(Status::ResourceExhausted(std::move(why))));
+  } else if (driven.connection != nullptr) {
+    driven.task = job.start(cancel.token());
+    driven_.push_back(std::move(driven));
+  } else {
     // Notified after unlocking, so the worker does not wake into a held
     // mutex and sleep again.
     work_cv_.notify_one();
-    return;
   }
-  SendTo(conn, job.reject(Status::ResourceExhausted(std::move(why))));
+}
+
+void Transport::PrepareTasks(Clock::time_point now, std::vector<pollfd>* fds,
+                             Clock::time_point* wake) {
+  for (Driven& driven : driven_) {
+    driven.first_fd = fds->size();
+    driven.finished = driven.task->Prepare(now, fds, wake);
+    driven.num_fds = fds->size() - driven.first_fd;
+    if (driven.finished) Complete(driven);
+  }
+  std::erase_if(driven_, [](const Driven& driven) { return driven.finished; });
+}
+
+void Transport::AdvanceTasks(const std::vector<pollfd>& fds) {
+  const Clock::time_point now = Clock::now();
+  for (Driven& driven : driven_) {
+    if (driven.num_fds == 0) continue;
+    const pollfd* first = fds.data() + driven.first_fd;
+    const bool ready = std::any_of(
+        first, first + driven.num_fds,
+        [](const pollfd& fd) { return fd.revents != 0; });
+    if (ready && driven.task->Advance(now, first)) {
+      driven.finished = true;
+      Complete(driven);
+    }
+  }
+  std::erase_if(driven_, [](const Driven& driven) { return driven.finished; });
+}
+
+void Transport::Complete(Driven& driven) {
+  SendTo(driven.connection, driven.task->Finish());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    driven.connection->inflight.erase(driven.id);
+    --in_flight_;
+    RefreshGaugesLocked();
+  }
+  drain_cv_.notify_all();
 }
 
 void Transport::SendTo(const ConnectionPtr& conn, std::string frame) {
@@ -495,6 +558,7 @@ void Transport::Shutdown(std::chrono::milliseconds drain_timeout) {
     }
     RefreshGaugesLocked();
   }
+  WakeIo();  // driven tasks see their cancellation on the IO thread
   for (Queued& item : backlog) {
     if (metrics_.cancelled != nullptr) metrics_.cancelled->Increment();
     SendTo(item.connection,

@@ -1,6 +1,8 @@
 #ifndef SVQ_SERVER_TRANSPORT_H_
 #define SVQ_SERVER_TRANSPORT_H_
 
+#include <poll.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -23,12 +25,39 @@ namespace svq::server {
 /// Names one accepted connection for the life of a Transport.
 using ConnectionId = uint64_t;
 
+/// An admitted request that the IO thread drives itself instead of handing
+/// it to a worker: one that spends its life waiting on other sockets (the
+/// router's backend calls), so no thread is held while it waits. Every
+/// call comes from the IO thread.
+class Task {
+ public:
+  using Clock = ExecutionContext::Clock;
+
+  virtual ~Task() = default;
+  /// Fires the task's due timers and appends the sockets it waits on to
+  /// `*fds`, lowering `*wake` to its next timer. Returns true once the task
+  /// is finished (it appends nothing then).
+  virtual bool Prepare(Clock::time_point now, std::vector<pollfd>* fds,
+                       Clock::time_point* wake) = 0;
+  /// Handles poll's verdict on the sockets the last Prepare appended, in
+  /// the same order (`fds` points at the first). Returns true once the task
+  /// is finished.
+  virtual bool Advance(Clock::time_point now, const pollfd* fds) = 0;
+  /// The encoded response frame of a finished task.
+  virtual std::string Finish() = 0;
+};
+
 /// One admitted request. A handler builds it on the IO thread; a transport
-/// worker runs it.
+/// worker runs it, or the IO thread drives it.
 struct Job {
   /// Runs on a worker and returns the encoded response frame. `cancel`
   /// fires when the client disconnects or drain gives up on the request.
   std::function<std::string(const CancellationToken& cancel)> run;
+  /// Set instead of `run` for a job the IO thread drives: builds its task
+  /// once the job is admitted. The task must finish promptly once `cancel`
+  /// has fired; the IO thread looks at it again right after.
+  std::function<std::unique_ptr<Task>(const CancellationToken& cancel)>
+      start;
   /// Encodes `status` in the verb's own response type: the answer to a
   /// request the transport turns away (queue full, draining) or cancels in
   /// drain before it ran.
@@ -87,11 +116,12 @@ struct TransportOptions {
   uint16_t port = 0;
   /// Accepted connections beyond this are closed at once.
   int max_connections = 64;
-  /// Worker threads: jobs running at once.
+  /// Worker threads for `run` jobs (0 when every job is driven by the IO
+  /// thread).
   int workers = 4;
-  /// Jobs waiting for a worker. A job that would make more than
-  /// `workers + max_queue` admitted and unfinished is rejected.
-  int max_queue = 16;
+  /// Jobs admitted and unfinished — running, queued for a worker, or driven
+  /// by the IO thread; a job beyond this is rejected.
+  int max_admitted = 20;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
@@ -112,11 +142,14 @@ struct TransportMetrics {
 ///
 /// One IO thread owns listen and accept (with the connection cap), frame
 /// assembly, and every close. A handler decodes each frame on the IO thread
-/// into an immediate reply or a job; jobs wait in one bounded admission
-/// queue for `workers` worker threads. The thread that produces a frame
-/// writes it straight to the socket when the connection has no backlog;
-/// the IO thread flushes whatever a short write leaves behind. A client
-/// that disconnects fires the cancellation of its unfinished jobs.
+/// into an immediate reply or a job; at most `max_admitted` jobs are
+/// admitted and unfinished at once. A `run` job waits in the queue for one
+/// of `workers` worker threads; a `start` job's task is driven by the IO
+/// thread itself, its sockets polled beside the clients'. The thread that
+/// produces a frame writes it straight to the socket when the connection
+/// has no backlog; the IO thread flushes whatever a short write leaves
+/// behind. A client that disconnects fires the cancellation of its
+/// unfinished jobs.
 ///
 /// Shutdown(drain) stops accepting, rejects new jobs with
 /// kResourceExhausted, lets admitted jobs finish within the drain budget,
@@ -161,6 +194,16 @@ class Transport {
     Job job;
     CancellationSource cancel;
   };
+  /// A job the IO thread drives.
+  struct Driven {
+    uint64_t id = 0;
+    ConnectionPtr connection;
+    std::unique_ptr<Task> task;
+    /// Its sockets in this round's poll set.
+    size_t first_fd = 0;
+    size_t num_fds = 0;
+    bool finished = false;
+  };
 
   void IoLoop();
   void WorkerLoop();
@@ -170,6 +213,14 @@ class Transport {
   bool ReadFrom(const ConnectionPtr& conn);
   void HandleFrame(const ConnectionPtr& conn, const std::string& payload);
   void Admit(const ConnectionPtr& conn, Job job);
+  /// IO thread: fires the driven tasks' timers and adds their sockets to
+  /// `*fds`; completes and drops the ones that finished.
+  void PrepareTasks(Clock::time_point now, std::vector<pollfd>* fds,
+                    Clock::time_point* wake);
+  /// IO thread: hands each driven task poll's verdict on its sockets.
+  void AdvanceTasks(const std::vector<pollfd>& fds);
+  /// IO thread: sends a finished task's response and frees its slot.
+  void Complete(Driven& driven);
   /// Writes `frame` directly when the outbox is empty, else queues it.
   void SendTo(const ConnectionPtr& conn, std::string frame);
   /// IO thread: writes the backlog; returns whether the connection must
@@ -203,13 +254,17 @@ class Transport {
   std::deque<Queued> queue_;
   ConnectionId next_connection_id_ = 1;
   uint64_t next_job_id_ = 1;
-  /// Jobs running, and finished jobs whose response is still being sent.
+  /// Jobs running (on a worker or driven), and finished jobs whose
+  /// response is still being sent.
   int in_flight_ = 0;
   int sending_ = 0;
   bool draining_ = false;
   bool stop_workers_ = false;
   bool stop_io_ = false;
   Clock::time_point io_flush_deadline_{};
+
+  /// IO thread only.
+  std::vector<Driven> driven_;
 
   std::thread io_thread_;
   std::vector<std::thread> workers_;

@@ -10,10 +10,13 @@
 // bounds as svqd's: a connection cap, an admission bound, one error reply
 // then EOF for a malformed frame, flat memory across connection churn, a
 // prompt Shutdown, and backend work cancelled when its client disconnects.
+// A shard that never replies holds requests no longer than their budget
+// and delays no request for another shard, and a STATS that admission
+// turns away repeats the last aggregate rather than zeroed counters.
 //
 // Runs under `ctest -L tsan` (with -DSVQ_SANITIZE=thread): the router's
-// IO thread, workers and health checker share breakers, connection pools
-// and the metrics registry.
+// IO thread and health checker share breakers, connection pools and the
+// metrics registry.
 
 #include <gtest/gtest.h>
 
@@ -154,6 +157,30 @@ std::string ReadUntilEof(int fd, bool* eof) {
   }
 }
 
+/// Reads one response frame of `type` from `fd` into `*response`; false
+/// when the receive timed out, the peer closed, or the frame is not one.
+template <typename Response>
+bool ReadResponse(int fd, server::MessageType type,
+                  Status (*decode)(server::WireCursor*, Response*),
+                  Response* response) {
+  server::FrameAssembler assembler;
+  for (;;) {
+    std::string payload;
+    bool has_frame = false;
+    if (!assembler.Next(&payload, &has_frame).ok()) return false;
+    if (has_frame) {
+      server::WireCursor cursor(payload);
+      server::MessageType got = server::MessageType::kQueryRequest;
+      return server::DecodePayloadHeader(&cursor, &got).ok() &&
+             got == type && decode(&cursor, response).ok();
+    }
+    char buffer[4096];
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) return false;
+    assembler.Feed(buffer, static_cast<size_t>(n));
+  }
+}
+
 /// The process's virtual size in kB (VmSize in /proc/self/status).
 int64_t VmSizeKb() {
   std::ifstream status("/proc/self/status");
@@ -199,6 +226,34 @@ struct SilentListener {
   uint16_t port = 0;
 };
 
+/// A router over two shards: shard 0 a live svqd holding serving_0, shard
+/// 1 a SilentListener that owns serving_1 and never answers.
+struct HalfSilentCluster {
+  explicit HalfSilentCluster(const RouterOptions& options) {
+    EXPECT_TRUE(engine.AddVideo(ClusterVideo(0)).ok());
+    EXPECT_TRUE(engine.IngestAll().ok());
+    backend = std::make_unique<server::Server>(&engine, server::ServerOptions{});
+    EXPECT_TRUE(backend->Start().ok());
+    ShardMap map;
+    map.version = 1;
+    map.shards.push_back({"127.0.0.1", backend->port()});
+    map.shards.push_back({"127.0.0.1", silent.port});
+    map.assignments["serving_0"] = 0;
+    map.assignments["serving_1"] = 1;
+    router = std::make_unique<Router>(std::move(map), options);
+    EXPECT_TRUE(router->Start().ok());
+  }
+  ~HalfSilentCluster() {
+    router->Shutdown();
+    backend->Shutdown();
+  }
+
+  core::VideoQueryEngine engine;
+  SilentListener silent;
+  std::unique_ptr<server::Server> backend;
+  std::unique_ptr<Router> router;
+};
+
 /// A 2-shard cluster over four videos plus a single-node oracle engine
 /// holding the full catalog: the contract under test is that clients
 /// cannot tell the two apart (until a shard dies).
@@ -207,7 +262,8 @@ class ClusterTest : public ::testing::Test {
   static constexpr int kVideos = 4;
 
   void StartCluster(RouterOptions options = TestOptions(),
-                    size_t num_shards = 2) {
+                    size_t num_shards = 2,
+                    server::ServerOptions backend = server::ServerOptions{}) {
     std::vector<std::string> names;
     for (int i = 0; i < kVideos; ++i) {
       auto video = ClusterVideo(i);
@@ -241,8 +297,7 @@ class ClusterTest : public ::testing::Test {
     }
     for (auto& engine : engines_) {
       ASSERT_TRUE(engine->IngestAll().ok());
-      servers_.push_back(
-          std::make_unique<server::Server>(engine.get(), server::ServerOptions{}));
+      servers_.push_back(std::make_unique<server::Server>(engine.get(), backend));
       ASSERT_TRUE(servers_.back()->Start().ok());
     }
     for (size_t s = 0; s < num_shards; ++s) {
@@ -618,7 +673,11 @@ TEST_F(ClusterTest, ConnectionsBeyondTheRouterCapAreClosed) {
 }
 
 TEST_F(ClusterTest, PipelinedRequestsPastTheAdmissionBoundAreRejected) {
-  StartCluster();
+  // Backends roomy enough to take everything the router admits, so every
+  // kResourceExhausted below is the router's own.
+  server::ServerOptions backend;
+  backend.max_queue = 128;
+  StartCluster(TestOptions(), 2, backend);
   const std::string statement = RankedStatement("serving_3", 3);
   auto reference = query::ExecuteStatementOn(oracle_.Pin(), statement);
   ASSERT_TRUE(reference.ok()) << reference.status();
@@ -626,8 +685,7 @@ TEST_F(ClusterTest, PipelinedRequestsPastTheAdmissionBoundAreRejected) {
   const auto& expected = reference->topk->sequences;
 
   // Far more requests on one connection than the router holds admitted at
-  // once (workers plus queue slots = the connection cap, 64), sent in one
-  // burst.
+  // once (the connection cap, 64), sent in one burst.
   constexpr uint64_t kRequests = 300;
   std::string burst;
   for (uint64_t id = 1; id <= kRequests; ++id) {
@@ -731,11 +789,14 @@ TEST(CircuitBreakerTest, ThresholdCooldownAndHalfOpenProbe) {
   breaker.RecordFailure(t0);
   EXPECT_EQ(breaker.state(), State::kOpen);
   EXPECT_FALSE(breaker.AllowRequest(t0 + std::chrono::milliseconds(99)));
-  // Past the cooldown exactly one probe is admitted.
+  // Past the cooldown exactly one probe is admitted, and told so.
   const auto probe_time = t0 + std::chrono::milliseconds(100);
-  EXPECT_TRUE(breaker.AllowRequest(probe_time));
+  bool probe = false;
+  EXPECT_TRUE(breaker.AllowRequest(probe_time, &probe));
+  EXPECT_TRUE(probe);
   EXPECT_EQ(breaker.state(), State::kHalfOpen);
-  EXPECT_FALSE(breaker.AllowRequest(probe_time));
+  EXPECT_FALSE(breaker.AllowRequest(probe_time, &probe));
+  EXPECT_FALSE(probe);
   // A failed probe re-opens for another full cooldown.
   breaker.RecordFailure(probe_time);
   EXPECT_EQ(breaker.state(), State::kOpen);
@@ -743,10 +804,11 @@ TEST(CircuitBreakerTest, ThresholdCooldownAndHalfOpenProbe) {
       breaker.AllowRequest(probe_time + std::chrono::milliseconds(99)));
   EXPECT_TRUE(
       breaker.AllowRequest(probe_time + std::chrono::milliseconds(100)));
-  // A successful probe closes it.
+  // A successful probe closes it; requests it admits then are no probes.
   breaker.RecordSuccess();
   EXPECT_EQ(breaker.state(), State::kClosed);
-  EXPECT_TRUE(breaker.AllowRequest(probe_time));
+  EXPECT_TRUE(breaker.AllowRequest(probe_time, &probe));
+  EXPECT_FALSE(probe);
   // An abandoned probe (its client left) must not strand the breaker
   // half-open: it reopens, due for a new probe at once.
   for (int i = 0; i < 3; ++i) breaker.RecordFailure(probe_time);
@@ -785,8 +847,8 @@ TEST(RouterHedgingTest, SlowShardTriggersAHedgeRequest) {
 
 TEST(RouterCancelTest, ClientDisconnectCancelsBackendWork) {
   // The only backend accepts nothing and recv_timeout is long, so without
-  // cancellation the routed request would hold its worker and its backend
-  // connection for 30 s after the client left.
+  // cancellation the routed request would hold its admission slot and its
+  // backend connection for 30 s after the client left.
   SilentListener backend;
   RouterOptions options = TestOptions();
   options.max_retries = 0;
@@ -815,12 +877,104 @@ TEST(RouterCancelTest, ClientDisconnectCancelsBackendWork) {
   ::close(accepted);
   EXPECT_TRUE(eof) << "the backend connection outlived its client";
   EXPECT_LT(Clock::now() - left, std::chrono::seconds(2));
-  // The worker is free again, so drain has nothing to wait for.
+  // The request's slot is free again, so drain has nothing to wait for.
   EXPECT_TRUE(WaitFor(
       [&]() { return RegistryValue(router, "svq_router_in_flight") == 0.0; }));
   const auto shutdown = Clock::now();
   router.Shutdown();
   EXPECT_LT(Clock::now() - shutdown, std::chrono::seconds(1));
+}
+
+TEST(RouterDeadlineTest, HungShardFreesRequestsAtTheirDeadline) {
+  // A backend that accepts connections but never replies. Requests for it
+  // carry a budget far below recv_timeout: each must be answered with
+  // kDeadlineExceeded when its budget runs out, and while they wait, a
+  // request for the healthy shard must not queue behind them.
+  RouterOptions options = TestOptions();
+  options.max_retries = 0;
+  options.recv_timeout = std::chrono::seconds(30);
+  HalfSilentCluster cluster(options);
+  constexpr uint32_t kTimeoutMs = 500;
+  constexpr int kHung = 8;
+  const auto sent = Clock::now();
+  std::vector<int> hung;
+  for (int i = 0; i < kHung; ++i) {
+    hung.push_back(RawConnect(cluster.router->port()));
+    ASSERT_TRUE(SendAll(
+        hung.back(),
+        server::EncodeQueryRequest({static_cast<uint64_t>(i + 1),
+                                    RankedStatement("serving_1", 3),
+                                    kTimeoutMs})));
+  }
+  ASSERT_TRUE(WaitFor([&]() {
+    return RegistryValue(*cluster.router, "svq_router_in_flight") == kHung;
+  }));
+
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", cluster.router->port()).ok());
+  const auto healthy_begin = Clock::now();
+  auto healthy = client.Execute(RankedStatement("serving_0", 3));
+  ASSERT_TRUE(healthy.ok()) << healthy.status();
+  EXPECT_TRUE(healthy->status.ok()) << healthy->status;
+  EXPECT_LT(Clock::now() - healthy_begin,
+            std::chrono::milliseconds(kTimeoutMs))
+      << "the healthy shard's request waited behind the hung ones";
+
+  for (const int fd : hung) {
+    server::QueryResponse response;
+    ASSERT_TRUE(ReadResponse(fd, server::MessageType::kQueryResponse,
+                             server::DecodeQueryResponse, &response));
+    EXPECT_TRUE(response.status.IsDeadlineExceeded()) << response.status;
+    ::close(fd);
+  }
+  EXPECT_LT(Clock::now() - sent, std::chrono::milliseconds(kTimeoutMs + 1500))
+      << "hung requests were held past their budget";
+  EXPECT_DOUBLE_EQ(
+      RegistryValue(*cluster.router, "svq_router_deadline_exceeded_total"),
+      kHung);
+}
+
+TEST(RouterStatsTest, StatsPastTheAdmissionBoundRepeatTheLastAggregate) {
+  // STATS carries no status, so a STATS that admission turns away cannot
+  // say so. It must not answer with backend counters reset to zero either:
+  // a scraper would read them as going backwards.
+  RouterOptions options = TestOptions();
+  options.max_retries = 0;
+  options.recv_timeout = std::chrono::milliseconds(1000);
+  HalfSilentCluster cluster(options);
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", cluster.router->port()).ok());
+  auto served = client.Execute(RankedStatement("serving_0", 3));
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_TRUE(served->status.ok()) << served->status;
+  // The silent shard times out; the live one's counters come back.
+  auto before = client.GetStats();
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_EQ(before->queries_ok, 1);
+
+  // Fill every admission slot with requests the silent shard holds for
+  // recv_timeout (or connect_timeout, past its listen backlog).
+  constexpr uint64_t kCap = 64;
+  std::string flood;
+  for (uint64_t id = 1; id <= kCap; ++id) {
+    flood += server::EncodeQueryRequest(
+        {id, RankedStatement("serving_1", 3), 0});
+  }
+  const int flooder = RawConnect(cluster.router->port());
+  ASSERT_TRUE(SendAll(flooder, flood));
+  ASSERT_TRUE(WaitFor([&]() {
+    return RegistryValue(*cluster.router, "svq_router_in_flight") == kCap;
+  }));
+
+  auto after = client.GetStats();
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_DOUBLE_EQ(RegistryValue(*cluster.router, "svq_router_rejected_total"),
+                   1.0)
+      << "the STATS was admitted after all";
+  EXPECT_EQ(after->queries_ok, before->queries_ok);
+  EXPECT_EQ(after->queries_accepted, before->queries_accepted);
+  EXPECT_EQ(after->registry, before->registry);
+  ::close(flooder);  // cancels the flood
 }
 
 TEST(ShardMapTest, AssignContiguousSaveLoadRoundTrip) {
