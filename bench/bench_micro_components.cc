@@ -99,11 +99,16 @@ void BM_EvaluateClip(benchmark::State& state) {
   svq::video::SyntheticVideoStream stream(video, 0);
   std::vector<svq::video::ClipRef> clips;
   while (auto clip = stream.NextClip()) clips.push_back(*clip);
+  svq::core::FrameTable frames(models.detector.get(), config.object_threshold);
+  svq::core::ShotTable shots(models.recognizer.get());
+  const svq::core::ClipPredicates predicates =
+      svq::core::PrepareClipPredicates(query, &frames);
+  svq::core::ClipEvaluation eval;
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(svq::core::EvaluateClip(
-        clips[i++ % clips.size()], query, config, {2}, {2},
-        models.detector.get(), models.recognizer.get()));
+        clips[i++ % clips.size()], predicates, config, {2}, {2}, &frames,
+        &shots, {}, &eval));
   }
 }
 BENCHMARK(BM_EvaluateClip);

@@ -1,6 +1,8 @@
 #include "svq/core/clip_indicator.h"
 
+#include <bit>
 #include <string>
+#include <utility>
 
 #include "svq/core/spatial.h"
 
@@ -47,114 +49,241 @@ std::vector<FramePredicate> FramePredicatesOf(const Query& query) {
   return predicates;
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// FrameTable
 
-/// Frame-level indicator of one predicate against one frame's detections.
-bool PredicateHit(const FramePredicate& predicate,
-                  const std::vector<models::ObjectDetection>& detections,
-                  double threshold) {
-  switch (predicate.kind) {
-    case FramePredicate::Kind::kObject:
-    case FramePredicate::Kind::kAnyOf:
+FrameTable::FrameTable(models::ObjectDetector* detector, double threshold)
+    : detector_(detector), threshold_(threshold) {}
+
+int FrameTable::Slot(const std::string& label) {
+  for (size_t s = 0; s < labels_.size(); ++s) {
+    if (labels_[s] == label) return static_cast<int>(s);
+  }
+  labels_.push_back(label);
+  held_ = false;
+  return static_cast<int>(labels_.size() - 1);
+}
+
+void FrameTable::Reset(models::ObjectDetector* detector) {
+  detector_ = detector;
+  held_ = false;
+}
+
+Status FrameTable::Fill(const video::ClipRef& clip,
+                        models::InferenceStats* charge) {
+  if (!held_ || clip.frames.begin != frames_.begin ||
+      clip.frames.end != frames_.end) {
+    held_ = false;
+    const int64_t n = clip.frames.length();
+    words_ = static_cast<size_t>((n + 63) / 64);
+    if (detections_.size() < static_cast<size_t>(n)) {
+      detections_.resize(static_cast<size_t>(n));
+    }
+    masks_.assign(labels_.size() * words_, 0);
+    const models::InferenceStats before = detector_->stats();
+    for (int64_t f = 0; f < n; ++f) {
+      std::vector<models::ObjectDetection>& detections =
+          detections_[static_cast<size_t>(f)];
+      SVQ_ASSIGN_OR_RETURN(detections,
+                           detector_->Detect(clip.frames.begin + f));
       for (const models::ObjectDetection& det : detections) {
-        if (det.score < threshold) continue;
-        for (const std::string& label : predicate.labels) {
-          if (det.label == label) return true;
+        if (det.score < threshold_) continue;
+        for (size_t s = 0; s < labels_.size(); ++s) {
+          if (det.label == labels_[s]) {
+            masks_[s * words_ + static_cast<size_t>(f >> 6)] |=
+                uint64_t{1} << (f & 63);
+            break;
+          }
         }
       }
-      return false;
-    case FramePredicate::Kind::kRelationship:
-      return RelationshipHolds(predicate.relationship, detections, threshold);
+    }
+    const models::InferenceStats& after = detector_->stats();
+    bill_.units = after.units - before.units;
+    bill_.simulated_ms = after.simulated_ms - before.simulated_ms;
+    frames_ = clip.frames;
+    num_frames_ = n;
+    held_ = true;
   }
-  return false;
+  *charge += bill_;
+  charged_ += bill_;
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// ShotTable
+
+ShotTable::ShotTable(models::ActionRecognizer* recognizer)
+    : recognizer_(recognizer) {}
+
+void ShotTable::Reset(models::ActionRecognizer* recognizer) {
+  recognizer_ = recognizer;
+  held_ = false;
+}
+
+Status ShotTable::Fill(const video::ClipRef& clip,
+                       models::InferenceStats* charge) {
+  if (!held_ || clip.frames.begin != frames_.begin ||
+      clip.frames.end != frames_.end) {
+    held_ = false;
+    const size_t n = clip.shots.size();
+    if (scores_.size() < n) scores_.resize(n);
+    const models::InferenceStats before = recognizer_->stats();
+    for (size_t s = 0; s < n; ++s) {
+      SVQ_ASSIGN_OR_RETURN(scores_[s], recognizer_->Recognize(clip.shots[s]));
+    }
+    const models::InferenceStats& after = recognizer_->stats();
+    bill_.units = after.units - before.units;
+    bill_.simulated_ms = after.simulated_ms - before.simulated_ms;
+    frames_ = clip.frames;
+    num_shots_ = static_cast<int64_t>(n);
+    held_ = true;
+  }
+  *charge += bill_;
+  charged_ += bill_;
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation
+
+ClipPredicates PrepareClipPredicates(const Query& query, FrameTable* table) {
+  ClipPredicates prepared;
+  prepared.frames = FramePredicatesOf(query);
+  for (const FramePredicate& predicate : prepared.frames) {
+    std::vector<int> slots;
+    if (predicate.kind != FramePredicate::Kind::kRelationship) {
+      for (const std::string& label : predicate.labels) {
+        slots.push_back(table->Slot(label));
+      }
+    }
+    prepared.slots.push_back(std::move(slots));
+  }
+  prepared.actions = query.AllActions();
+  return prepared;
+}
+
+namespace {
+
+void SetBit(UnitBits* bits, int64_t i) {
+  (*bits)[static_cast<size_t>(i >> 6)] |= uint64_t{1} << (i & 63);
+}
+
+int CountBits(const UnitBits& bits) {
+  int count = 0;
+  for (const uint64_t word : bits) count += std::popcount(word);
+  return count;
 }
 
 }  // namespace
 
-Result<ClipEvaluation> EvaluateClip(const video::ClipRef& clip,
-                                    const Query& query,
-                                    const OnlineConfig& config,
-                                    const std::vector<int>& frame_kcrits,
-                                    const std::vector<int>& action_kcrits,
-                                    models::ObjectDetector* detector,
-                                    models::ActionRecognizer* recognizer,
-                                    const EvalOptions& options) {
-  const std::vector<FramePredicate> predicates = FramePredicatesOf(query);
-  const std::vector<std::string> actions = query.AllActions();
-  if (frame_kcrits.size() != predicates.size()) {
+Status EvaluateClip(const video::ClipRef& clip,
+                    const ClipPredicates& predicates,
+                    const OnlineConfig& config,
+                    const std::vector<int>& frame_kcrits,
+                    const std::vector<int>& action_kcrits, FrameTable* frames,
+                    ShotTable* shots, const EvalOptions& options,
+                    ClipEvaluation* eval) {
+  const size_t num_predicates = predicates.frames.size();
+  const size_t num_actions = predicates.actions.size();
+  if (frame_kcrits.size() != num_predicates ||
+      predicates.slots.size() != num_predicates) {
     return Status::InvalidArgument(
         "frame_kcrits size mismatch: " + std::to_string(frame_kcrits.size()) +
-        " vs " + std::to_string(predicates.size()) + " predicates");
+        " vs " + std::to_string(num_predicates) + " predicates");
   }
-  if (action_kcrits.size() != actions.size()) {
+  if (action_kcrits.size() != num_actions) {
     return Status::InvalidArgument(
         "action_kcrits size mismatch: " +
         std::to_string(action_kcrits.size()) + " vs " +
-        std::to_string(actions.size()) + " actions");
+        std::to_string(num_actions) + " actions");
   }
-  if (detector == nullptr || recognizer == nullptr) {
-    return Status::InvalidArgument("detector and recognizer must be set");
+  if (frames == nullptr || shots == nullptr || eval == nullptr) {
+    return Status::InvalidArgument(
+        "frame table, shot table and evaluation must be set");
+  }
+  if (frames->threshold() != config.object_threshold) {
+    return Status::InvalidArgument(
+        "frame table masks at threshold " +
+        std::to_string(frames->threshold()) + ", query needs " +
+        std::to_string(config.object_threshold));
   }
 
-  ClipEvaluation eval;
+  eval->positive = false;
+  eval->evaluated_frame_predicates = 0;
+  eval->actions_evaluated = false;
+  eval->num_frames = 0;
+  eval->num_shots = 0;
+  eval->frame_counts.resize(num_predicates);
+  eval->frame_events.resize(num_predicates);
+  eval->action_counts.resize(num_actions);
+  eval->action_events.resize(num_actions);
+  eval->detector_charge = {};
+  eval->recognizer_charge = {};
 
   // One detector pass over the clip's frames covers every frame predicate
   // (a real detector emits all classes in a single inference); all
   // predicates are decided together, so a frame-stage failure saves the
   // recognizer pass (Alg. 2 lines 6-8) — or vice versa under actions-first
-  // ordering (footnote 5).
+  // ordering (footnote 5). Object and any-of predicates read the table's
+  // label masks; relationships read its detections.
   auto run_frame_stage = [&]() -> Result<bool> {
-    std::vector<std::vector<bool>> frame_hits(predicates.size());
-    for (auto& events : frame_hits) {
-      events.reserve(static_cast<size_t>(clip.frames.length()));
-    }
-    if (!predicates.empty()) {
-      for (video::FrameIndex frame = clip.frames.begin;
-           frame < clip.frames.end; ++frame) {
-        SVQ_ASSIGN_OR_RETURN(const std::vector<models::ObjectDetection> dets,
-                             detector->Detect(frame));
-        for (size_t i = 0; i < predicates.size(); ++i) {
-          frame_hits[i].push_back(
-              PredicateHit(predicates[i], dets, config.object_threshold));
-        }
-      }
+    size_t words = 0;
+    if (num_predicates > 0) {
+      SVQ_RETURN_NOT_OK(frames->Fill(clip, &eval->detector_charge));
+      eval->num_frames = frames->num_frames();
+      words = frames->words();
     }
     bool pass = true;
-    for (size_t i = 0; i < predicates.size(); ++i) {
-      int count = 0;
-      for (const bool hit : frame_hits[i]) count += hit ? 1 : 0;
-      eval.frame_counts.push_back(count);
-      eval.frame_events.push_back(std::move(frame_hits[i]));
-      ++eval.evaluated_frame_predicates;
-      if (count < frame_kcrits[i]) pass = false;
+    for (size_t i = 0; i < num_predicates; ++i) {
+      const FramePredicate& predicate = predicates.frames[i];
+      UnitBits& events = eval->frame_events[i];
+      events.assign(words, 0);
+      if (predicate.kind == FramePredicate::Kind::kRelationship) {
+        for (int64_t f = 0; f < eval->num_frames; ++f) {
+          if (RelationshipHolds(predicate.relationship, frames->detections(f),
+                                config.object_threshold)) {
+            SetBit(&events, f);
+          }
+        }
+      } else {
+        for (const int slot : predicates.slots[i]) {
+          const uint64_t* mask = frames->mask(slot);
+          for (size_t w = 0; w < words; ++w) events[w] |= mask[w];
+        }
+      }
+      eval->frame_counts[i] = CountBits(events);
+      if (eval->frame_counts[i] < frame_kcrits[i]) pass = false;
     }
+    eval->evaluated_frame_predicates = static_cast<int>(num_predicates);
     return pass;
   };
 
   // Action predicates (Alg. 2 lines 9-12), all from one recognizer pass;
   // their conjunction implements footnote 3.
   auto run_action_stage = [&]() -> Result<bool> {
-    eval.actions_evaluated = true;
-    eval.action_counts.assign(actions.size(), 0);
-    eval.action_events.assign(actions.size(), {});
-    for (const video::ShotRef& shot : clip.shots) {
-      SVQ_ASSIGN_OR_RETURN(const std::vector<models::ActionScore> scores,
-                           recognizer->Recognize(shot));
-      for (size_t a = 0; a < actions.size(); ++a) {
-        bool hit = false;
-        for (const models::ActionScore& s : scores) {
-          if (s.label == actions[a] && s.score >= config.action_threshold) {
-            hit = true;
+    eval->actions_evaluated = true;
+    SVQ_RETURN_NOT_OK(shots->Fill(clip, &eval->recognizer_charge));
+    eval->num_shots = shots->num_shots();
+    const size_t words = static_cast<size_t>((eval->num_shots + 63) / 64);
+    for (size_t a = 0; a < num_actions; ++a) {
+      eval->action_events[a].assign(words, 0);
+    }
+    for (int64_t s = 0; s < eval->num_shots; ++s) {
+      const std::vector<models::ActionScore>& scores = shots->scores(s);
+      for (size_t a = 0; a < num_actions; ++a) {
+        for (const models::ActionScore& score : scores) {
+          if (score.label == predicates.actions[a] &&
+              score.score >= config.action_threshold) {
+            SetBit(&eval->action_events[a], s);
             break;
           }
         }
-        eval.action_events[a].push_back(hit);
-        if (hit) ++eval.action_counts[a];
       }
     }
     bool pass = true;
-    for (size_t a = 0; a < actions.size(); ++a) {
-      if (eval.action_counts[a] < action_kcrits[a]) pass = false;
+    for (size_t a = 0; a < num_actions; ++a) {
+      eval->action_counts[a] = CountBits(eval->action_events[a]);
+      if (eval->action_counts[a] < action_kcrits[a]) pass = false;
     }
     return pass;
   };
@@ -165,18 +294,15 @@ Result<ClipEvaluation> EvaluateClip(const video::ClipRef& clip,
   } else {
     SVQ_ASSIGN_OR_RETURN(first_pass, run_frame_stage());
   }
-  if (!first_pass && !options.disable_short_circuit) {
-    eval.positive = false;
-    return eval;
-  }
+  if (!first_pass && !options.disable_short_circuit) return Status::OK();
   bool second_pass = false;
   if (options.actions_first) {
     SVQ_ASSIGN_OR_RETURN(second_pass, run_frame_stage());
   } else {
     SVQ_ASSIGN_OR_RETURN(second_pass, run_action_stage());
   }
-  eval.positive = first_pass && second_pass;
-  return eval;
+  eval->positive = first_pass && second_pass;
+  return Status::OK();
 }
 
 }  // namespace svq::core

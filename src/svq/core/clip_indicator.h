@@ -1,12 +1,14 @@
 #ifndef SVQ_CORE_CLIP_INDICATOR_H_
 #define SVQ_CORE_CLIP_INDICATOR_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "svq/common/result.h"
 #include "svq/core/query.h"
 #include "svq/models/action_recognizer.h"
+#include "svq/models/inference_stats.h"
 #include "svq/models/object_detector.h"
 #include "svq/video/video_stream.h"
 
@@ -32,6 +34,134 @@ struct FramePredicate {
 /// groups, relationships.
 std::vector<FramePredicate> FramePredicatesOf(const Query& query);
 
+/// Per-unit event indicators of one predicate over one clip, as a bitset:
+/// unit `i` (a frame or shot offset within the clip) is bit `i % 64` of
+/// word `i / 64`. Bits past the clip's last unit are zero.
+using UnitBits = std::vector<uint64_t>;
+
+inline bool UnitBit(const UnitBits& bits, int64_t i) {
+  return ((bits[static_cast<size_t>(i >> 6)] >> (i & 63)) & 1U) != 0;
+}
+
+/// One clip's detector output, shared by every predicate evaluation of
+/// that clip: the detections by frame offset, plus one frame-hit mask per
+/// registered label marking the frames with a detection of that label
+/// scoring at least the table's threshold.
+///
+/// The table runs its detector once per frame of a clip, on the first
+/// Fill for that clip; later Fills of the same clip — by the same engine
+/// or by other standing queries sharing the table (stream::SharedModelPool)
+/// — read what is held. Every Fill charges its caller the clip's bill: the
+/// units the detector ran over the clip and the simulated ms it accrued
+/// for them. A caller is thus charged what a dedicated detector accrues;
+/// exactly so, to the bit, whenever the per-unit cost sums exactly in
+/// floating point, as the whole-millisecond costs of every preset profile
+/// do.
+///
+/// Not thread-safe: one engine, or one feed's serialized dispatch, uses a
+/// table at a time.
+class FrameTable {
+ public:
+  /// `detector` is borrowed and must outlive the table (or be replaced by
+  /// Reset first).
+  FrameTable(models::ObjectDetector* detector, double threshold);
+
+  FrameTable(const FrameTable&) = delete;
+  FrameTable& operator=(const FrameTable&) = delete;
+
+  /// The mask slot of `label`, registering it on first use. Slots are
+  /// stable for the table's lifetime; registering a new label drops the
+  /// held clip so that the next Fill builds its mask.
+  int Slot(const std::string& label);
+
+  /// Replaces the detector (a rebuilt shared model) and drops the held
+  /// clip. Slots and the charged ledger are kept.
+  void Reset(models::ObjectDetector* detector);
+
+  /// Makes the table hold `clip`'s frames, running the detector on each
+  /// unless the table already holds them, then adds the clip's detector
+  /// bill to `charge` and to charged(). Errors: the detector's; the table
+  /// then holds no clip and nothing is charged.
+  Status Fill(const video::ClipRef& clip, models::InferenceStats* charge);
+
+  /// Frames of the held clip.
+  int64_t num_frames() const { return num_frames_; }
+  /// Detections of the held clip's frame at `offset` (0-based within the
+  /// clip), regardless of score.
+  const std::vector<models::ObjectDetection>& detections(
+      int64_t offset) const {
+    return detections_[static_cast<size_t>(offset)];
+  }
+  /// Frame-hit mask of `slot` over the held clip: words() words.
+  const uint64_t* mask(int slot) const {
+    return masks_.data() + static_cast<size_t>(slot) * words_;
+  }
+  size_t words() const { return words_; }
+  double threshold() const { return threshold_; }
+  /// Everything Fill has charged, over all consumers.
+  const models::InferenceStats& charged() const { return charged_; }
+
+ private:
+  models::ObjectDetector* detector_;
+  const double threshold_;
+  std::vector<std::string> labels_;  // by slot
+
+  bool held_ = false;
+  video::Interval frames_;  // the held clip's frames
+  int64_t num_frames_ = 0;
+  size_t words_ = 0;
+  std::vector<std::vector<models::ObjectDetection>> detections_;
+  std::vector<uint64_t> masks_;  // slot-major, words_ per slot
+  models::InferenceStats bill_;  // what the held clip's detector pass accrued
+  models::InferenceStats charged_;
+};
+
+/// One clip's recognizer output: the action scores by shot offset. Filled
+/// and charged like FrameTable.
+class ShotTable {
+ public:
+  explicit ShotTable(models::ActionRecognizer* recognizer);
+
+  ShotTable(const ShotTable&) = delete;
+  ShotTable& operator=(const ShotTable&) = delete;
+
+  void Reset(models::ActionRecognizer* recognizer);
+
+  /// Makes the table hold `clip`'s shots, running the recognizer on each
+  /// unless it already holds them, then adds the clip's recognizer bill to
+  /// `charge` and to charged().
+  Status Fill(const video::ClipRef& clip, models::InferenceStats* charge);
+
+  int64_t num_shots() const { return num_shots_; }
+  const std::vector<models::ActionScore>& scores(int64_t offset) const {
+    return scores_[static_cast<size_t>(offset)];
+  }
+  const models::InferenceStats& charged() const { return charged_; }
+
+ private:
+  models::ActionRecognizer* recognizer_;
+
+  bool held_ = false;
+  video::Interval frames_;  // the held clip's frames
+  int64_t num_shots_ = 0;
+  std::vector<std::vector<models::ActionScore>> scores_;
+  models::InferenceStats bill_;
+  models::InferenceStats charged_;
+};
+
+/// A query's frame predicates and actions, prepared once for evaluating
+/// every clip against one FrameTable: object and any-of predicates carry
+/// the table's mask slots of their labels.
+struct ClipPredicates {
+  std::vector<FramePredicate> frames;  ///< FramePredicatesOf(query)
+  /// Mask slots per frame predicate; empty for relationships.
+  std::vector<std::vector<int>> slots;
+  std::vector<std::string> actions;  ///< query.AllActions()
+};
+
+/// Prepares `query` for `table`, registering its object labels as slots.
+ClipPredicates PrepareClipPredicates(const Query& query, FrameTable* table);
+
 /// Outcome of evaluating one clip against a query (paper Algorithm 2,
 /// generalized to the footnote extensions).
 ///
@@ -40,6 +170,9 @@ std::vector<FramePredicate> FramePredicatesOf(const Query& query);
 /// recognizer pass is skipped for this clip (Alg. 2 lines 6-8). The
 /// per-occurrence-unit event streams of everything that was evaluated are
 /// returned so SVAQD can feed its background-probability estimators.
+///
+/// EvaluateClip overwrites every field; the vectors keep their capacity, so
+/// one ClipEvaluation reused across clips allocates nothing per clip.
 struct ClipEvaluation {
   /// `1_q^{(c)}`: the clip satisfies every query predicate (Eq. 3).
   bool positive = false;
@@ -47,15 +180,23 @@ struct ClipEvaluation {
   int evaluated_frame_predicates = 0;
   /// Whether the action recognizer ran on this clip.
   bool actions_evaluated = false;
-  /// Positive-prediction counts per decided frame predicate.
+  /// Frames and shots of the clip (the length of the event streams).
+  int64_t num_frames = 0;
+  int64_t num_shots = 0;
+  /// Positive-prediction counts per frame predicate; the first
+  /// `evaluated_frame_predicates` are valid.
   std::vector<int> frame_counts;
-  /// Per-frame indicators for each decided frame predicate.
-  std::vector<std::vector<bool>> frame_events;
+  /// Per-frame indicators per frame predicate, valid like frame_counts.
+  std::vector<UnitBits> frame_events;
   /// Positive-prediction counts per action (primary first; valid when
   /// actions_evaluated).
   std::vector<int> action_counts;
   /// Per-shot indicators per action.
-  std::vector<std::vector<bool>> action_events;
+  std::vector<UnitBits> action_events;
+  /// Inference charged for this clip's evaluated stages: what a dedicated
+  /// detector and recognizer would have accrued.
+  models::InferenceStats detector_charge;
+  models::InferenceStats recognizer_charge;
 };
 
 /// Stage-ordering controls for one clip evaluation (paper footnote 5).
@@ -68,18 +209,19 @@ struct EvalOptions {
   bool disable_short_circuit = false;
 };
 
-/// Evaluates Algorithm 2 on `clip`. `frame_kcrits` must have one entry per
-/// frame predicate of the query (see FramePredicatesOf); `action_kcrits`
-/// one per action (primary first).
-/// Errors: propagated model failures; InvalidArgument on size mismatch.
-Result<ClipEvaluation> EvaluateClip(const video::ClipRef& clip,
-                                    const Query& query,
-                                    const OnlineConfig& config,
-                                    const std::vector<int>& frame_kcrits,
-                                    const std::vector<int>& action_kcrits,
-                                    models::ObjectDetector* detector,
-                                    models::ActionRecognizer* recognizer,
-                                    const EvalOptions& options = {});
+/// Evaluates Algorithm 2 on `clip` into `eval`, filling `frames` and
+/// `shots` for the stages it evaluates. `predicates` must come from
+/// PrepareClipPredicates over `frames`; `frame_kcrits` needs one entry per
+/// frame predicate and `action_kcrits` one per action (primary first).
+/// Errors: propagated model failures; InvalidArgument on size mismatch or
+/// when `frames` masks at another threshold than config.object_threshold.
+Status EvaluateClip(const video::ClipRef& clip,
+                    const ClipPredicates& predicates,
+                    const OnlineConfig& config,
+                    const std::vector<int>& frame_kcrits,
+                    const std::vector<int>& action_kcrits, FrameTable* frames,
+                    ShotTable* shots, const EvalOptions& options,
+                    ClipEvaluation* eval);
 
 }  // namespace svq::core
 

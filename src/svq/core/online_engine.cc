@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace svq::core {
 
@@ -38,6 +39,13 @@ int NullExclusionQuota(int kcrit, int64_t units_in_clip) {
   return std::max(2, std::min(kcrit, std::max(2, half)));
 }
 
+Status ValidateEngineInputs(const Query& query, const OnlineConfig& config,
+                            const video::VideoLayout& layout) {
+  SVQ_RETURN_NOT_OK(query.Validate());
+  SVQ_RETURN_NOT_OK(config.Validate());
+  return layout.Validate();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<OnlineEngine>> OnlineEngine::Create(
@@ -45,21 +53,45 @@ Result<std::unique_ptr<OnlineEngine>> OnlineEngine::Create(
     const video::VideoLayout& layout, models::ObjectDetector* detector,
     models::ActionRecognizer* recognizer, const ExecutionContext& context,
     std::shared_ptr<svq::cache::KcritTable> kcrit_table) {
-  SVQ_RETURN_NOT_OK(query.Validate());
-  SVQ_RETURN_NOT_OK(config.Validate());
-  SVQ_RETURN_NOT_OK(layout.Validate());
+  SVQ_RETURN_NOT_OK(ValidateEngineInputs(query, config, layout));
   if (detector == nullptr || recognizer == nullptr) {
     return Status::InvalidArgument("detector and recognizer must be set");
   }
+  auto frames =
+      std::make_unique<FrameTable>(detector, config.object_threshold);
+  auto shots = std::make_unique<ShotTable>(recognizer);
+  FrameTable* frames_ptr = frames.get();
+  ShotTable* shots_ptr = shots.get();
+  return std::unique_ptr<OnlineEngine>(new OnlineEngine(
+      mode, std::move(query), config, layout, std::move(frames),
+      std::move(shots), frames_ptr, shots_ptr, context,
+      std::move(kcrit_table)));
+}
+
+Result<std::unique_ptr<OnlineEngine>> OnlineEngine::Create(
+    Mode mode, Query query, OnlineConfig config,
+    const video::VideoLayout& layout, FrameTable* frames, ShotTable* shots,
+    const ExecutionContext& context,
+    std::shared_ptr<svq::cache::KcritTable> kcrit_table) {
+  SVQ_RETURN_NOT_OK(ValidateEngineInputs(query, config, layout));
+  if (frames == nullptr || shots == nullptr) {
+    return Status::InvalidArgument("frame and shot tables must be set");
+  }
+  if (frames->threshold() != config.object_threshold) {
+    return Status::InvalidArgument(
+        "frame table masks at another threshold than the query's");
+  }
   return std::unique_ptr<OnlineEngine>(
-      new OnlineEngine(mode, std::move(query), config, layout, detector,
-                       recognizer, context, std::move(kcrit_table)));
+      new OnlineEngine(mode, std::move(query), config, layout, nullptr,
+                       nullptr, frames, shots, context,
+                       std::move(kcrit_table)));
 }
 
 OnlineEngine::OnlineEngine(Mode mode, Query query, OnlineConfig config,
                            const video::VideoLayout& layout,
-                           models::ObjectDetector* detector,
-                           models::ActionRecognizer* recognizer,
+                           std::unique_ptr<FrameTable> own_frames,
+                           std::unique_ptr<ShotTable> own_shots,
+                           FrameTable* frames, ShotTable* shots,
                            ExecutionContext context,
                            std::shared_ptr<svq::cache::KcritTable> kcrit_table)
     : mode_(mode),
@@ -67,10 +99,11 @@ OnlineEngine::OnlineEngine(Mode mode, Query query, OnlineConfig config,
       config_(config),
       context_(std::move(context)),
       layout_(layout),
-      detector_(detector),
-      recognizer_(recognizer),
-      frame_predicates_(FramePredicatesOf(query_)),
-      actions_(query_.AllActions()),
+      own_frames_(std::move(own_frames)),
+      own_shots_(std::move(own_shots)),
+      frames_(frames),
+      shots_(shots),
+      predicates_(PrepareClipPredicates(query_, frames_)),
       frame_cache_(layout.FramesPerClip(), config.reference_windows,
                    config.alpha, /*min_k=*/2, kcrit_table),
       action_cache_(layout.shots_per_clip, config.reference_windows,
@@ -78,30 +111,28 @@ OnlineEngine::OnlineEngine(Mode mode, Query query, OnlineConfig config,
       markov_action_cache_(layout.shots_per_clip, config.reference_windows,
                            config.alpha, /*min_k=*/2,
                            std::move(kcrit_table)) {
-  for (size_t i = 0; i < frame_predicates_.size(); ++i) {
+  for (size_t i = 0; i < predicates_.frames.size(); ++i) {
     frame_estimators_.push_back(
         MakeEstimator(config_.object_bandwidth, config_.initial_object_p));
   }
-  for (size_t a = 0; a < actions_.size(); ++a) {
+  for (size_t a = 0; a < predicates_.actions.size(); ++a) {
     action_estimators_.push_back(
         MakeEstimator(config_.action_bandwidth, config_.initial_action_p));
     action_pair_estimators_.push_back(
         MakeEstimator(config_.action_bandwidth, config_.initial_action_p));
   }
   RefreshCriticalValues();
-  baseline_model_ms_ =
-      detector_->stats().simulated_ms + recognizer_->stats().simulated_ms;
 }
 
 void OnlineEngine::RefreshCriticalValues() {
-  frame_kcrits_.resize(frame_predicates_.size());
-  for (size_t i = 0; i < frame_predicates_.size(); ++i) {
+  frame_kcrits_.resize(predicates_.frames.size());
+  for (size_t i = 0; i < predicates_.frames.size(); ++i) {
     const double p = mode_ == Mode::kSvaq ? config_.initial_object_p
                                           : frame_estimators_[i].rate();
     frame_kcrits_[i] = frame_cache_.Get(p);
   }
-  action_kcrits_.resize(actions_.size());
-  for (size_t a = 0; a < actions_.size(); ++a) {
+  action_kcrits_.resize(predicates_.actions.size());
+  for (size_t a = 0; a < predicates_.actions.size(); ++a) {
     const double p = mode_ == Mode::kSvaq ? config_.initial_action_p
                                           : action_estimators_[a].rate();
     // The Markov null (footnote 7) engages in dynamic mode once enough
@@ -118,18 +149,18 @@ void OnlineEngine::RefreshCriticalValues() {
 }
 
 void OnlineEngine::FeedActionStream(size_t action_index,
-                                    const std::vector<bool>& events) {
+                                    const UnitBits& events,
+                                    int64_t num_shots) {
   auto& estimator = action_estimators_[action_index];
   auto& pairs = action_pair_estimators_[action_index];
   bool prev = false;
-  bool have_prev = false;
-  for (const bool event : events) {
+  for (int64_t s = 0; s < num_shots; ++s) {
+    const bool event = UnitBit(events, s);
     estimator.Step(event);
     // Persistence stream: among shots following an event-bearing shot, how
     // often does the event continue?
-    if (have_prev && prev) pairs.Step(event);
+    if (prev) pairs.Step(event);
     prev = event;
-    have_prev = true;
   }
 }
 
@@ -137,18 +168,20 @@ void OnlineEngine::FeedEstimators(const ClipEvaluation& eval) {
   const bool null_only =
       config_.update_policy == UpdatePolicy::kNegativeUnits;
   for (int i = 0; i < eval.evaluated_frame_predicates; ++i) {
-    const auto& events = eval.frame_events[static_cast<size_t>(i)];
+    const size_t index = static_cast<size_t>(i);
     // Under the default policy, a clip where this predicate reached its
     // quota is (statistically) signal, not background — exclude its units
     // from the null-rate estimate.
     if (null_only &&
-        eval.frame_counts[static_cast<size_t>(i)] >=
-            NullExclusionQuota(frame_kcrits_[static_cast<size_t>(i)],
-                               static_cast<int64_t>(events.size()))) {
+        eval.frame_counts[index] >=
+            NullExclusionQuota(frame_kcrits_[index], eval.num_frames)) {
       continue;
     }
-    auto& estimator = frame_estimators_[static_cast<size_t>(i)];
-    for (const bool event : events) estimator.Step(event);
+    auto& estimator = frame_estimators_[index];
+    const UnitBits& events = eval.frame_events[index];
+    for (int64_t f = 0; f < eval.num_frames; ++f) {
+      estimator.Step(UnitBit(events, f));
+    }
   }
   // Under the null-only policy the action estimators learn exclusively from
   // the unconditional periodic sample (SampleActionBackground): clips that
@@ -156,46 +189,20 @@ void OnlineEngine::FeedEstimators(const ClipEvaluation& eval) {
   // objects correlate with actions, so their shots over-represent the
   // actions and would bias the null estimates upward.
   if (eval.actions_evaluated && !null_only) {
-    for (size_t a = 0; a < actions_.size(); ++a) {
-      FeedActionStream(a, eval.action_events[a]);
+    for (size_t a = 0; a < predicates_.actions.size(); ++a) {
+      FeedActionStream(a, eval.action_events[a], eval.num_shots);
     }
   }
 }
 
-Status OnlineEngine::SampleActionBackground(const video::ClipRef& clip,
-                                            const ClipEvaluation& eval) {
-  std::vector<std::vector<bool>> events(actions_.size());
-  std::vector<int> counts(actions_.size(), 0);
-  if (eval.actions_evaluated) {
-    events = eval.action_events;
-    counts = eval.action_counts;
-  } else {
-    for (const video::ShotRef& shot : clip.shots) {
-      SVQ_ASSIGN_OR_RETURN(const std::vector<models::ActionScore> scores,
-                           recognizer_->Recognize(shot));
-      for (size_t a = 0; a < actions_.size(); ++a) {
-        bool hit = false;
-        for (const models::ActionScore& s : scores) {
-          if (s.label == actions_[a] &&
-              s.score >= config_.action_threshold) {
-            hit = true;
-            break;
-          }
-        }
-        events[a].push_back(hit);
-        if (hit) ++counts[a];
-      }
-    }
-  }
-  for (size_t a = 0; a < actions_.size(); ++a) {
-    if (counts[a] >=
-        NullExclusionQuota(action_kcrits_[a],
-                           static_cast<int64_t>(events[a].size()))) {
+void OnlineEngine::SampleActionBackground(const ClipEvaluation& eval) {
+  for (size_t a = 0; a < predicates_.actions.size(); ++a) {
+    if (eval.action_counts[a] >=
+        NullExclusionQuota(action_kcrits_[a], eval.num_shots)) {
       continue;
     }
-    FeedActionStream(a, events[a]);
+    FeedActionStream(a, eval.action_events[a], eval.num_shots);
   }
-  return Status::OK();
 }
 
 Status OnlineEngine::ProcessClip(const video::ClipRef& clip) {
@@ -227,8 +234,8 @@ Status OnlineEngine::ProcessClip(const video::ClipRef& clip) {
                    ? stats.simulated_ms / static_cast<double>(stats.units)
                    : -1.0;
       };
-      const double det_unit = per_unit(detector_->stats());
-      const double act_unit = per_unit(recognizer_->stats());
+      const double det_unit = per_unit(detector_charged_);
+      const double act_unit = per_unit(recognizer_charged_);
       if (det_unit >= 0.0 && act_unit >= 0.0) {
         const double det_ms = det_unit * layout_.FramesPerClip();
         const double act_ms = act_unit * layout_.shots_per_clip;
@@ -243,16 +250,17 @@ Status OnlineEngine::ProcessClip(const video::ClipRef& clip) {
   }
   if (options.actions_first) ++stats_.clips_actions_first;
 
-  auto eval_result =
-      EvaluateClip(clip, query_, config_, frame_kcrits_, action_kcrits_,
-                   detector_, recognizer_, options);
-  if (!eval_result.ok()) return eval_result.status();
-  const ClipEvaluation& eval = *eval_result;
+  SVQ_RETURN_NOT_OK(EvaluateClip(clip, predicates_, config_, frame_kcrits_,
+                                 action_kcrits_, frames_, shots_, options,
+                                 &eval_));
+  const ClipEvaluation& eval = eval_;
+  detector_charged_ += eval.detector_charge;
+  recognizer_charged_ += eval.recognizer_charge;
 
   ++stats_.clips_processed;
   const bool frames_decided =
       eval.evaluated_frame_predicates ==
-      static_cast<int>(frame_predicates_.size());
+      static_cast<int>(predicates_.frames.size());
   if (!eval.actions_evaluated || !frames_decided) {
     ++stats_.clips_short_circuited;
   }
@@ -262,7 +270,7 @@ Status OnlineEngine::ProcessClip(const video::ClipRef& clip) {
   constexpr double kPassRateDecay = 0.05;
   if (frames_decided) {
     bool pass = true;
-    for (size_t i = 0; i < frame_predicates_.size(); ++i) {
+    for (size_t i = 0; i < predicates_.frames.size(); ++i) {
       if (eval.frame_counts[i] < frame_kcrits_[i]) pass = false;
     }
     frame_stage_pass_rate_ +=
@@ -270,7 +278,7 @@ Status OnlineEngine::ProcessClip(const video::ClipRef& clip) {
   }
   if (eval.actions_evaluated) {
     bool pass = true;
-    for (size_t a = 0; a < actions_.size(); ++a) {
+    for (size_t a = 0; a < predicates_.actions.size(); ++a) {
       if (eval.action_counts[a] < action_kcrits_[a]) pass = false;
     }
     action_stage_pass_rate_ +=
@@ -282,9 +290,7 @@ Status OnlineEngine::ProcessClip(const video::ClipRef& clip) {
         config_.update_policy != UpdatePolicy::kPositiveClip || eval.positive;
     if (update) {
       FeedEstimators(eval);
-      if (sampling_tick) {
-        SVQ_RETURN_NOT_OK(SampleActionBackground(clip, eval));
-      }
+      if (sampling_tick) SampleActionBackground(eval);
       RefreshCriticalValues();
     }
   }
@@ -350,8 +356,8 @@ OnlineStats OnlineEngine::Snapshot() const {
                        : (action_estimators_.empty()
                               ? 0.0
                               : action_estimators_.front().rate());
-  stats.model_ms = detector_->stats().simulated_ms +
-                   recognizer_->stats().simulated_ms - baseline_model_ms_;
+  stats.model_ms =
+      detector_charged_.simulated_ms + recognizer_charged_.simulated_ms;
   return stats;
 }
 

@@ -62,16 +62,28 @@ class OnlineEngine {
   };
 
   /// Validates the query and configuration. Models are borrowed and must
-  /// outlive the engine. `context` is copied into the engine and polled at
-  /// the top of every ProcessClip, *before* any model inference — an
-  /// already-expired deadline fails the first clip without running a model.
-  /// `kcrit_table`, when set, is a snapshot-shared L2 for the critical-value
-  /// caches: executions on the same snapshot compute each quantized k_crit
-  /// entry once between them (see docs/caching.md).
+  /// outlive the engine; the engine evaluates through its own FrameTable
+  /// and ShotTable over them. `context` is copied into the engine and
+  /// polled at the top of every ProcessClip, *before* any model inference —
+  /// an already-expired deadline fails the first clip without running a
+  /// model. `kcrit_table`, when set, is a snapshot-shared L2 for the
+  /// critical-value caches: executions on the same snapshot compute each
+  /// quantized k_crit entry once between them (see docs/caching.md).
   static Result<std::unique_ptr<OnlineEngine>> Create(
       Mode mode, Query query, OnlineConfig config,
       const video::VideoLayout& layout, models::ObjectDetector* detector,
       models::ActionRecognizer* recognizer,
+      const ExecutionContext& context = {},
+      std::shared_ptr<svq::cache::KcritTable> kcrit_table = nullptr);
+
+  /// Like the above, but evaluates through borrowed tables that other
+  /// engines may share (stream::SharedModelPool): each clip's model output
+  /// is computed once per table, and this engine is charged what dedicated
+  /// models would have accrued. `frames` must mask at
+  /// config.object_threshold; both tables must outlive every ProcessClip.
+  static Result<std::unique_ptr<OnlineEngine>> Create(
+      Mode mode, Query query, OnlineConfig config,
+      const video::VideoLayout& layout, FrameTable* frames, ShotTable* shots,
       const ExecutionContext& context = {},
       std::shared_ptr<svq::cache::KcritTable> kcrit_table = nullptr);
 
@@ -99,7 +111,7 @@ class OnlineEngine {
   /// simply starts a new run).
   void Finish();
 
-  /// Statistics snapshot (model time is recomputed from the model stats).
+  /// Statistics snapshot (model time is the inference charged so far).
   OnlineStats Snapshot() const;
 
   Mode mode() const { return mode_; }
@@ -109,32 +121,37 @@ class OnlineEngine {
  private:
   OnlineEngine(Mode mode, Query query, OnlineConfig config,
                const video::VideoLayout& layout,
-               models::ObjectDetector* detector,
-               models::ActionRecognizer* recognizer,
-               ExecutionContext context,
+               std::unique_ptr<FrameTable> own_frames,
+               std::unique_ptr<ShotTable> own_shots, FrameTable* frames,
+               ShotTable* shots, ExecutionContext context,
                std::shared_ptr<svq::cache::KcritTable> kcrit_table);
 
   void RefreshCriticalValues();
   void FeedEstimators(const ClipEvaluation& eval);
-  /// Feeds the action null-rate estimate from an unconditionally sampled
-  /// clip, running the recognizer if query evaluation skipped it (see
+  /// Feeds the action null-rate estimates from a periodic sampling tick,
+  /// on which both stages always run (see
   /// OnlineConfig::action_null_sampling_period).
-  Status SampleActionBackground(const video::ClipRef& clip,
-                                const ClipEvaluation& eval);
+  void SampleActionBackground(const ClipEvaluation& eval);
   /// Feeds one action's rate and persistence estimators from a shot-event
   /// stream.
-  void FeedActionStream(size_t action_index, const std::vector<bool>& events);
+  void FeedActionStream(size_t action_index, const UnitBits& events,
+                        int64_t num_shots);
 
   Mode mode_;
   Query query_;
   OnlineConfig config_;
   ExecutionContext context_;
   video::VideoLayout layout_;
-  models::ObjectDetector* detector_;
-  models::ActionRecognizer* recognizer_;
+  /// Tables this engine owns when it runs dedicated models; frames_ and
+  /// shots_ point at them or at borrowed shared tables.
+  std::unique_ptr<FrameTable> own_frames_;
+  std::unique_ptr<ShotTable> own_shots_;
+  FrameTable* frames_;
+  ShotTable* shots_;
 
-  std::vector<FramePredicate> frame_predicates_;
-  std::vector<std::string> actions_;
+  ClipPredicates predicates_;
+  /// Reused for every clip.
+  ClipEvaluation eval_;
   CriticalValueCache frame_cache_;
   CriticalValueCache action_cache_;
   MarkovCriticalValueCache markov_action_cache_;
@@ -155,7 +172,9 @@ class OnlineEngine {
   double action_stage_pass_rate_ = 0.5;
   std::vector<video::Interval> completed_;
   OnlineStats stats_;
-  double baseline_model_ms_ = 0.0;
+  /// Inference charged by the evaluated stages.
+  models::InferenceStats detector_charged_;
+  models::InferenceStats recognizer_charged_;
 };
 
 }  // namespace svq::core

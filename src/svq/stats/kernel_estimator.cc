@@ -23,7 +23,9 @@ Result<KernelRateEstimator> KernelRateEstimator::Create(
 }
 
 KernelRateEstimator::KernelRateEstimator(const Options& options)
-    : options_(options) {}
+    : options_(options),
+      unit_decay_(std::exp(-1.0 / options.bandwidth)),
+      event_mass_(-std::expm1(-1.0 / options.bandwidth)) {}
 
 void KernelRateEstimator::Step(bool event) {
   Advance(1);
@@ -39,8 +41,9 @@ void KernelRateEstimator::Advance(int64_t delta_ous) {
   // recovers unbiased from the next event) — but flush subnormals to an
   // exact 0.0 so pathological gaps cannot leave the hot loop multiplying
   // denormals, which is an order of magnitude slower on most cores.
-  kernel_sum_ *= std::exp(-static_cast<double>(delta_ous) /
-                          options_.bandwidth);
+  kernel_sum_ *= delta_ous == 1 ? unit_decay_
+                               : std::exp(-static_cast<double>(delta_ous) /
+                                          options_.bandwidth);
   if (kernel_sum_ < std::numeric_limits<double>::min()) kernel_sum_ = 0.0;
   // Saturate instead of overflowing: signed overflow is UB, and a stream
   // past 2^63 OUs has long since converged (the truncated mass in rate()
@@ -60,13 +63,12 @@ void KernelRateEstimator::Observe() {
 
 double KernelRateEstimator::rate() const {
   if (t_ == 0) return options_.initial_p;
-  const double u = options_.bandwidth;
   // Edge correction (paper Eq. 6): divide by the truncated kernel mass
   // accumulated over the t observed occurrence units, normalized so that a
   // constant Bernoulli(p) stream yields an unbiased estimate of p.
-  const double decay_step = -std::expm1(-1.0 / u);       // 1 - e^{-1/u}
-  const double truncated = -std::expm1(-static_cast<double>(t_) / u);
-  double estimate = kernel_sum_ * decay_step / truncated;
+  const double truncated =
+      -std::expm1(-static_cast<double>(t_) / options_.bandwidth);
+  double estimate = kernel_sum_ * event_mass_ / truncated;
   if (options_.warmup_ous > 0 && t_ < options_.warmup_ous) {
     const double w = static_cast<double>(t_) /
                      static_cast<double>(options_.warmup_ous);

@@ -70,6 +70,11 @@ class KernelRateEstimator {
   explicit KernelRateEstimator(const Options& options);
 
   Options options_;
+  /// exp(-1/u), the decay of one occurrence unit, and 1 - exp(-1/u), the
+  /// normalized mass of a lag-zero event: computed once, since Step and
+  /// rate() run once per unit and once per clip.
+  double unit_decay_;
+  double event_mass_;
   /// Un-edge-corrected decayed kernel sum; `rate()` applies the correction.
   double kernel_sum_ = 0.0;
   int64_t t_ = 0;

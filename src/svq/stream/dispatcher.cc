@@ -68,7 +68,8 @@ Result<StreamDispatcher::FeedPtr> StreamDispatcher::EnsureFeed(
   feed->kcrit = feed->snapshot->cache != nullptr
                     ? feed->snapshot->cache->kcrit_table()
                     : std::make_shared<svq::cache::KcritTable>();
-  feed->pool = std::make_unique<SharedModelPool>(entry->video);
+  feed->pool = std::make_unique<SharedModelPool>(
+      entry->video, feed->snapshot->online_config.object_threshold);
   feed->num_clips = entry->video->NumClips();
   feeds_.emplace(feed_name, feed);
   feeds_created_.fetch_add(1, std::memory_order_relaxed);
@@ -115,9 +116,9 @@ Result<SubscriptionPtr> StreamDispatcher::Subscribe(
     }
     const models::ModelSuite suite =
         query::ResolveSuiteFor(feed->snapshot->suite, bound);
-    sub->detector_ = feed->pool->DetectorView(
+    core::FrameTable* frames = feed->pool->Frames(
         suite.object_profile, suite.seed, bound.query.AllObjectLabels());
-    sub->recognizer_ = feed->pool->RecognizerView(
+    core::ShotTable* shots = feed->pool->Shots(
         suite.action_profile, suite.seed, bound.query.AllActions());
     ExecutionContext context;
     context.set_cancellation(sub->cancel_.token());
@@ -129,10 +130,8 @@ Result<SubscriptionPtr> StreamDispatcher::Subscribe(
         sub->engine_,
         core::OnlineEngine::Create(options.mode, bound.query,
                                    feed->snapshot->online_config,
-                                   feed->entry->video->layout(),
-                                   sub->detector_.get(),
-                                   sub->recognizer_.get(), context,
-                                   feed->kcrit));
+                                   feed->entry->video->layout(), frames,
+                                   shots, context, feed->kcrit));
     feed->subs.push_back(sub);
   }
 
@@ -171,7 +170,6 @@ Status StreamDispatcher::Unsubscribe(uint64_t subscription_id) {
 void StreamDispatcher::DispatchOneLocked(const FeedPtr& feed,
                                          const video::ClipRef& clip,
                                          std::vector<uint64_t>* notify) {
-  feed->pool->BeginClip();
   for (const SubscriptionPtr& sub : feed->subs) {
     if (sub->detached()) continue;
     Status status;

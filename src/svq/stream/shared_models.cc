@@ -1,6 +1,5 @@
 #include "svq/stream/shared_models.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "svq/cache/fingerprint.h"
@@ -30,249 +29,91 @@ uint64_t ProfileKey(const models::DetectorProfile& profile, uint64_t seed,
   return fp.value();
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Shared state: one underlying model + per-clip memo per distinct profile.
-
-struct SharedModelPool::SharedDetectorState {
-  SharedDetectorState(std::shared_ptr<const video::SyntheticVideo> video,
-                      models::DetectorProfile profile, uint64_t seed)
-      : video(std::move(video)), profile(std::move(profile)), seed(seed) {}
-
-  /// Rebuilds the underlying model when `labels` brings new vocabulary.
-  /// Per-label overlays are pure functions of (video, profile, seed,
-  /// label), so a rebuilt model agrees with the old one on every label it
-  /// already knew. Stats of the replaced instance are retired so RunStats
-  /// stays cumulative. Caller holds `mu`.
-  void EnsureLabelsLocked(const std::vector<std::string>& labels) {
-    bool grew = false;
-    for (const auto& label : labels) grew |= vocabulary.insert(label).second;
-    if (!grew && model != nullptr) return;
-    if (model != nullptr) retired += model->stats();
-    model = std::make_unique<models::SyntheticObjectDetector>(
-        video, profile,
-        std::vector<std::string>(vocabulary.begin(), vocabulary.end()), seed);
-    memo.clear();
+/// Adds `labels` to `shared`'s vocabulary. Returns true when the caller
+/// must build the shared model: there is none yet, or the vocabulary grew
+/// (the replaced model's stats are then retired). Per-label overlays are
+/// pure functions of (video, profile, seed, label), so a rebuilt model
+/// agrees with the old one on every label it already knew.
+template <typename Shared>
+bool GrowVocabulary(Shared* shared, const std::vector<std::string>& labels) {
+  bool grew = false;
+  for (const std::string& label : labels) {
+    grew |= shared->vocabulary.insert(label).second;
   }
-
-  Result<std::vector<models::ObjectDetection>> Detect(
-      video::FrameIndex frame) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = memo.find(frame);
-    if (it != memo.end()) return it->second;
-    SVQ_ASSIGN_OR_RETURN(std::vector<models::ObjectDetection> detections,
-                         model->Detect(frame));
-    memo.emplace(frame, detections);
-    return detections;
-  }
-
-  std::shared_ptr<const video::SyntheticVideo> video;
-  const models::DetectorProfile profile;
-  const uint64_t seed;
-
-  std::mutex mu;
-  std::set<std::string> vocabulary;
-  std::unique_ptr<models::SyntheticObjectDetector> model;
-  models::InferenceStats retired;
-  models::InferenceStats charged;
-  std::unordered_map<int64_t, std::vector<models::ObjectDetection>> memo;
-};
-
-struct SharedModelPool::SharedRecognizerState {
-  SharedRecognizerState(std::shared_ptr<const video::SyntheticVideo> video,
-                        models::DetectorProfile profile, uint64_t seed)
-      : video(std::move(video)), profile(std::move(profile)), seed(seed) {}
-
-  void EnsureLabelsLocked(const std::vector<std::string>& labels) {
-    bool grew = false;
-    for (const auto& label : labels) grew |= vocabulary.insert(label).second;
-    if (!grew && model != nullptr) return;
-    if (model != nullptr) retired += model->stats();
-    model = std::make_unique<models::SyntheticActionRecognizer>(
-        video, profile,
-        std::vector<std::string>(vocabulary.begin(), vocabulary.end()), seed);
-    memo.clear();
-  }
-
-  Result<std::vector<models::ActionScore>> Recognize(
-      const video::ShotRef& shot) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = memo.find(shot.shot);
-    if (it != memo.end()) return it->second;
-    SVQ_ASSIGN_OR_RETURN(std::vector<models::ActionScore> scores,
-                         model->Recognize(shot));
-    memo.emplace(shot.shot, scores);
-    return scores;
-  }
-
-  std::shared_ptr<const video::SyntheticVideo> video;
-  const models::DetectorProfile profile;
-  const uint64_t seed;
-
-  std::mutex mu;
-  std::set<std::string> vocabulary;
-  std::unique_ptr<models::SyntheticActionRecognizer> model;
-  models::InferenceStats retired;
-  models::InferenceStats charged;
-  std::unordered_map<int64_t, std::vector<models::ActionScore>> memo;
-};
-
-namespace {
-
-/// Subscriber-facing detector: forwards to the shared memo, charges its
-/// own stats as if it were a dedicated model (1 unit x cost_ms per
-/// successful Detect — the exact accrual of SyntheticObjectDetector).
-class SubscriberDetector final : public models::ObjectDetector {
- public:
-  SubscriberDetector(
-      std::shared_ptr<SharedModelPool::SharedDetectorState> shared,
-      std::vector<std::string> vocabulary)
-      : shared_(std::move(shared)), vocabulary_(std::move(vocabulary)) {}
-
-  Result<std::vector<models::ObjectDetection>> Detect(
-      video::FrameIndex frame) override {
-    auto result = shared_->Detect(frame);
-    if (result.ok()) {
-      stats_.Add(1, shared_->profile.cost_ms);
-      std::lock_guard<std::mutex> lock(shared_->mu);
-      shared_->charged.Add(1, shared_->profile.cost_ms);
-    }
-    return result;
-  }
-
-  const std::vector<std::string>& SupportedLabels() const override {
-    return vocabulary_;
-  }
-  const std::string& name() const override { return shared_->profile.name; }
-  const models::InferenceStats& stats() const override { return stats_; }
-
- private:
-  std::shared_ptr<SharedModelPool::SharedDetectorState> shared_;
-  std::vector<std::string> vocabulary_;
-  models::InferenceStats stats_;
-};
-
-class SubscriberRecognizer final : public models::ActionRecognizer {
- public:
-  SubscriberRecognizer(
-      std::shared_ptr<SharedModelPool::SharedRecognizerState> shared,
-      std::vector<std::string> vocabulary)
-      : shared_(std::move(shared)), vocabulary_(std::move(vocabulary)) {}
-
-  Result<std::vector<models::ActionScore>> Recognize(
-      const video::ShotRef& shot) override {
-    auto result = shared_->Recognize(shot);
-    if (result.ok()) {
-      stats_.Add(1, shared_->profile.cost_ms);
-      std::lock_guard<std::mutex> lock(shared_->mu);
-      shared_->charged.Add(1, shared_->profile.cost_ms);
-    }
-    return result;
-  }
-
-  const std::vector<std::string>& SupportedLabels() const override {
-    return vocabulary_;
-  }
-  const std::string& name() const override { return shared_->profile.name; }
-  const models::InferenceStats& stats() const override { return stats_; }
-
- private:
-  std::shared_ptr<SharedModelPool::SharedRecognizerState> shared_;
-  std::vector<std::string> vocabulary_;
-  models::InferenceStats stats_;
-};
+  if (shared->model == nullptr) return true;
+  if (!grew) return false;
+  shared->retired += shared->model->stats();
+  return true;
+}
 
 }  // namespace
 
 SharedModelPool::SharedModelPool(
-    std::shared_ptr<const video::SyntheticVideo> video)
-    : video_(std::move(video)) {}
+    std::shared_ptr<const video::SyntheticVideo> video,
+    double object_threshold)
+    : video_(std::move(video)), object_threshold_(object_threshold) {}
 
 SharedModelPool::~SharedModelPool() = default;
 
-std::unique_ptr<models::ObjectDetector> SharedModelPool::DetectorView(
+core::FrameTable* SharedModelPool::Frames(
     const models::DetectorProfile& profile, uint64_t seed,
     const std::vector<std::string>& labels) {
-  std::shared_ptr<SharedDetectorState> state;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = detectors_[ProfileKey(profile, seed, /*recognizer=*/false)];
-    if (slot == nullptr) {
-      slot = std::make_shared<SharedDetectorState>(video_, profile, seed);
+  SharedDetector& shared =
+      detectors_[ProfileKey(profile, seed, /*recognizer=*/false)];
+  if (GrowVocabulary(&shared, labels)) {
+    shared.model = std::make_unique<models::SyntheticObjectDetector>(
+        video_, profile,
+        std::vector<std::string>(shared.vocabulary.begin(),
+                                 shared.vocabulary.end()),
+        seed);
+    if (shared.table == nullptr) {
+      shared.table = std::make_unique<core::FrameTable>(shared.model.get(),
+                                                        object_threshold_);
+    } else {
+      shared.table->Reset(shared.model.get());
     }
-    state = slot;
   }
-  std::vector<std::string> vocabulary;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->EnsureLabelsLocked(labels);
-    vocabulary = state->model->SupportedLabels();
-  }
-  return std::make_unique<SubscriberDetector>(std::move(state),
-                                              std::move(vocabulary));
+  return shared.table.get();
 }
 
-std::unique_ptr<models::ActionRecognizer> SharedModelPool::RecognizerView(
+core::ShotTable* SharedModelPool::Shots(
     const models::DetectorProfile& profile, uint64_t seed,
     const std::vector<std::string>& labels) {
-  std::shared_ptr<SharedRecognizerState> state;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = recognizers_[ProfileKey(profile, seed, /*recognizer=*/true)];
-    if (slot == nullptr) {
-      slot = std::make_shared<SharedRecognizerState>(video_, profile, seed);
+  SharedRecognizer& shared =
+      recognizers_[ProfileKey(profile, seed, /*recognizer=*/true)];
+  if (GrowVocabulary(&shared, labels)) {
+    shared.model = std::make_unique<models::SyntheticActionRecognizer>(
+        video_, profile,
+        std::vector<std::string>(shared.vocabulary.begin(),
+                                 shared.vocabulary.end()),
+        seed);
+    if (shared.table == nullptr) {
+      shared.table = std::make_unique<core::ShotTable>(shared.model.get());
+    } else {
+      shared.table->Reset(shared.model.get());
     }
-    state = slot;
   }
-  std::vector<std::string> vocabulary;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->EnsureLabelsLocked(labels);
-    vocabulary = state->model->SupportedLabels();
-  }
-  return std::make_unique<SubscriberRecognizer>(std::move(state),
-                                                std::move(vocabulary));
-}
-
-void SharedModelPool::BeginClip() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, state] : detectors_) {
-    std::lock_guard<std::mutex> state_lock(state->mu);
-    state->memo.clear();
-  }
-  for (auto& [key, state] : recognizers_) {
-    std::lock_guard<std::mutex> state_lock(state->mu);
-    state->memo.clear();
-  }
+  return shared.table.get();
 }
 
 models::InferenceStats SharedModelPool::RunStats() const {
   models::InferenceStats total;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, state] : detectors_) {
-    std::lock_guard<std::mutex> state_lock(state->mu);
-    total += state->retired;
-    if (state->model != nullptr) total += state->model->stats();
+  for (const auto& [key, shared] : detectors_) {
+    total += shared.retired;
+    total += shared.model->stats();
   }
-  for (const auto& [key, state] : recognizers_) {
-    std::lock_guard<std::mutex> state_lock(state->mu);
-    total += state->retired;
-    if (state->model != nullptr) total += state->model->stats();
+  for (const auto& [key, shared] : recognizers_) {
+    total += shared.retired;
+    total += shared.model->stats();
   }
   return total;
 }
 
 models::InferenceStats SharedModelPool::ChargedStats() const {
   models::InferenceStats total;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, state] : detectors_) {
-    std::lock_guard<std::mutex> state_lock(state->mu);
-    total += state->charged;
-  }
-  for (const auto& [key, state] : recognizers_) {
-    std::lock_guard<std::mutex> state_lock(state->mu);
-    total += state->charged;
+  for (const auto& [key, shared] : detectors_) total += shared.table->charged();
+  for (const auto& [key, shared] : recognizers_) {
+    total += shared.table->charged();
   }
   return total;
 }

@@ -3,19 +3,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "svq/common/result.h"
-#include "svq/models/action_recognizer.h"
+#include "svq/core/clip_indicator.h"
 #include "svq/models/model_profile.h"
-#include "svq/models/object_detector.h"
 #include "svq/models/synthetic_models.h"
 #include "svq/video/synthetic_video.h"
-#include "svq/video/video_stream.h"
 
 namespace svq::stream {
 
@@ -25,14 +21,14 @@ namespace svq::stream {
 /// own detector/recognizer and re-run inference on every clip — N queries,
 /// N model passes. The pool instead keeps ONE underlying synthetic model
 /// per distinct profile, built with the union vocabulary of every
-/// subscriber, and memoizes its output per occurrence unit within the
-/// current clip. Subscribers get lightweight *views* implementing the
-/// model interfaces: a view forwards to the shared memo (so each frame /
-/// shot runs the real model at most once per clip, no matter how many
-/// subscribers ask) while charging its own InferenceStats exactly what a
-/// dedicated model would have charged — the engines' virtual-time
-/// accounting, adaptive predicate ordering, and OnlineStats::model_ms are
-/// bit-identical to dedicated execution.
+/// subscriber, and one per-clip table over each (core::FrameTable,
+/// core::ShotTable) that every subscriber engine evaluates from. A table
+/// runs its model over a clip on the first Fill for that clip and serves
+/// later Fills from what it holds, so each frame / shot runs the real model
+/// at most once per clip however many subscribers ask. Every Fill charges
+/// the calling engine what a dedicated model would have accrued for the
+/// stage, so the engines' virtual-time accounting, adaptive predicate
+/// ordering, and OnlineStats::model_ms equal dedicated execution.
 ///
 /// Correctness of the fan-out rests on a property of the synthetic models
 /// (models/synthetic_models.cc): per-label output is a pure function of
@@ -47,53 +43,57 @@ namespace svq::stream {
 /// dedicated per-query models would have executed. Their difference is the
 /// shared-inference saving surfaced as svq_stream_* metrics.
 ///
-/// Thread safety: all members are safe for concurrent use; the per-clip
-/// memo is guarded by a per-model mutex. BeginClip() must not race Detect /
-/// Recognize calls of the *same* feed — the dispatcher guarantees that by
-/// serializing dispatch per feed.
+/// Not thread-safe: the owning feed serializes every call and every
+/// evaluation from the tables (subscribe, dispatch, stats folding).
 class SharedModelPool {
  public:
-  // Opaque shared-model states (defined in shared_models.cc; public so the
-  // file-local subscriber views there can hold them).
-  struct SharedDetectorState;
-  struct SharedRecognizerState;
-
-  explicit SharedModelPool(std::shared_ptr<const video::SyntheticVideo> video);
+  /// Frame tables mask detections at `object_threshold`, the feed's.
+  SharedModelPool(std::shared_ptr<const video::SyntheticVideo> video,
+                  double object_threshold);
   ~SharedModelPool();
 
   SharedModelPool(const SharedModelPool&) = delete;
   SharedModelPool& operator=(const SharedModelPool&) = delete;
 
-  /// A subscriber view over the shared detector for `profile`/`seed`,
-  /// with `labels` added to the union vocabulary (rebuilding the shared
-  /// model if they are new). The view is valid for the pool's lifetime.
-  std::unique_ptr<models::ObjectDetector> DetectorView(
-      const models::DetectorProfile& profile, uint64_t seed,
-      const std::vector<std::string>& labels);
+  /// The frame table of the shared detector for `profile`/`seed`, with
+  /// `labels` added to the union vocabulary (rebuilding the shared model
+  /// if they are new). The table is valid for the pool's lifetime.
+  core::FrameTable* Frames(const models::DetectorProfile& profile,
+                           uint64_t seed,
+                           const std::vector<std::string>& labels);
 
   /// Likewise for the shared recognizer.
-  std::unique_ptr<models::ActionRecognizer> RecognizerView(
-      const models::DetectorProfile& profile, uint64_t seed,
-      const std::vector<std::string>& labels);
-
-  /// Invalidates every per-clip memo; call once per dispatched clip,
-  /// before any subscriber engine runs.
-  void BeginClip();
+  core::ShotTable* Shots(const models::DetectorProfile& profile,
+                         uint64_t seed,
+                         const std::vector<std::string>& labels);
 
   /// Inference actually executed by the shared models (units de-duplicated
   /// across subscribers).
   models::InferenceStats RunStats() const;
-  /// Inference charged to subscriber views — what N dedicated engines
+  /// Inference charged to subscriber engines — what N dedicated engines
   /// would have executed.
   models::InferenceStats ChargedStats() const;
 
  private:
+  /// One shared model and its table. The model is rebuilt when a
+  /// subscriber brings new vocabulary; `retired` keeps the replaced
+  /// instances' stats so RunStats stays cumulative.
+  template <typename Model, typename Table>
+  struct Shared {
+    std::set<std::string> vocabulary;
+    std::unique_ptr<Model> model;
+    models::InferenceStats retired;
+    std::unique_ptr<Table> table;
+  };
+  using SharedDetector =
+      Shared<models::SyntheticObjectDetector, core::FrameTable>;
+  using SharedRecognizer =
+      Shared<models::SyntheticActionRecognizer, core::ShotTable>;
+
   std::shared_ptr<const video::SyntheticVideo> video_;
-  mutable std::mutex mu_;  // guards the state maps only
-  std::unordered_map<uint64_t, std::shared_ptr<SharedDetectorState>>
-      detectors_;
-  std::unordered_map<uint64_t, std::shared_ptr<SharedRecognizerState>>
-      recognizers_;
+  const double object_threshold_;
+  std::unordered_map<uint64_t, SharedDetector> detectors_;
+  std::unordered_map<uint64_t, SharedRecognizer> recognizers_;
 };
 
 }  // namespace svq::stream

@@ -10,8 +10,6 @@
 
 #include "svq/common/execution_context.h"
 #include "svq/core/online_engine.h"
-#include "svq/models/action_recognizer.h"
-#include "svq/models/object_detector.h"
 #include "svq/stream/stream_event.h"
 
 namespace svq::stream {
@@ -92,10 +90,9 @@ class Subscription {
 
   CancellationSource cancel_;
 
-  /// Owned model views (the engine borrows raw pointers) and the engine
-  /// itself; set by the dispatcher right after construction.
-  std::unique_ptr<models::ObjectDetector> detector_;
-  std::unique_ptr<models::ActionRecognizer> recognizer_;
+  /// The standing query's engine, set by the dispatcher right after
+  /// construction. It evaluates from the feed pool's shared tables, so the
+  /// dispatcher runs it only while the subscription is on its feed.
   std::unique_ptr<core::OnlineEngine> engine_;
 
   /// Lazily set once the subscription leaves its feed (cancel, error, or

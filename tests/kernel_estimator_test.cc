@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -107,6 +108,71 @@ TEST(KernelEstimatorTest, AdvanceEqualsStepsWithoutEvents) {
   b.Advance(25);
   EXPECT_NEAR(a.rate(), b.rate(), 1e-12);
   EXPECT_EQ(a.total_ous(), b.total_ous());
+}
+
+/// The recurrence as it stood before the one-unit decay was computed once
+/// per estimator: std::exp on every Advance, including every Step.
+struct PerStepReference {
+  KernelRateEstimator::Options options;
+  double kernel_sum = 0.0;
+  int64_t t = 0;
+
+  void Advance(int64_t delta_ous) {
+    if (delta_ous <= 0) return;
+    kernel_sum *= std::exp(-static_cast<double>(delta_ous) /
+                           options.bandwidth);
+    if (kernel_sum < std::numeric_limits<double>::min()) kernel_sum = 0.0;
+    t += delta_ous;
+  }
+  void Step(bool event) {
+    Advance(1);
+    if (event) kernel_sum += 1.0;
+  }
+  double rate() const {
+    if (t == 0) return options.initial_p;
+    const double u = options.bandwidth;
+    const double decay_step = -std::expm1(-1.0 / u);
+    const double truncated = -std::expm1(-static_cast<double>(t) / u);
+    double estimate = kernel_sum * decay_step / truncated;
+    if (options.warmup_ous > 0 && t < options.warmup_ous) {
+      const double w = static_cast<double>(t) /
+                       static_cast<double>(options.warmup_ous);
+      estimate = w * estimate + (1.0 - w) * options.initial_p;
+    }
+    return std::clamp(estimate, 0.0, 1.0);
+  }
+};
+
+TEST(KernelEstimatorTest, HoistedDecayMatchesPerStepRecurrenceExactly) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    PerStepReference reference;
+    reference.options.bandwidth = rng.NextDouble(1.0, 2000.0);
+    reference.options.initial_p = rng.NextDouble();
+    reference.options.warmup_ous =
+        static_cast<int64_t>(rng.NextUint64(600));
+    auto est = Make(reference.options.bandwidth, reference.options.initial_p,
+                    reference.options.warmup_ous);
+    const double p = rng.NextDouble(0.0, 0.3);
+    for (int op = 0; op < 4000; ++op) {
+      // Mostly unit steps, as the engines drive it; now and then a gap of
+      // several units (or none) through Advance.
+      if (rng.NextUint64(16) == 0) {
+        const int64_t gap = static_cast<int64_t>(rng.NextUint64(5)) == 0
+                                ? 0
+                                : static_cast<int64_t>(rng.NextUint64(300));
+        est.Advance(gap);
+        reference.Advance(gap);
+      } else {
+        const bool event = rng.NextBernoulli(p);
+        est.Step(event);
+        reference.Step(event);
+      }
+      ASSERT_EQ(est.rate(), reference.rate())
+          << "seed " << seed << " op " << op;
+    }
+    EXPECT_EQ(est.total_ous(), reference.t) << seed;
+  }
 }
 
 TEST(KernelEstimatorTest, CountsEventsAndUnits) {

@@ -14,11 +14,14 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "svq/core/engine.h"
+#include "svq/models/synthetic_models.h"
+#include "svq/query/binder.h"
 #include "svq/query/executor.h"
 #include "svq/stream/dispatcher.h"
 #include "svq/stream/stream_event.h"
@@ -166,10 +169,10 @@ TEST_F(StreamTest, SubscribersMatchSerialRunOracle) {
 }
 
 TEST_F(StreamTest, SharedInferenceChargesManyRunsOnce) {
-  // Eight identical standing queries on one feed: the shared model pool
-  // memoizes per (clip, unit), so the models RUN one subscriber's worth of
-  // inference while the subscribers are CHARGED eight worths — the
-  // headline multiplexing win (ISSUE acceptance: run <= 1.1x single).
+  // Eight identical standing queries on one feed: the shared model pool's
+  // per-clip tables run each unit once, so the models RUN one subscriber's
+  // worth of inference while the subscribers are CHARGED eight worths —
+  // the headline multiplexing win (run <= 1.1x single).
   const std::string statement = StreamingStatement("stream_0");
   StreamOptions options;
   options.event_queue_capacity = 4096;
@@ -208,6 +211,216 @@ TEST_F(StreamTest, SharedInferenceChargesManyRunsOnce) {
       EXPECT_EQ(got[j].begin, oracle[j].begin) << i << "," << j;
       EXPECT_EQ(got[j].end, oracle[j].end) << i << "," << j;
     }
+  }
+}
+
+/// Forwards to a dedicated detector and records every frame it ran on.
+class RecordingDetector final : public models::ObjectDetector {
+ public:
+  RecordingDetector(models::ObjectDetector* inner,
+                    std::set<video::FrameIndex>* frames)
+      : inner_(inner), frames_(frames) {}
+
+  Result<std::vector<models::ObjectDetection>> Detect(
+      video::FrameIndex frame) override {
+    frames_->insert(frame);
+    return inner_->Detect(frame);
+  }
+  const std::vector<std::string>& SupportedLabels() const override {
+    return inner_->SupportedLabels();
+  }
+  const std::string& name() const override { return inner_->name(); }
+  const models::InferenceStats& stats() const override {
+    return inner_->stats();
+  }
+
+ private:
+  models::ObjectDetector* inner_;
+  std::set<video::FrameIndex>* frames_;
+};
+
+/// Forwards to a dedicated recognizer and records every shot it ran on.
+class RecordingRecognizer final : public models::ActionRecognizer {
+ public:
+  RecordingRecognizer(models::ActionRecognizer* inner,
+                      std::set<video::ShotIndex>* shots)
+      : inner_(inner), shots_(shots) {}
+
+  Result<std::vector<models::ActionScore>> Recognize(
+      const video::ShotRef& shot) override {
+    shots_->insert(shot.shot);
+    return inner_->Recognize(shot);
+  }
+  const std::vector<std::string>& SupportedLabels() const override {
+    return inner_->SupportedLabels();
+  }
+  const std::string& name() const override { return inner_->name(); }
+  const models::InferenceStats& stats() const override {
+    return inner_->stats();
+  }
+
+ private:
+  models::ActionRecognizer* inner_;
+  std::set<video::ShotIndex>* shots_;
+};
+
+/// Two actions and four object types, so statements can mix objects,
+/// any-of groups, relationships and action conjunctions.
+std::shared_ptr<const video::SyntheticVideo> MixedVideo() {
+  video::SyntheticVideoSpec spec;
+  spec.name = "mixed_0";
+  spec.num_frames = 24000;
+  spec.seed = 4300;
+  spec.actions.push_back({"smoking", 350.0, 3000.0});
+  spec.actions.push_back({"drinking", 300.0, 2500.0});
+  video::SyntheticObjectSpec cup;
+  cup.label = "cup";
+  cup.correlate_with_action = "smoking";
+  cup.correlation = 0.9;
+  cup.coverage = 0.9;
+  cup.mean_on_frames = 250.0;
+  cup.mean_off_frames = 2600.0;
+  spec.objects.push_back(cup);
+  video::SyntheticObjectSpec bottle;
+  bottle.label = "bottle";
+  bottle.correlate_with_action = "drinking";
+  bottle.correlation = 0.8;
+  bottle.coverage = 0.8;
+  spec.objects.push_back(bottle);
+  video::SyntheticObjectSpec person;
+  person.label = "person";
+  person.mean_on_frames = 2000.0;
+  person.mean_off_frames = 600.0;
+  spec.objects.push_back(person);
+  video::SyntheticObjectSpec phone;
+  phone.label = "phone";
+  phone.mean_on_frames = 200.0;
+  phone.mean_off_frames = 3000.0;
+  spec.objects.push_back(phone);
+  auto video = video::SyntheticVideo::Generate(spec);
+  EXPECT_TRUE(video.ok());
+  return *video;
+}
+
+TEST_F(StreamTest, SharedTablesMatchDedicatedRunsExactly) {
+  // Every subscriber evaluates from the feed's shared per-clip tables; each
+  // must end with the full OnlineStats of a dedicated serial
+  // OnlineEngine::Run of its statement (model_ms, k_crits and background
+  // probabilities included), and the dispatcher's ledgers must equal what
+  // those dedicated runs imply: charged = the sum of their bills, run =
+  // the union of the units they needed.
+  const auto video = MixedVideo();
+  const std::vector<std::string> predicates = {
+      "act='smoking' AND obj.include('cup')",
+      "act='drinking' AND obj.include_any('bottle','phone')",
+      "act='drinking' AND rel.left_of('person','bottle')",
+      "act='smoking' AND act='drinking' AND obj.include('person')",
+      "act='smoking' AND act='drinking' AND obj.include('cup') AND "
+      "obj.include_any('phone','bottle') AND rel.overlaps('person','cup')",
+  };
+  for (const auto order : {core::OnlineConfig::PredicateOrder::kObjectsFirst,
+                           core::OnlineConfig::PredicateOrder::kAdaptive}) {
+    SCOPED_TRACE(static_cast<int>(order));
+    core::OnlineConfig config;
+    config.predicate_order = order;
+    core::VideoQueryEngine engine(models::ModelSuite(), config);
+    ASSERT_TRUE(engine.AddVideo(video).ok());
+    const core::SnapshotPtr snapshot = engine.Pin();
+
+    struct Standing {
+      std::string statement;
+      OnlineEngine::Mode mode;
+      SubscriptionPtr sub;
+    };
+    std::vector<Standing> standing;
+    StreamOptions options;
+    options.event_queue_capacity = 4096;
+    StreamDispatcher dispatcher(&engine, options);
+    for (const std::string& where : predicates) {
+      for (const auto mode :
+           {OnlineEngine::Mode::kSvaq, OnlineEngine::Mode::kSvaqd}) {
+        const std::string statement =
+            "SELECT MERGE(clipID) FROM (PROCESS mixed_0 PRODUCE clipID, obj "
+            "USING ObjectDetector, act USING ActionRecognizer) WHERE " +
+            where;
+        SubscribeOptions subscribe;
+        subscribe.mode = mode;
+        auto sub = dispatcher.Subscribe("mixed", statement, subscribe);
+        ASSERT_TRUE(sub.ok()) << statement << ": " << sub.status();
+        standing.push_back({statement, mode, *sub});
+      }
+    }
+    for (bool closed = false; !closed;) {
+      auto progress = dispatcher.FeedClips("mixed", 16);
+      ASSERT_TRUE(progress.ok()) << progress.status();
+      closed = progress->closed;
+    }
+
+    std::set<video::FrameIndex> frames_run;
+    std::set<video::ShotIndex> shots_run;
+    int64_t units_charged = 0;
+    double ms_charged = 0.0;
+    double detector_cost = 0.0;
+    double recognizer_cost = 0.0;
+    for (const Standing& s : standing) {
+      SCOPED_TRACE(s.statement);
+      auto bound = query::ParseAndBind(s.statement);
+      ASSERT_TRUE(bound.ok()) << bound.status();
+      const models::ModelSuite suite =
+          query::ResolveSuiteFor(snapshot->suite, *bound);
+      detector_cost = suite.object_profile.cost_ms;
+      recognizer_cost = suite.action_profile.cost_ms;
+      models::ModelSet models =
+          models::MakeModelSet(video, suite, bound->query.AllObjectLabels(),
+                               bound->query.AllActions());
+      RecordingDetector detector(models.detector.get(), &frames_run);
+      RecordingRecognizer recognizer(models.recognizer.get(), &shots_run);
+      auto dedicated =
+          OnlineEngine::Create(s.mode, bound->query, snapshot->online_config,
+                               video->layout(), &detector, &recognizer);
+      ASSERT_TRUE(dedicated.ok()) << dedicated.status();
+      video::SyntheticVideoStream stream(video,
+                                         snapshot->Find("mixed_0")->id);
+      auto result = (*dedicated)->Run(stream);
+      ASSERT_TRUE(result.ok()) << result.status();
+      units_charged += detector.stats().units + recognizer.stats().units;
+      ms_charged += detector.stats().simulated_ms +
+                    recognizer.stats().simulated_ms;
+
+      const core::OnlineStats& want = result->stats;
+      const core::OnlineStats got = s.sub->stats();
+      EXPECT_EQ(got.clips_processed, want.clips_processed);
+      EXPECT_EQ(got.clips_positive, want.clips_positive);
+      EXPECT_EQ(got.clips_short_circuited, want.clips_short_circuited);
+      EXPECT_EQ(got.clips_actions_first, want.clips_actions_first);
+      EXPECT_EQ(got.model_ms, want.model_ms);
+      EXPECT_EQ(got.object_kcrits, want.object_kcrits);
+      EXPECT_EQ(got.action_kcrit, want.action_kcrit);
+      EXPECT_EQ(got.object_p, want.object_p);
+      EXPECT_EQ(got.action_p, want.action_p);
+
+      std::vector<Interval> events;
+      EXPECT_EQ(Drain(s.sub, &events),
+                StreamEvent::Kind::kEndOfStream);
+      const std::vector<Interval>& oracle = result->sequences.intervals();
+      ASSERT_EQ(events.size(), oracle.size());
+      for (size_t j = 0; j < oracle.size(); ++j) {
+        EXPECT_EQ(events[j].begin, oracle[j].begin) << j;
+        EXPECT_EQ(events[j].end, oracle[j].end) << j;
+      }
+    }
+    // The statements exercise both stages' sharing: some clips need the
+    // recognizer for some subscribers only.
+    ASSERT_FALSE(frames_run.empty());
+    ASSERT_FALSE(shots_run.empty());
+    const DispatcherStats stats = dispatcher.Stats();
+    EXPECT_EQ(stats.model_units_charged, units_charged);
+    EXPECT_EQ(stats.model_ms_charged, ms_charged);
+    EXPECT_EQ(stats.model_units_run,
+              static_cast<int64_t>(frames_run.size() + shots_run.size()));
+    EXPECT_EQ(stats.model_ms_run,
+              static_cast<double>(frames_run.size()) * detector_cost +
+                  static_cast<double>(shots_run.size()) * recognizer_cost);
   }
 }
 
