@@ -13,7 +13,7 @@
 
 #include "svq/common/rng.h"
 #include "svq/core/clip_indicator.h"
-#include "svq/core/kcrit_cache.h"
+#include "svq/core/critical_values.h"
 #include "svq/models/synthetic_models.h"
 #include "svq/stats/kernel_estimator.h"
 #include "svq/stats/scan_statistics.h"
@@ -42,15 +42,28 @@ void BM_CriticalValue(benchmark::State& state) {
 }
 BENCHMARK(BM_CriticalValue)->Arg(25)->Arg(80)->Arg(250);
 
-void BM_CriticalValueCached(benchmark::State& state) {
-  svq::core::CriticalValueCache cache(80, 200.0, 0.05);
+void BM_CriticalValueTableGet(benchmark::State& state) {
+  const svq::core::CriticalValueTable& table =
+      svq::core::CriticalValueTable::For(80, 200.0, 0.05);
   svq::Rng rng(1);
+  benchmark::DoNotOptimize(table.Get(2e-3));  // fills the levels read below
   for (auto _ : state) {
     // Rates wander a little, as SVAQD's estimates do.
-    benchmark::DoNotOptimize(cache.Get(1e-3 * (1.0 + 0.1 * rng.NextDouble())));
+    const double p = 1e-3 * (1.0 + 0.1 * rng.NextDouble());
+    benchmark::DoNotOptimize(table.Get(p));
   }
 }
-BENCHMARK(BM_CriticalValueCached);
+BENCHMARK(BM_CriticalValueTableGet);
+
+// The first Get on a fresh table fills level 1: one breakpoint bisection.
+void BM_CriticalValueTableFirstFill(benchmark::State& state) {
+  const double p = 1e-9 * static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    svq::core::CriticalValueTable table(80, 200.0, 0.05);
+    benchmark::DoNotOptimize(table.Get(p));
+  }
+}
+BENCHMARK(BM_CriticalValueTableFirstFill)->Arg(1);
 
 void BM_KernelEstimatorStep(benchmark::State& state) {
   auto est = *svq::stats::KernelRateEstimator::Create({4096.0, 1e-4, 0});

@@ -17,7 +17,6 @@
 
 #include "svq/common/result.h"
 #include "svq/common/status.h"
-#include "svq/observability/metrics.h"
 
 namespace svq::benchutil {
 
@@ -39,14 +38,6 @@ class BenchJson {
   void Record(const std::string& metric, double value,
               const std::string& unit, int threads = 1) {
     rows_.push_back({metric, unit, value, threads});
-  }
-
-  /// Attaches a metrics-registry snapshot (flattened to name -> value) to
-  /// the next Flush: the JSON gains a "registry" object alongside
-  /// "results", so a bench run carries the server/engine counters that
-  /// produced its numbers. Replaces any previously attached snapshot.
-  void AttachRegistry(const observability::MetricsSnapshot& snapshot) {
-    registry_ = snapshot.Flatten();
   }
 
   /// Writes the collected rows; further Records start a new batch.
@@ -72,21 +63,9 @@ class BenchJson {
           << Escaped(row.unit) << "\", \"threads\": " << row.threads << "}"
           << (i + 1 < rows_.size() ? "," : "") << "\n";
     }
-    out << "  ]";
-    if (!registry_.empty()) {
-      out << ",\n  \"registry\": {\n";
-      for (size_t i = 0; i < registry_.size(); ++i) {
-        char value[64];
-        std::snprintf(value, sizeof(value), "%.17g", registry_[i].second);
-        out << "    \"" << Escaped(registry_[i].first) << "\": " << value
-            << (i + 1 < registry_.size() ? "," : "") << "\n";
-      }
-      out << "  }";
-    }
-    out << "\n}\n";
+    out << "  ]\n}\n";
     std::printf("    wrote %s (%zu metrics)\n", path.c_str(), rows_.size());
     rows_.clear();
-    registry_.clear();
   }
 
  private:
@@ -108,7 +87,6 @@ class BenchJson {
 
   std::string bench_name_;
   std::vector<Row> rows_;
-  std::vector<std::pair<std::string, double>> registry_;
 };
 
 /// Workload scale factor: fraction of the paper's video lengths. Override

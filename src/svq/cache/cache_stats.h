@@ -26,8 +26,10 @@ struct CacheStats {
   /// Identical in-flight statements that waited on a single-flight leader
   /// instead of recomputing.
   std::atomic<int64_t> single_flight_waits{0};
-  /// Shared k_crit table: lookups answered without running the
-  /// scan-statistic computation, and actual computations.
+  /// Nothing writes these two: critical values come from process-wide
+  /// exact tables (core::CriticalValueTable), not from a cache tier. They
+  /// stay only because the end-to-end benchmark's traced replay reads them
+  /// (e2ebench/lib/traced.cc); delete them once it reads the registry.
   std::atomic<int64_t> kcrit_hits{0};
   std::atomic<int64_t> kcrit_computes{0};
   /// Live bytes across all current snapshot caches.
@@ -50,10 +52,10 @@ struct CacheStats {
     int64_t bytes = 0;
 
     int64_t hits() const {
-      return candidate_hits + result_hits + plan_hits + kcrit_hits;
+      return candidate_hits + result_hits + plan_hits;
     }
     int64_t misses() const {
-      return candidate_misses + result_misses + plan_misses + kcrit_computes;
+      return candidate_misses + result_misses + plan_misses;
     }
     int64_t evictions() const {
       return candidate_evictions + result_evictions + plan_evictions;

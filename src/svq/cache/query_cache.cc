@@ -40,8 +40,7 @@ SnapshotCache::SnapshotCache(const CacheOptions& options,
              stats_ ? &stats_->plan_hits : nullptr,
              stats_ ? &stats_->plan_misses : nullptr,
              stats_ ? &stats_->plan_evictions : nullptr,
-             stats_ ? &stats_->bytes : nullptr),
-      kcrit_(std::make_shared<KcritTable>(stats_.get())) {}
+             stats_ ? &stats_->bytes : nullptr) {}
 
 std::optional<std::shared_ptr<const video::IntervalSet>>
 SnapshotCache::LookupCandidates(uint64_t key) {

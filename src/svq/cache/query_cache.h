@@ -12,7 +12,6 @@
 
 #include "svq/cache/cache_options.h"
 #include "svq/cache/cache_stats.h"
-#include "svq/cache/kcrit_table.h"
 #include "svq/cache/lru_cache.h"
 #include "svq/video/interval_set.h"
 
@@ -141,7 +140,7 @@ class SingleFlightLease {
 ///    prefix), with prefix sharing — {a,o1,o2} extends a cached {a,o1}.
 ///  - results: whole ranked top-K answers per statement fingerprint, with
 ///    K-prefix reuse and single-flight deduplication.
-///  - kcrit: the shared critical-value table (see KcritTable).
+///  - plans: lowered physical plans per statement fingerprint.
 ///
 /// All tiers are safe for concurrent use; `stats` (shared with the owning
 /// engine) survives snapshot churn, so hit/miss counters are cumulative
@@ -165,10 +164,7 @@ class SnapshotCache {
   void InsertResult(uint64_t key, std::shared_ptr<const CachedTopK> value);
   SingleFlight& result_flights() { return result_flights_; }
 
-  // Tier 3: shared critical values.
-  const std::shared_ptr<KcritTable>& kcrit_table() const { return kcrit_; }
-
-  // Tier 4: physical plans per statement fingerprint. Like every tier the
+  // Tier 3: physical plans per statement fingerprint. Like every tier the
   // keys are implicitly snapshot-scoped, so a cached plan's embedded cost
   // estimates always reflect the statistics of the snapshot it serves.
   std::optional<std::shared_ptr<const CachedPlan>> LookupPlan(uint64_t key);
@@ -186,7 +182,6 @@ class SnapshotCache {
   ShardedLruCache<std::shared_ptr<const CachedTopK>> results_;
   ShardedLruCache<std::shared_ptr<const CachedPlan>> plans_;
   SingleFlight result_flights_;
-  std::shared_ptr<KcritTable> kcrit_;
 };
 
 }  // namespace svq::cache

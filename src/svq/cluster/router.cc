@@ -107,7 +107,7 @@ Result<Response> DecodeReply(const Result<std::string>& reply,
 
 /// A gathered sequence tagged with its origin for the cross-shard merge:
 /// shard index then per-shard rank reproduce the single-node oracle's
-/// (video id, clip begin) tie order when the shard map assigns videos
+/// (video name, clip begin) tie order when the shard map assigns videos
 /// contiguously in sorted-name order (see AssignContiguous).
 struct GatherEntry {
   size_t shard = 0;

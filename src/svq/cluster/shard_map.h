@@ -50,10 +50,9 @@ struct ShardMap {
 /// sorts the names and gives shard 0 the lexicographically first chunk,
 /// shard 1 the next, and so on (remainder spread over the leading
 /// shards). Contiguity in sorted-name order is what makes the router's
-/// cross-shard merge reproduce the single-node oracle's tie order:
-/// catalog loaders assign video ids in sorted-name order, so
-/// (shard index, per-shard rank) and (global video id) induce the same
-/// order on equal-score ties.
+/// cross-shard merge reproduce the single-node oracle's tie order: a node
+/// breaks equal-score ties by (video name, clip begin), so
+/// (shard index, per-shard rank) induces the same order on them.
 Result<ShardMap> AssignContiguous(std::vector<std::string> names,
                                   std::vector<ShardEndpoint> shards,
                                   uint64_t version = 1);

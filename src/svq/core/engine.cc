@@ -163,10 +163,7 @@ Result<OnlineResult> ExecuteOnlineOn(const SnapshotPtr& snapshot,
       std::unique_ptr<OnlineEngine> engine,
       OnlineEngine::Create(mode, query, snapshot->online_config,
                            entry->video->layout(), models.detector.get(),
-                           models.recognizer.get(), context,
-                           snapshot->cache != nullptr
-                               ? snapshot->cache->kcrit_table()
-                               : nullptr));
+                           models.recognizer.get(), context));
   video::SyntheticVideoStream stream(entry->video, entry->id);
   observability::TraceSpan mode_span(
       context.trace(),

@@ -8,7 +8,7 @@
 #include <optional>
 #include <string_view>
 
-#include "svq/core/kcrit_cache.h"
+#include "svq/core/critical_values.h"
 #include "svq/io/bytes.h"
 #include "svq/io/checksum_format.h"
 #include "svq/io/env.h"
@@ -140,7 +140,8 @@ Result<video::IntervalSet> ComputePositiveClips(
   est_options.warmup_ous = static_cast<int64_t>(bandwidth);
   SVQ_ASSIGN_OR_RETURN(stats::KernelRateEstimator estimator,
                        stats::KernelRateEstimator::Create(est_options));
-  CriticalValueCache kcrit(units_per_clip, reference_windows, alpha);
+  const CriticalValueTable& kcrit =
+      CriticalValueTable::For(units_per_clip, reference_windows, alpha);
 
   video::IntervalSet positives;
   int64_t last_positive = -1;
@@ -165,13 +166,9 @@ Result<video::IntervalSet> ComputePositiveClips(
       }
       last_positive = clip;
     }
-    // Signal-looking clips (count at the critical value, capped at half the
-    // clip so a saturated k cannot deadlock the estimate, floored at 2 so a
-    // minimal quota cannot starve it) are excluded from the null estimate;
-    // see UpdatePolicy::kNegativeUnits.
-    const int exclusion = std::max<int>(
-        2, std::min<int64_t>(k, std::max<int64_t>(2, (end - begin + 1) / 2)));
-    if (count < exclusion) {
+    // Signal-looking clips are excluded from the null estimate; see
+    // UpdatePolicy::kNegativeUnits.
+    if (count < NullExclusionQuota(k, end - begin)) {
       for (int64_t u = begin; u < end; ++u) {
         estimator.Step(unit_events[u] != 0);
       }

@@ -27,18 +27,6 @@ stats::KernelRateEstimator MakeEstimator(double bandwidth, double initial_p) {
   return *std::move(result);
 }
 
-/// Exclusion quota for the null-rate estimate: a clip whose event count
-/// reaches it looks like signal and must not contaminate the background
-/// estimate. Capped at half the clip so that a saturated critical value
-/// (k = window + 1, nothing ever "positive") cannot deadlock the
-/// estimator into learning the signal rate forever; floored at 2 so that a
-/// minimal quota (k = 1, e.g. from a near-zero initial probability) cannot
-/// starve the estimator by excluding every clip containing any event.
-int NullExclusionQuota(int kcrit, int64_t units_in_clip) {
-  const int half = static_cast<int>((units_in_clip + 1) / 2);
-  return std::max(2, std::min(kcrit, std::max(2, half)));
-}
-
 Status ValidateEngineInputs(const Query& query, const OnlineConfig& config,
                             const video::VideoLayout& layout) {
   SVQ_RETURN_NOT_OK(query.Validate());
@@ -51,8 +39,7 @@ Status ValidateEngineInputs(const Query& query, const OnlineConfig& config,
 Result<std::unique_ptr<OnlineEngine>> OnlineEngine::Create(
     Mode mode, Query query, OnlineConfig config,
     const video::VideoLayout& layout, models::ObjectDetector* detector,
-    models::ActionRecognizer* recognizer, const ExecutionContext& context,
-    std::shared_ptr<svq::cache::KcritTable> kcrit_table) {
+    models::ActionRecognizer* recognizer, const ExecutionContext& context) {
   SVQ_RETURN_NOT_OK(ValidateEngineInputs(query, config, layout));
   if (detector == nullptr || recognizer == nullptr) {
     return Status::InvalidArgument("detector and recognizer must be set");
@@ -64,15 +51,13 @@ Result<std::unique_ptr<OnlineEngine>> OnlineEngine::Create(
   ShotTable* shots_ptr = shots.get();
   return std::unique_ptr<OnlineEngine>(new OnlineEngine(
       mode, std::move(query), config, layout, std::move(frames),
-      std::move(shots), frames_ptr, shots_ptr, context,
-      std::move(kcrit_table)));
+      std::move(shots), frames_ptr, shots_ptr, context));
 }
 
 Result<std::unique_ptr<OnlineEngine>> OnlineEngine::Create(
     Mode mode, Query query, OnlineConfig config,
     const video::VideoLayout& layout, FrameTable* frames, ShotTable* shots,
-    const ExecutionContext& context,
-    std::shared_ptr<svq::cache::KcritTable> kcrit_table) {
+    const ExecutionContext& context) {
   SVQ_RETURN_NOT_OK(ValidateEngineInputs(query, config, layout));
   if (frames == nullptr || shots == nullptr) {
     return Status::InvalidArgument("frame and shot tables must be set");
@@ -83,8 +68,7 @@ Result<std::unique_ptr<OnlineEngine>> OnlineEngine::Create(
   }
   return std::unique_ptr<OnlineEngine>(
       new OnlineEngine(mode, std::move(query), config, layout, nullptr,
-                       nullptr, frames, shots, context,
-                       std::move(kcrit_table)));
+                       nullptr, frames, shots, context));
 }
 
 OnlineEngine::OnlineEngine(Mode mode, Query query, OnlineConfig config,
@@ -92,8 +76,7 @@ OnlineEngine::OnlineEngine(Mode mode, Query query, OnlineConfig config,
                            std::unique_ptr<FrameTable> own_frames,
                            std::unique_ptr<ShotTable> own_shots,
                            FrameTable* frames, ShotTable* shots,
-                           ExecutionContext context,
-                           std::shared_ptr<svq::cache::KcritTable> kcrit_table)
+                           ExecutionContext context)
     : mode_(mode),
       query_(std::move(query)),
       config_(config),
@@ -104,13 +87,12 @@ OnlineEngine::OnlineEngine(Mode mode, Query query, OnlineConfig config,
       frames_(frames),
       shots_(shots),
       predicates_(PrepareClipPredicates(query_, frames_)),
-      frame_cache_(layout.FramesPerClip(), config.reference_windows,
-                   config.alpha, /*min_k=*/2, kcrit_table),
-      action_cache_(layout.shots_per_clip, config.reference_windows,
-                    config.alpha, /*min_k=*/2, kcrit_table),
-      markov_action_cache_(layout.shots_per_clip, config.reference_windows,
-                           config.alpha, /*min_k=*/2,
-                           std::move(kcrit_table)) {
+      frame_critical_values_(&CriticalValueTable::For(
+          layout.FramesPerClip(), config.reference_windows, config.alpha)),
+      action_critical_values_(&CriticalValueTable::For(
+          layout.shots_per_clip, config.reference_windows, config.alpha)),
+      markov_action_memo_(layout.shots_per_clip, config.reference_windows,
+                          config.alpha) {
   for (size_t i = 0; i < predicates_.frames.size(); ++i) {
     frame_estimators_.push_back(
         MakeEstimator(config_.object_bandwidth, config_.initial_object_p));
@@ -129,7 +111,7 @@ void OnlineEngine::RefreshCriticalValues() {
   for (size_t i = 0; i < predicates_.frames.size(); ++i) {
     const double p = mode_ == Mode::kSvaq ? config_.initial_object_p
                                           : frame_estimators_[i].rate();
-    frame_kcrits_[i] = frame_cache_.Get(p);
+    frame_kcrits_[i] = frame_critical_values_->Get(p);
   }
   action_kcrits_.resize(predicates_.actions.size());
   for (size_t a = 0; a < predicates_.actions.size(); ++a) {
@@ -141,9 +123,9 @@ void OnlineEngine::RefreshCriticalValues() {
         layout_.shots_per_clip <= 20 &&
         action_pair_estimators_[a].total_ous() >= 32) {
       action_kcrits_[a] =
-          markov_action_cache_.Get(p, action_pair_estimators_[a].rate());
+          markov_action_memo_.Get(p, action_pair_estimators_[a].rate());
     } else {
-      action_kcrits_[a] = action_cache_.Get(p);
+      action_kcrits_[a] = action_critical_values_->Get(p);
     }
   }
 }

@@ -7,7 +7,7 @@
 #include "svq/common/execution_context.h"
 #include "svq/common/result.h"
 #include "svq/core/clip_indicator.h"
-#include "svq/core/kcrit_cache.h"
+#include "svq/core/critical_values.h"
 #include "svq/core/query.h"
 #include "svq/stats/kernel_estimator.h"
 #include "svq/video/interval_set.h"
@@ -66,15 +66,14 @@ class OnlineEngine {
   /// and ShotTable over them. `context` is copied into the engine and
   /// polled at the top of every ProcessClip, *before* any model inference —
   /// an already-expired deadline fails the first clip without running a
-  /// model. `kcrit_table`, when set, is a snapshot-shared L2 for the
-  /// critical-value caches: executions on the same snapshot compute each
-  /// quantized k_crit entry once between them (see docs/caching.md).
+  /// model. Critical values come from the process-wide
+  /// CriticalValueTable of the layout's windows and the config's
+  /// (reference_windows, alpha).
   static Result<std::unique_ptr<OnlineEngine>> Create(
       Mode mode, Query query, OnlineConfig config,
       const video::VideoLayout& layout, models::ObjectDetector* detector,
       models::ActionRecognizer* recognizer,
-      const ExecutionContext& context = {},
-      std::shared_ptr<svq::cache::KcritTable> kcrit_table = nullptr);
+      const ExecutionContext& context = {});
 
   /// Like the above, but evaluates through borrowed tables that other
   /// engines may share (stream::SharedModelPool): each clip's model output
@@ -84,8 +83,7 @@ class OnlineEngine {
   static Result<std::unique_ptr<OnlineEngine>> Create(
       Mode mode, Query query, OnlineConfig config,
       const video::VideoLayout& layout, FrameTable* frames, ShotTable* shots,
-      const ExecutionContext& context = {},
-      std::shared_ptr<svq::cache::KcritTable> kcrit_table = nullptr);
+      const ExecutionContext& context = {});
 
   /// Consumes one clip; updates sequences, estimators and critical values.
   /// Errors: Cancelled/DeadlineExceeded when the execution context expired
@@ -123,8 +121,7 @@ class OnlineEngine {
                const video::VideoLayout& layout,
                std::unique_ptr<FrameTable> own_frames,
                std::unique_ptr<ShotTable> own_shots, FrameTable* frames,
-               ShotTable* shots, ExecutionContext context,
-               std::shared_ptr<svq::cache::KcritTable> kcrit_table);
+               ShotTable* shots, ExecutionContext context);
 
   void RefreshCriticalValues();
   void FeedEstimators(const ClipEvaluation& eval);
@@ -152,9 +149,9 @@ class OnlineEngine {
   ClipPredicates predicates_;
   /// Reused for every clip.
   ClipEvaluation eval_;
-  CriticalValueCache frame_cache_;
-  CriticalValueCache action_cache_;
-  MarkovCriticalValueCache markov_action_cache_;
+  const CriticalValueTable* frame_critical_values_;
+  const CriticalValueTable* action_critical_values_;
+  MarkovCriticalValueMemo markov_action_memo_;
   std::vector<stats::KernelRateEstimator> frame_estimators_;
   std::vector<stats::KernelRateEstimator> action_estimators_;
   /// Persistence estimators: P(event | previous shot had an event), one per

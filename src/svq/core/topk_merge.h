@@ -15,7 +15,7 @@ namespace svq::core {
 /// exact score ties with the caller's strict-weak `tie_less`, then truncates
 /// to the best `k`. The tie-break must be a total order over the input for
 /// the merge to be deterministic — both call sites derive it from stable
-/// identifiers (video id / shard index) plus position.
+/// identifiers (video name / shard index) plus position.
 template <typename Entry, typename ScoreOf, typename TieLess>
 void SortedTopKMerge(std::vector<Entry>* entries, int k, ScoreOf score_of,
                      TieLess tie_less) {
@@ -32,15 +32,18 @@ void SortedTopKMerge(std::vector<Entry>* entries, int k, ScoreOf score_of,
 }
 
 /// The repository fan-out's instantiation: certified per-video results rank
-/// globally by their (exact or lower-bound) scores; ties break by video then
-/// clip position for stability.
+/// globally by their (exact or lower-bound) scores; ties break by video name
+/// then clip begin. Names, not ids: ids follow insertion order, which a
+/// shard's catalog does not share with the whole catalog, while the router
+/// assigns shards contiguous ranges of sorted names. So merging each
+/// shard's answer by (shard, per-shard rank) gives this same order.
 inline void MergeRepositoryTopK(std::vector<RepositoryEntry>* entries,
                                 int k) {
   SortedTopKMerge(
       entries, k,
       [](const RepositoryEntry& e) { return e.sequence.lower_bound; },
       [](const RepositoryEntry& a, const RepositoryEntry& b) {
-        if (a.video_id != b.video_id) return a.video_id < b.video_id;
+        if (a.video_name != b.video_name) return a.video_name < b.video_name;
         return a.sequence.clips.begin < b.sequence.clips.begin;
       });
 }

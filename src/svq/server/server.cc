@@ -158,11 +158,6 @@ Server::Server(core::VideoQueryEngine* engine, ServerOptions options)
                                          "Top-K result cache hits");
   cache_result_misses_ = registry_.counter("svq_cache_result_misses_total",
                                            "Top-K result cache misses");
-  cache_kcrit_hits_ = registry_.counter(
-      "svq_cache_kcrit_hits_total", "Shared k_crit table hits");
-  cache_kcrit_computes_ = registry_.counter(
-      "svq_cache_kcrit_computes_total",
-      "Critical-value computations (shared-table misses)");
   cache_single_flight_waits_ = registry_.counter(
       "svq_cache_single_flight_waits_total",
       "Duplicate in-flight statements deduplicated by single-flight");
@@ -624,8 +619,6 @@ void Server::BridgeCacheStatsLocked() const {
                                      last.candidate_misses);
   cache_result_hits_->Increment(now.result_hits - last.result_hits);
   cache_result_misses_->Increment(now.result_misses - last.result_misses);
-  cache_kcrit_hits_->Increment(now.kcrit_hits - last.kcrit_hits);
-  cache_kcrit_computes_->Increment(now.kcrit_computes - last.kcrit_computes);
   cache_single_flight_waits_->Increment(now.single_flight_waits -
                                         last.single_flight_waits);
   cache_bytes_gauge_->Set(static_cast<double>(now.bytes));

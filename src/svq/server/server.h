@@ -215,8 +215,6 @@ class Server : private Handler {
   observability::Counter* cache_candidate_misses_;
   observability::Counter* cache_result_hits_;
   observability::Counter* cache_result_misses_;
-  observability::Counter* cache_kcrit_hits_;
-  observability::Counter* cache_kcrit_computes_;
   observability::Counter* cache_single_flight_waits_;
   observability::Gauge* cache_bytes_gauge_;
 

@@ -61,13 +61,6 @@ Result<StreamDispatcher::FeedPtr> StreamDispatcher::EnsureFeed(
   feed->name = feed_name;
   feed->snapshot = std::move(snapshot);
   feed->entry = entry;
-  // Every standing query on this feed shares one k_crit L2: the snapshot's
-  // when the engine runs with caching enabled, a feed-local table
-  // otherwise — co-located subscribers compute each quantized critical
-  // value once between them either way.
-  feed->kcrit = feed->snapshot->cache != nullptr
-                    ? feed->snapshot->cache->kcrit_table()
-                    : std::make_shared<svq::cache::KcritTable>();
   feed->pool = std::make_unique<SharedModelPool>(
       entry->video, feed->snapshot->online_config.object_threshold);
   feed->num_clips = entry->video->NumClips();
@@ -131,7 +124,7 @@ Result<SubscriptionPtr> StreamDispatcher::Subscribe(
         core::OnlineEngine::Create(options.mode, bound.query,
                                    feed->snapshot->online_config,
                                    feed->entry->video->layout(), frames,
-                                   shots, context, feed->kcrit));
+                                   shots, context));
     feed->subs.push_back(sub);
   }
 

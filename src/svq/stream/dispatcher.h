@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "svq/cache/kcrit_table.h"
 #include "svq/common/result.h"
 #include "svq/core/engine.h"
 #include "svq/stream/shared_models.h"
@@ -81,9 +80,10 @@ struct FeedProgress {
 /// A feed is bound to a registered video of the engine's catalog — the
 /// snapshot is pinned at feed creation, so every standing query on the
 /// feed sees one consistent catalog view for its whole life, and all
-/// co-located subscribers share the snapshot's k_crit L2 table. Clips are
-/// dispatched either synchronously (FeedClips — the wire FEED verb) or by
-/// the dispatcher worker pumping an attached VideoStream source. When the
+/// co-located subscribers read the same process-wide critical-value
+/// tables (core::CriticalValueTable). Clips are dispatched either
+/// synchronously (FeedClips — the wire FEED verb) or by the dispatcher
+/// worker pumping an attached VideoStream source. When the
 /// cursor reaches the end of the bound video the feed drains: every
 /// subscriber's engine is Finish()ed (trailing open sequence flushed),
 /// kEndOfStream is queued, and the feed closes.
@@ -159,7 +159,6 @@ class StreamDispatcher {
     std::string name;
     core::SnapshotPtr snapshot;
     const core::CatalogSnapshot::Entry* entry = nullptr;
-    std::shared_ptr<svq::cache::KcritTable> kcrit;
     std::unique_ptr<SharedModelPool> pool;
 
     /// Serializes dispatch and membership changes on this feed.

@@ -1,6 +1,8 @@
 // Cross-module property tests (TEST_P sweeps): invariants the paper's
 // formalism promises, checked over randomized inputs.
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "svq/common/rng.h"

@@ -1,9 +1,9 @@
 // Tests of the snapshot-keyed query cache (docs/caching.md): fingerprint
 // stability, LRU bounds, candidate prefix sharing, top-K K-prefix reuse,
-// the snapshot-shared k_crit table, single-flight deduplication, and the
-// structural staleness guarantee (a publish swaps in a fresh cache while
-// pinned snapshots keep their own generation). Labeled `tsan` so the
-// concurrent pieces also run under ThreadSanitizer.
+// single-flight deduplication, and the structural staleness guarantee (a
+// publish swaps in a fresh cache while pinned snapshots keep their own
+// generation). Labeled `tsan` so the concurrent pieces also run under
+// ThreadSanitizer.
 
 #include <atomic>
 #include <cmath>
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "svq/cache/fingerprint.h"
-#include "svq/cache/kcrit_table.h"
 #include "svq/cache/lru_cache.h"
 #include "svq/cache/query_cache.h"
 #include "svq/core/engine.h"
@@ -150,35 +149,6 @@ TEST(SingleFlightTest, OneLeaderPerKey) {
   flights.End(8);
 }
 
-TEST(KcritTableTest, ComputesEachKeyExactlyOnce) {
-  CacheStats stats;
-  KcritTable table(&stats);
-  std::atomic<int> computations{0};
-  auto compute = [&] {
-    computations.fetch_add(1);
-    return 4;
-  };
-  EXPECT_EQ(table.GetOrCompute(11, compute), 4);
-  EXPECT_EQ(table.GetOrCompute(11, compute), 4);
-  EXPECT_EQ(computations.load(), 1);
-  EXPECT_EQ(stats.Read().kcrit_computes, 1);
-  EXPECT_EQ(stats.Read().kcrit_hits, 1);
-
-  // Concurrent callers on one fresh key still compute exactly once.
-  std::atomic<int> concurrent{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      table.GetOrCompute(99, [&] {
-        concurrent.fetch_add(1);
-        return 6;
-      });
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(concurrent.load(), 1);
-}
-
 TEST(QueryCacheTest, CandidatePrefixReuseAcrossStatements) {
   core::VideoQueryEngine engine(models::ModelSuite(), core::OnlineConfig(),
                                 core::IngestOptions(),
@@ -286,31 +256,6 @@ TEST(QueryCacheTest, CachePolicyOptOutBypassesBothTiers) {
   const CacheStats::Snapshot stats = engine.cache_stats()->Read();
   EXPECT_EQ(stats.result_hits + stats.result_misses, 0);
   EXPECT_EQ(stats.candidate_hits + stats.candidate_misses, 0);
-}
-
-TEST(QueryCacheTest, SharedKcritTableComputesOncePerSnapshot) {
-  core::VideoQueryEngine engine(models::ModelSuite(), core::OnlineConfig(),
-                                core::IngestOptions(),
-                                CacheOptions::Enabled());
-  ASSERT_TRUE(engine.AddVideo(DemoVideo("demo", 12)).ok());
-
-  const core::SnapshotPtr snapshot = engine.Pin();
-  auto first = core::ExecuteOnlineOn(snapshot, JumpingCar(), "demo",
-                                     core::OnlineEngine::Mode::kSvaqd);
-  ASSERT_TRUE(first.ok()) << first.status();
-  const CacheStats::Snapshot after_first = engine.cache_stats()->Read();
-  EXPECT_GT(after_first.kcrit_computes, 0);
-
-  // The regression this pins down: a second execution on the same snapshot
-  // must answer every critical-value lookup from the shared table — zero
-  // new scan-statistic computations — and produce identical sequences.
-  auto second = core::ExecuteOnlineOn(snapshot, JumpingCar(), "demo",
-                                      core::OnlineEngine::Mode::kSvaqd);
-  ASSERT_TRUE(second.ok()) << second.status();
-  const CacheStats::Snapshot after_second = engine.cache_stats()->Read();
-  EXPECT_EQ(after_second.kcrit_computes, after_first.kcrit_computes);
-  EXPECT_GT(after_second.kcrit_hits, after_first.kcrit_hits);
-  EXPECT_TRUE(first->sequences == second->sequences);
 }
 
 TEST(QueryCacheTest, PublishSwapsInFreshCacheAndPinsKeepTheirs) {

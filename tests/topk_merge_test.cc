@@ -1,9 +1,10 @@
 // The shared top-K merge (svq/core/topk_merge.h) was extracted from the
 // repository fan-out so the cluster router's cross-shard gather and the
 // in-process fan-out rank results identically. These tests pin that
-// refactor: MergeRepositoryTopK must be bit-identical to the merge the
-// repository used before extraction, on ties, on NaN-free score ladders,
-// and on k edge cases.
+// refactor: MergeRepositoryTopK must be bit-identical to a plain sort by
+// (score descending, video name, clip begin), on ties, on NaN-free score
+// ladders, and on k edge cases; and merging contiguous name ranges by
+// (range, rank), as the router does, must give the same answer.
 
 #include "svq/core/topk_merge.h"
 
@@ -12,21 +13,25 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace svq::core {
 namespace {
 
-/// The repository's pre-extraction merge, reproduced verbatim: sort by
-/// lower bound descending, ties by video id then clip begin, then clamp
-/// to k. The tests below assert element-wise equality against it.
+/// The repository's pre-extraction merge with its tie-break moved from
+/// video id to video name: sort by lower bound descending, ties by video
+/// name then clip begin, then clamp to k. The tests below assert
+/// element-wise equality against it.
 void LegacyRepositoryMerge(std::vector<RepositoryEntry>* sequences, int k) {
   std::sort(sequences->begin(), sequences->end(),
             [](const RepositoryEntry& a, const RepositoryEntry& b) {
               if (a.sequence.lower_bound != b.sequence.lower_bound) {
                 return a.sequence.lower_bound > b.sequence.lower_bound;
               }
-              if (a.video_id != b.video_id) return a.video_id < b.video_id;
+              if (a.video_name != b.video_name) {
+                return a.video_name < b.video_name;
+              }
               return a.sequence.clips.begin < b.sequence.clips.begin;
             });
   if (sequences->size() > static_cast<size_t>(k)) {
@@ -66,7 +71,7 @@ void ExpectIdentical(const std::vector<RepositoryEntry>& got,
 
 TEST(TopKMergeTest, MatchesLegacyMergeOnTies) {
   // Equal scores across videos and within one video: the tie ladder
-  // (video id, then clip begin) must come out exactly as before.
+  // (video name, then clip begin) must come out exactly as the reference.
   std::vector<RepositoryEntry> entries = {
       Entry(2, 100, 0.5), Entry(1, 300, 0.5), Entry(1, 100, 0.5),
       Entry(3, 0, 0.5),   Entry(2, 50, 0.5),  Entry(1, 200, 0.9),
@@ -97,6 +102,85 @@ TEST(TopKMergeTest, MatchesLegacyMergeOnRandomInputs) {
       LegacyRepositoryMerge(&legacy, k);
       MergeRepositoryTopK(&entries, k);
       ExpectIdentical(entries, legacy);
+    }
+  }
+}
+
+TEST(TopKMergeTest, TiesFollowVideoNamesNotIds) {
+  // Ids follow insertion order; names are what a contiguous shard split
+  // follows. "video_14" sorts before "video_5" although its id is larger.
+  std::vector<RepositoryEntry> entries = {Entry(5, 92, 0.0),
+                                          Entry(14, 14, 0.0),
+                                          Entry(5, 10, 0.0)};
+  MergeRepositoryTopK(&entries, 2);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].video_name, "video_14");
+  EXPECT_EQ(entries[1].video_name, "video_5");
+  EXPECT_EQ(entries[1].sequence.clips.begin, 10);
+}
+
+TEST(TopKMergeTest, ContiguousNameRangesMergeLikeTheWhole) {
+  // The router's gather: each shard owns a contiguous range of sorted
+  // names, answers with its own MergeRepositoryTopK, and the router merges
+  // the answers by (shard, per-shard rank). Ids are random, so they agree
+  // with name order only by chance.
+  std::mt19937_64 rng(20261019);
+  std::uniform_int_distribution<int> video(0, 31);
+  std::uniform_int_distribution<int64_t> begin(0, 120);
+  std::uniform_int_distribution<int> score(0, 3);
+  std::vector<video::VideoId> ids(32);
+  std::vector<std::string> names;
+  for (size_t v = 0; v < ids.size(); ++v) {
+    ids[v] = static_cast<video::VideoId>(v);
+    names.push_back("long_" + std::to_string(v));
+  }
+  std::sort(names.begin(), names.end());
+  for (int trial = 0; trial < 40; ++trial) {
+    std::shuffle(ids.begin(), ids.end(), rng);
+    std::vector<RepositoryEntry> whole;
+    for (int i = 0; i < 64; ++i) {
+      const int v = video(rng);
+      RepositoryEntry entry = Entry(ids[static_cast<size_t>(v)], begin(rng),
+                                    score(rng) * 0.25);
+      entry.video_name = "long_" + std::to_string(v);
+      whole.push_back(entry);
+    }
+    for (int parts : {2, 3, 4}) {
+      for (int k : {1, 5, 17, 100}) {
+        struct Gathered {
+          size_t part;
+          size_t rank;
+          RepositoryEntry entry;
+        };
+        std::vector<Gathered> gathered;
+        for (int part = 0; part < parts; ++part) {
+          const size_t first = names.size() * part / parts;
+          const size_t last = names.size() * (part + 1) / parts;
+          std::vector<RepositoryEntry> mine;
+          for (const RepositoryEntry& entry : whole) {
+            if (entry.video_name >= names[first] &&
+                (last == names.size() || entry.video_name < names[last])) {
+              mine.push_back(entry);
+            }
+          }
+          MergeRepositoryTopK(&mine, k);
+          for (size_t rank = 0; rank < mine.size(); ++rank) {
+            gathered.push_back({static_cast<size_t>(part), rank, mine[rank]});
+          }
+        }
+        SortedTopKMerge(
+            &gathered, k,
+            [](const Gathered& g) { return g.entry.sequence.lower_bound; },
+            [](const Gathered& a, const Gathered& b) {
+              if (a.part != b.part) return a.part < b.part;
+              return a.rank < b.rank;
+            });
+        std::vector<RepositoryEntry> routed;
+        for (const Gathered& g : gathered) routed.push_back(g.entry);
+        std::vector<RepositoryEntry> single = whole;
+        MergeRepositoryTopK(&single, k);
+        ExpectIdentical(routed, single);
+      }
     }
   }
 }
