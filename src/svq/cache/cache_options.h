@@ -14,8 +14,10 @@ struct CacheOptions {
   /// Master switch: when false, snapshots carry no cache at all and every
   /// per-statement policy toggle is inert.
   bool enabled = false;
-  /// LRU byte budget of the candidate-sequence tier (interval products,
-  /// keyed per video and canonicalized predicate prefix).
+  /// Inert: nothing reads it since the candidate-sequence tier was
+  /// deleted. It stays only because the end-to-end benchmark still sets it
+  /// (e2ebench/lib/stack.cc); delete it once the benchmark reads the
+  /// registry.
   size_t candidate_bytes = size_t{64} << 20;
   /// LRU byte budget of the top-K result tier (keyed on the statement
   /// fingerprint; a cached K answers any smaller K).
@@ -27,23 +29,25 @@ struct CacheOptions {
   /// path. Must be >= 1.
   int shards = 8;
 
-  /// Convenience: an enabled configuration with `total_mb` split 2:1
-  /// between the candidate and result tiers.
+  /// Convenience: an enabled configuration whose result tier gets all of
+  /// `total_mb` (the plan tier keeps its own small budget).
   static CacheOptions Enabled(size_t total_mb = 96) {
     CacheOptions options;
     options.enabled = true;
-    options.candidate_bytes = (total_mb << 20) * 2 / 3;
-    options.result_bytes = (total_mb << 20) / 3;
+    options.result_bytes = total_mb << 20;
     return options;
   }
 };
 
 /// Per-statement cache policy, threaded through StatementOptions /
-/// OfflineOptions. Both toggles default on; they only take effect when the
+/// OfflineOptions. The toggles default on; they only take effect when the
 /// pinned snapshot actually carries a cache (CacheOptions::enabled). The
 /// oracle tests flip these off to re-run a statement uncached against the
 /// same snapshot and compare bit-identical results.
 struct CachePolicy {
+  /// Inert: the candidate-sequence tier is gone. It stays only because the
+  /// end-to-end benchmark still sets it (e2ebench/lib/stack.cc); delete it
+  /// once the benchmark reads the registry.
   bool use_candidate_cache = true;
   bool use_result_cache = true;
   bool use_plan_cache = true;

@@ -14,9 +14,6 @@ namespace svq::cache {
 /// path is a single add, never a lock — the same discipline as
 /// observability::Counter.
 struct CacheStats {
-  std::atomic<int64_t> candidate_hits{0};
-  std::atomic<int64_t> candidate_misses{0};
-  std::atomic<int64_t> candidate_evictions{0};
   std::atomic<int64_t> result_hits{0};
   std::atomic<int64_t> result_misses{0};
   std::atomic<int64_t> result_evictions{0};
@@ -37,6 +34,9 @@ struct CacheStats {
 
   /// Plain-value copy for delta bridging into a MetricsRegistry.
   struct Snapshot {
+    /// Always zero: the candidate-sequence tier is gone. These stay only
+    /// because the end-to-end benchmark's traced replay reads them
+    /// (e2ebench/lib/traced.cc); delete them once it reads the registry.
     int64_t candidate_hits = 0;
     int64_t candidate_misses = 0;
     int64_t candidate_evictions = 0;
@@ -51,23 +51,13 @@ struct CacheStats {
     int64_t kcrit_computes = 0;
     int64_t bytes = 0;
 
-    int64_t hits() const {
-      return candidate_hits + result_hits + plan_hits;
-    }
-    int64_t misses() const {
-      return candidate_misses + result_misses + plan_misses;
-    }
-    int64_t evictions() const {
-      return candidate_evictions + result_evictions + plan_evictions;
-    }
+    int64_t hits() const { return result_hits + plan_hits; }
+    int64_t misses() const { return result_misses + plan_misses; }
+    int64_t evictions() const { return result_evictions + plan_evictions; }
   };
 
   Snapshot Read() const {
     Snapshot s;
-    s.candidate_hits = candidate_hits.load(std::memory_order_relaxed);
-    s.candidate_misses = candidate_misses.load(std::memory_order_relaxed);
-    s.candidate_evictions =
-        candidate_evictions.load(std::memory_order_relaxed);
     s.result_hits = result_hits.load(std::memory_order_relaxed);
     s.result_misses = result_misses.load(std::memory_order_relaxed);
     s.result_evictions = result_evictions.load(std::memory_order_relaxed);

@@ -26,11 +26,6 @@ void SingleFlight::WaitBriefly(uint64_t key, std::chrono::milliseconds max_wait)
 SnapshotCache::SnapshotCache(const CacheOptions& options,
                              std::shared_ptr<CacheStats> stats)
     : stats_(std::move(stats)),
-      candidates_(options.candidate_bytes, options.shards,
-                  stats_ ? &stats_->candidate_hits : nullptr,
-                  stats_ ? &stats_->candidate_misses : nullptr,
-                  stats_ ? &stats_->candidate_evictions : nullptr,
-                  stats_ ? &stats_->bytes : nullptr),
       results_(options.result_bytes, options.shards,
                stats_ ? &stats_->result_hits : nullptr,
                stats_ ? &stats_->result_misses : nullptr,
@@ -41,19 +36,6 @@ SnapshotCache::SnapshotCache(const CacheOptions& options,
              stats_ ? &stats_->plan_misses : nullptr,
              stats_ ? &stats_->plan_evictions : nullptr,
              stats_ ? &stats_->bytes : nullptr) {}
-
-std::optional<std::shared_ptr<const video::IntervalSet>>
-SnapshotCache::LookupCandidates(uint64_t key) {
-  return candidates_.Lookup(key);
-}
-
-void SnapshotCache::InsertCandidates(
-    uint64_t key, std::shared_ptr<const video::IntervalSet> value) {
-  const size_t bytes =
-      sizeof(video::IntervalSet) +
-      (value ? value->intervals().size() * sizeof(video::Interval) : 0);
-  candidates_.Insert(key, std::move(value), bytes);
-}
 
 std::optional<std::shared_ptr<const CachedTopK>> SnapshotCache::LookupResult(
     uint64_t key) {

@@ -129,15 +129,13 @@ class SingleFlightLease {
   uint64_t key_ = 0;
 };
 
-/// The per-snapshot query cache (docs/caching.md): three tiers keyed on
+/// The per-snapshot query cache (docs/caching.md): two tiers keyed on
 /// fingerprints whose implicit first component is the snapshot itself — a
 /// fresh SnapshotCache is attached to every published CatalogSnapshot, so
 /// invalidation is structural (old generations die with the snapshot
 /// refcount) and a pinned snapshot can never observe entries from a newer
 /// catalog.
 ///
-///  - candidates: interval products per (video, canonicalized predicate
-///    prefix), with prefix sharing — {a,o1,o2} extends a cached {a,o1}.
 ///  - results: whole ranked top-K answers per statement fingerprint, with
 ///    K-prefix reuse and single-flight deduplication.
 ///  - plans: lowered physical plans per statement fingerprint.
@@ -153,18 +151,12 @@ class SnapshotCache {
   SnapshotCache(const SnapshotCache&) = delete;
   SnapshotCache& operator=(const SnapshotCache&) = delete;
 
-  // Tier 1: candidate sequences.
-  std::optional<std::shared_ptr<const video::IntervalSet>> LookupCandidates(
-      uint64_t key);
-  void InsertCandidates(uint64_t key,
-                        std::shared_ptr<const video::IntervalSet> value);
-
-  // Tier 2: top-K results.
+  // Top-K results.
   std::optional<std::shared_ptr<const CachedTopK>> LookupResult(uint64_t key);
   void InsertResult(uint64_t key, std::shared_ptr<const CachedTopK> value);
   SingleFlight& result_flights() { return result_flights_; }
 
-  // Tier 3: physical plans per statement fingerprint. Like every tier the
+  // Physical plans per statement fingerprint. Like every tier the
   // keys are implicitly snapshot-scoped, so a cached plan's embedded cost
   // estimates always reflect the statistics of the snapshot it serves.
   std::optional<std::shared_ptr<const CachedPlan>> LookupPlan(uint64_t key);
@@ -172,13 +164,11 @@ class SnapshotCache {
 
   const std::shared_ptr<CacheStats>& stats() const { return stats_; }
 
-  size_t candidate_entries() const { return candidates_.size(); }
   size_t result_entries() const { return results_.size(); }
   size_t plan_entries() const { return plans_.size(); }
 
  private:
   std::shared_ptr<CacheStats> stats_;
-  ShardedLruCache<std::shared_ptr<const video::IntervalSet>> candidates_;
   ShardedLruCache<std::shared_ptr<const CachedTopK>> results_;
   ShardedLruCache<std::shared_ptr<const CachedPlan>> plans_;
   SingleFlight result_flights_;

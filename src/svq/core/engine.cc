@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <future>
+#include <iterator>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -122,7 +123,80 @@ std::shared_ptr<const svq::cache::CachedTopK> ToCached(
   return cached;
 }
 
+bool ByName(const IngestedVideo* a, const IngestedVideo* b) {
+  return a->name < b->name;
+}
+
+bool Carries(const IngestedVideo& video, const std::string& label,
+             bool is_action) {
+  const video::IntervalSet* sequences = is_action
+                                            ? video.ActionSequences(label)
+                                            : video.ObjectSequences(label);
+  return sequences != nullptr && !sequences->empty();
+}
+
+/// Merges the name-sorted `added` into the list of every label of one kind
+/// that an added video carries.
+void Grow(const LabelIndex::Videos& added, bool is_action,
+          LabelIndex::Lists* lists) {
+  std::map<std::string, LabelIndex::Videos> grown;
+  for (const IngestedVideo* video : added) {
+    for (const auto& [label, sequences] :
+         is_action ? video->action_sequences : video->object_sequences) {
+      if (!sequences.empty()) grown[label].push_back(video);
+    }
+  }
+  for (const auto& [label, videos] : grown) {
+    std::shared_ptr<const LabelIndex::Videos>& slot = (*lists)[label];
+    const LabelIndex::Videos none;
+    const LabelIndex::Videos& old = slot != nullptr ? *slot : none;
+    auto list = std::make_shared<LabelIndex::Videos>();
+    list->reserve(old.size() + videos.size());
+    std::merge(old.begin(), old.end(), videos.begin(), videos.end(),
+               std::back_inserter(*list), ByName);
+    slot = std::move(list);
+  }
+}
+
 }  // namespace
+
+std::shared_ptr<const LabelIndex> LabelIndex::Extend(Videos added) const {
+  std::sort(added.begin(), added.end(), ByName);
+  auto next = std::make_shared<LabelIndex>(*this);
+  Grow(added, /*is_action=*/false, &next->objects);
+  Grow(added, /*is_action=*/true, &next->actions);
+  next->ingested += static_cast<int64_t>(added.size());
+  return next;
+}
+
+LabelIndex::Videos LabelIndex::Matching(const Query& query) const {
+  std::vector<std::pair<const std::string*, bool>> labels = {
+      {&query.action, true}};
+  for (const std::string& extra : query.extra_actions) {
+    labels.emplace_back(&extra, true);
+  }
+  for (const std::string& object : query.objects) {
+    labels.emplace_back(&object, false);
+  }
+  const Videos* shortest = nullptr;
+  for (const auto& [label, is_action] : labels) {
+    const Lists& lists = is_action ? actions : objects;
+    const auto it = lists.find(*label);
+    if (it == lists.end()) return {};
+    if (shortest == nullptr || it->second->size() < shortest->size()) {
+      shortest = it->second.get();
+    }
+  }
+  Videos matching;
+  for (const IngestedVideo* video : *shortest) {
+    if (std::all_of(labels.begin(), labels.end(), [&](const auto& label) {
+          return Carries(*video, *label.first, label.second);
+        })) {
+      matching.push_back(video);
+    }
+  }
+  return matching;
+}
 
 const CatalogSnapshot::Entry* CatalogSnapshot::Find(
     const std::string& video_name) const {
@@ -192,7 +266,7 @@ Result<TopKResult> ExecuteTopKOn(const SnapshotPtr& snapshot,
   const AdditiveScoring scoring;
   observability::TraceSpan execute_span(context.trace(), "execute");
 
-  // Tier-2 result cache with single-flight deduplication (docs/caching.md).
+  // Result cache with single-flight deduplication (docs/caching.md).
   // The first identical statement to arrive computes; concurrent duplicates
   // wait briefly and re-check instead of redoing storage work. A leader
   // that errors simply releases the flight — followers promote themselves.
@@ -231,16 +305,13 @@ Result<TopKResult> ExecuteTopKOn(const SnapshotPtr& snapshot,
     }
   }
 
-  OfflineOptions exec_options = options;
-  exec_options.snapshot_cache = cache;
   observability::TraceSpan algorithm_span(context.trace(),
                                           AlgorithmSpanName(algorithm));
   Result<TopKResult> result = Status::InvalidArgument(
       "unknown offline algorithm");
   switch (algorithm) {
     case OfflineAlgorithm::kRvaq:
-      result = RunRvaq(*entry->ingested, query, k, scoring, exec_options,
-                       context);
+      result = RunRvaq(*entry->ingested, query, k, scoring, options, context);
       break;
     case OfflineAlgorithm::kRvaqNoSkip:
       result = RunRvaqNoSkip(*entry->ingested, query, k, scoring,
@@ -274,22 +345,16 @@ Result<RepositoryResult> ExecuteTopKAllOn(const SnapshotPtr& snapshot,
     return Status::InvalidArgument("snapshot must be set");
   }
   SVQ_RETURN_NOT_OK(context.Check());
-  std::vector<const IngestedVideo*> ingested;
-  for (const auto& [name, entry] : snapshot->videos) {
-    if (entry.ingested != nullptr) ingested.push_back(entry.ingested.get());
-  }
-  if (ingested.empty()) {
+  const LabelIndex& index = *snapshot->label_index;
+  if (index.ingested == 0) {
     return Status::FailedPrecondition("no ingested videos in the repository");
   }
+  SVQ_RETURN_NOT_OK(ValidateOfflineQuery(query));
   const AdditiveScoring scoring;
-  // The repository fan-out reuses the per-video RVAQ path, so threading the
-  // snapshot cache through here lights up the candidate tier (tier 1) for
-  // every video in the sweep. Whole-repository results are not memoized:
-  // their K interleaving is cross-video.
-  OfflineOptions exec_options = options;
-  exec_options.snapshot_cache = snapshot->cache.get();
-  Result<RepositoryResult> result =
-      RunRepositoryTopK(ingested, query, k, scoring, exec_options, context);
+  // Not memoized: the K interleaving is cross-video. An empty list still
+  // goes through RunRepositoryTopK, which rejects k < 1.
+  Result<RepositoryResult> result = RunRepositoryTopK(
+      index.Matching(query), query, k, scoring, options, context);
   if (result.ok()) DrainToSinks(context, result->stats);
   return result;
 }
@@ -313,7 +378,8 @@ SnapshotPtr VideoQueryEngine::Pin() const {
   return snapshot_;
 }
 
-void VideoQueryEngine::Publish(std::shared_ptr<CatalogSnapshot> next) {
+void VideoQueryEngine::Publish(std::shared_ptr<CatalogSnapshot> next,
+                               LabelIndex::Videos ingested) {
   // Every catalog mutation funnels through here, so attaching a *fresh*
   // SnapshotCache per publish is the entire invalidation story: entries
   // derived from superseded artifacts become unreachable with their
@@ -323,6 +389,9 @@ void VideoQueryEngine::Publish(std::shared_ptr<CatalogSnapshot> next) {
     next->cache =
         std::make_shared<svq::cache::SnapshotCache>(cache_options_,
                                                     cache_stats_);
+  }
+  if (!ingested.empty()) {
+    next->label_index = next->label_index->Extend(std::move(ingested));
   }
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(next);
@@ -370,10 +439,11 @@ Result<video::VideoId> VideoQueryEngine::AddIngested(
   entry.id = ingested->id;
   // Keep future AddVideo ids disjoint from the reopened artifact's id.
   next->next_id = std::max(next->next_id, ingested->id + 1);
+  const IngestedVideo* added = ingested.get();
   entry.ingested = std::move(ingested);
   const video::VideoId id = entry.id;
   next->videos.emplace(name, std::move(entry));
-  Publish(std::move(next));
+  Publish(std::move(next), {added});
   return id;
 }
 
@@ -408,10 +478,11 @@ Status VideoQueryEngine::Ingest(const std::string& video_name) {
                                  "' is already ingested");
   }
   SVQ_ASSIGN_OR_RETURN(IngestedVideo ingested, IngestOne(*current, *entry));
+  auto artifacts = std::make_shared<const IngestedVideo>(std::move(ingested));
+  const IngestedVideo* added = artifacts.get();
   auto next = std::make_shared<CatalogSnapshot>(*current);
-  next->videos[video_name].ingested =
-      std::make_shared<const IngestedVideo>(std::move(ingested));
-  Publish(std::move(next));
+  next->videos[video_name].ingested = std::move(artifacts);
+  Publish(std::move(next), {added});
   return Status::OK();
 }
 
@@ -456,11 +527,13 @@ Status VideoQueryEngine::IngestAll(int parallelism) {
   // One atomic publish for every success: a reader sees either none or all
   // of this batch (plus whatever partial set an errored batch produced).
   auto next = std::make_shared<CatalogSnapshot>(*current);
+  LabelIndex::Videos added;
   for (size_t i = 0; i < pending.size(); ++i) {
     if (results[i] == nullptr) continue;
+    added.push_back(results[i].get());
     next->videos[pending[i]->video->name()].ingested = std::move(results[i]);
   }
-  Publish(std::move(next));
+  Publish(std::move(next), std::move(added));
   return first_error;
 }
 

@@ -1,10 +1,12 @@
 #ifndef SVQ_CORE_ENGINE_H_
 #define SVQ_CORE_ENGINE_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "svq/cache/cache_options.h"
 #include "svq/cache/cache_stats.h"
@@ -23,6 +25,31 @@ namespace svq::core {
 
 /// Which algorithm answers an offline top-K query.
 enum class OfflineAlgorithm { kRvaq, kRvaqNoSkip, kFagin, kPqTraverse };
+
+/// Which ingested videos carry each label: the posting lists `P_o`, `P_a`
+/// of paper §4.2 one level up. A video carries a label when its
+/// individual-sequence set for it is non-empty. Object and action labels
+/// are kept apart (one name may be both); each list is in video-name order.
+/// Immutable, and lists are shared between snapshot generations. The index
+/// borrows its video pointers from the snapshot's entries, which keep them
+/// alive: the catalog never drops or re-ingests a video.
+struct LabelIndex {
+  using Videos = std::vector<const IngestedVideo*>;
+  using Lists = std::map<std::string, std::shared_ptr<const Videos>>;
+
+  Lists objects;
+  Lists actions;
+  int64_t ingested = 0;
+
+  /// This index plus `added`, none of which it lists yet. Copies only the
+  /// lists of the labels the added videos carry.
+  std::shared_ptr<const LabelIndex> Extend(Videos added) const;
+
+  /// The videos that carry every label of `query` (action, extra actions,
+  /// objects), in video-name order: the shortest of the labels' lists,
+  /// keeping the videos that carry the other labels too.
+  Videos Matching(const Query& query) const;
+};
 
 /// An immutable point-in-time view of the engine's catalog: every
 /// registered video, every ingested artifact set, and the model suite /
@@ -53,6 +80,10 @@ struct CatalogSnapshot {
   /// snapshot whose artifacts produced it: staleness is impossible by
   /// construction and pinned readers keep hitting their own generation.
   std::shared_ptr<svq::cache::SnapshotCache> cache;
+  /// Lists exactly the ingested entries of `videos`. Never null; Publish
+  /// keeps the previous pointer when a publish ingests nothing.
+  std::shared_ptr<const LabelIndex> label_index =
+      std::make_shared<const LabelIndex>();
   /// Immutable within the snapshot: queries build their per-execution
   /// model instances from these copies, so a concurrent set_suite() /
   /// set_online_config() can never race a running query (the old
@@ -90,6 +121,10 @@ Result<TopKResult> ExecuteTopKOn(
     const OfflineOptions& options = OfflineOptions(),
     const ExecutionContext& context = {});
 
+/// Runs RVAQ only on the videos that carry every label of `query`. The
+/// others have no candidate sequences, so the answer, the storage counters
+/// and the errors equal a fan-out over every ingested video's; when no
+/// video carries the labels, the answer is OK and empty.
 Result<RepositoryResult> ExecuteTopKAllOn(
     const SnapshotPtr& snapshot, const Query& query, int k,
     const OfflineOptions& options = OfflineOptions(),
@@ -207,11 +242,13 @@ class VideoQueryEngine {
       const ExecutionContext& context = {});
 
  private:
-  /// Attaches a fresh SnapshotCache (when caching is enabled) and
+  /// Attaches a fresh SnapshotCache (when caching is enabled), extends the
+  /// label index with `ingested` (the videos this publish ingests) and
   /// atomically replaces the published snapshot. Called with writer_mu_
   /// held; the single choke point through which every catalog mutation
   /// invalidates the cache.
-  void Publish(std::shared_ptr<CatalogSnapshot> next);
+  void Publish(std::shared_ptr<CatalogSnapshot> next,
+               LabelIndex::Videos ingested = {});
 
   /// Runs the ingestion phase for one entry against `snapshot`'s suite.
   /// Pure compute: touches no engine state.

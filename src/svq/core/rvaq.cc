@@ -4,15 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "svq/cache/fingerprint.h"
-#include "svq/cache/query_cache.h"
 #include "svq/core/tbclip.h"
-#include "svq/observability/trace.h"
 
 namespace svq::core {
 
@@ -54,49 +51,12 @@ int64_t FindSequence(const std::vector<SequenceState>& seqs,
   return -1;
 }
 
-}  // namespace
-
-Result<video::IntervalSet> CandidateSequences(const IngestedVideo& ingested,
-                                              const Query& query) {
-  SVQ_RETURN_NOT_OK(query.Validate());
-  if (!query.relationships.empty() || !query.object_disjunctions.empty()) {
-    // Relationship and disjunctive predicates are not materialized by the
-    // query-independent ingestion phase (they would need per-pair /
-    // per-group metadata); they are supported online.
-    return Status::Unimplemented(
-        "offline queries support conjunctive objects and actions only");
-  }
-  const video::IntervalSet* action = ingested.ActionSequences(query.action);
-  if (action == nullptr) return video::IntervalSet();
-  video::IntervalSet result = *action;
-  for (const std::string& extra : query.extra_actions) {
-    const video::IntervalSet* p = ingested.ActionSequences(extra);
-    if (p == nullptr) return video::IntervalSet();
-    result = video::IntervalSet::Intersect(result, *p);
-    if (result.empty()) return result;
-  }
-  for (const std::string& object : query.objects) {
-    const video::IntervalSet* p = ingested.ObjectSequences(object);
-    if (p == nullptr) return video::IntervalSet();
-    result = video::IntervalSet::Intersect(result, *p);
-    if (result.empty()) break;
-  }
-  return result;
-}
-
-Result<video::IntervalSet> CandidateSequencesOrdered(
-    const IngestedVideo& ingested, const Query& query,
-    const std::vector<SweepStep>& order) {
-  if (order.empty()) return CandidateSequences(ingested, query);
-  SVQ_RETURN_NOT_OK(query.Validate());
-  if (!query.relationships.empty() || !query.object_disjunctions.empty()) {
-    return Status::Unimplemented(
-        "offline queries support conjunctive objects and actions only");
-  }
-  // The order must be a permutation of the statement's predicates: a
-  // dropped predicate would silently widen the candidate set, an invented
-  // one would silently narrow it. Count-matching each (label, kind) pair
-  // catches both directions, including duplicates.
+/// The order must be a permutation of the statement's predicates: a
+/// dropped predicate would silently widen the candidate set, an invented
+/// one would silently narrow it. Count-matching each (label, kind) pair
+/// catches both directions, including duplicates.
+Status ValidateSweepOrder(const Query& query,
+                          const std::vector<SweepStep>& order) {
   auto count_in_query = [&](const SweepStep& step) {
     int64_t n = 0;
     if (step.is_action) {
@@ -122,10 +82,48 @@ Result<video::IntervalSet> CandidateSequencesOrdered(
                                      step.label);
     }
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ValidateOfflineQuery(const Query& query) {
+  SVQ_RETURN_NOT_OK(query.Validate());
+  if (!query.relationships.empty() || !query.object_disjunctions.empty()) {
+    // Relationship and disjunctive predicates are not materialized by the
+    // query-independent ingestion phase (they would need per-pair /
+    // per-group metadata); they are supported online.
+    return Status::Unimplemented(
+        "offline queries support conjunctive objects and actions only");
+  }
+  return Status::OK();
+}
+
+Result<video::IntervalSet> CandidateSequences(const IngestedVideo& ingested,
+                                              const Query& query) {
+  return CandidateSequencesOrdered(ingested, query, {});
+}
+
+Result<video::IntervalSet> CandidateSequencesOrdered(
+    const IngestedVideo& ingested, const Query& query,
+    const std::vector<SweepStep>& order) {
+  SVQ_RETURN_NOT_OK(ValidateOfflineQuery(query));
+  std::vector<SweepStep> canonical;
+  if (order.empty()) {
+    canonical.push_back({query.action, true});
+    for (const std::string& extra : query.extra_actions) {
+      canonical.push_back({extra, true});
+    }
+    for (const std::string& object : query.objects) {
+      canonical.push_back({object, false});
+    }
+  } else {
+    SVQ_RETURN_NOT_OK(ValidateSweepOrder(query, order));
+  }
 
   video::IntervalSet result;
   bool first = true;
-  for (const SweepStep& step : order) {
+  for (const SweepStep& step : order.empty() ? canonical : order) {
     const video::IntervalSet* p =
         step.is_action ? ingested.ActionSequences(step.label)
                        : ingested.ObjectSequences(step.label);
@@ -141,109 +139,6 @@ Result<video::IntervalSet> CandidateSequencesOrdered(
   return result;
 }
 
-namespace {
-
-/// CandidateSequences with prefix-shared memoization against the pinned
-/// snapshot's cache (docs/caching.md tier 1). Labels are canonicalized —
-/// primary action, then sorted extra actions, then sorted objects — before
-/// keying: IntervalSet::Intersect is commutative and associative on the
-/// integer clip domain, so every order produces the same candidate set, and
-/// one canonical order both makes label-permuted statements share entries
-/// and lets `{a, o1, o2}` extend a cached `{a, o1}` instead of re-sweeping
-/// from scratch. Falls back to the plain computation when the statement
-/// opts out or the snapshot carries no cache.
-Result<video::IntervalSet> CandidatesWithCache(
-    const IngestedVideo& ingested, const Query& query,
-    const OfflineOptions& options, const ExecutionContext& context) {
-  svq::cache::SnapshotCache* cache = options.snapshot_cache;
-  if (cache == nullptr || !options.cache.use_candidate_cache) {
-    // Uncached path: honor the planner's most-selective-first order (no-op
-    // when empty). The cached path below deliberately ignores sweep_order:
-    // its prefix keys are canonical so label-permuted statements share
-    // entries, and letting per-snapshot statistics reorder them would
-    // fragment that sharing for no gain — a cached prefix costs one lookup
-    // regardless of selectivity (docs/planner.md).
-    return CandidateSequencesOrdered(ingested, query, options.sweep_order);
-  }
-  SVQ_RETURN_NOT_OK(query.Validate());
-  if (!query.relationships.empty() || !query.object_disjunctions.empty()) {
-    return Status::Unimplemented(
-        "offline queries support conjunctive objects and actions only");
-  }
-
-  struct Step {
-    const char* tag;
-    const std::string* label;
-    bool is_action;
-  };
-  std::vector<std::string> extras = query.extra_actions;
-  std::sort(extras.begin(), extras.end());
-  std::vector<std::string> objects = query.objects;
-  std::sort(objects.begin(), objects.end());
-  std::vector<Step> steps;
-  steps.push_back({"act", &query.action, true});
-  for (const std::string& extra : extras) {
-    steps.push_back({"xa", &extra, true});
-  }
-  for (const std::string& object : objects) {
-    steps.push_back({"obj", &object, false});
-  }
-
-  // Rolling prefix fingerprints: keys[i] covers the video identity plus
-  // steps[0..i].
-  std::vector<uint64_t> keys(steps.size());
-  svq::cache::Fingerprint fp;
-  fp.Mix("cand").Mix(static_cast<uint64_t>(ingested.id)).Mix(ingested.name);
-  for (size_t i = 0; i < steps.size(); ++i) {
-    fp.Mix(std::string_view(steps[i].tag)).Mix(*steps[i].label);
-    keys[i] = fp.value();
-  }
-
-  // Longest cached prefix wins; everything after it is computed and
-  // published so the next statement starts one step further along.
-  std::shared_ptr<const video::IntervalSet> base;
-  size_t next_step = 0;
-  for (size_t i = steps.size(); i-- > 0;) {
-    if (auto found = cache->LookupCandidates(keys[i])) {
-      base = std::move(*found);
-      next_step = i + 1;
-      break;
-    }
-  }
-
-  video::IntervalSet result;
-  if (base != nullptr) {
-    if (next_step == steps.size()) {
-      observability::TraceSpan hit_span(context.trace(),
-                                        "cache.candidate_hit");
-      return *base;
-    }
-    result = *base;
-  } else {
-    const video::IntervalSet* action = ingested.ActionSequences(query.action);
-    if (action != nullptr) result = *action;
-    cache->InsertCandidates(
-        keys[0], std::make_shared<const video::IntervalSet>(result));
-    next_step = 1;
-  }
-  for (size_t i = next_step; i < steps.size(); ++i) {
-    // Empty is absorbing under intersection: keep publishing the longer
-    // (still empty) prefixes without touching the sequence sets again.
-    if (!result.empty()) {
-      const video::IntervalSet* p =
-          steps[i].is_action ? ingested.ActionSequences(*steps[i].label)
-                             : ingested.ObjectSequences(*steps[i].label);
-      result = p == nullptr ? video::IntervalSet()
-                            : video::IntervalSet::Intersect(result, *p);
-    }
-    cache->InsertCandidates(
-        keys[i], std::make_shared<const video::IntervalSet>(result));
-  }
-  return result;
-}
-
-}  // namespace
-
 Result<TopKResult> RunRvaq(const IngestedVideo& ingested, const Query& query,
                            int k, const SequenceScoring& scoring,
                            const OfflineOptions& options,
@@ -255,7 +150,7 @@ Result<TopKResult> RunRvaq(const IngestedVideo& ingested, const Query& query,
 
   SVQ_ASSIGN_OR_RETURN(
       const video::IntervalSet candidates,
-      CandidatesWithCache(ingested, query, options, context));
+      CandidateSequencesOrdered(ingested, query, options.sweep_order));
   result.stats.candidate_sequences =
       static_cast<int64_t>(candidates.intervals().size());
   result.stats.candidate_clips = candidates.TotalLength();

@@ -14,10 +14,6 @@
 #include "svq/storage/access_stats.h"
 #include "svq/video/interval_set.h"
 
-namespace svq::cache {
-class SnapshotCache;
-}  // namespace svq::cache
-
 namespace svq::core {
 
 /// One ranked result sequence (clip domain, half-open).
@@ -94,25 +90,22 @@ struct OfflineOptions {
   /// Parallel-execution knobs (repository fan-out). The default of one
   /// thread is the sequential reference path.
   runtime::RuntimeOptions runtime;
-  /// Per-statement cache toggles (only effective when `snapshot_cache` is
-  /// set).
+  /// Per-statement cache toggles, read by the engine's Execute*On entry
+  /// points when the pinned snapshot carries a cache (docs/caching.md).
   svq::cache::CachePolicy cache;
-  /// The pinned snapshot's cache, set by the Execute*On entry points when
-  /// the engine runs with caching enabled. Borrowed: the caller holds the
-  /// snapshot pin for the duration of the run. When null (the default, and
-  /// every direct RunRvaq caller), execution is byte-for-byte the
-  /// historical uncached path.
-  svq::cache::SnapshotCache* snapshot_cache = nullptr;
   /// Planner-chosen intersection order for the candidate sweep. Must cover
   /// exactly the statement's predicates (primary action + extras +
   /// objects) when non-empty; empty keeps the canonical statement order.
   /// Intersection is commutative on the clip domain, so the resulting
   /// candidate set — and therefore the query result — is identical for
-  /// every order; only the sweep's intermediate work changes. When the
-  /// candidate cache is active the sweep runs in canonical order instead
-  /// so prefix keys keep their sharing (docs/planner.md).
+  /// every order; only the sweep's intermediate work changes.
   std::vector<SweepStep> sweep_order;
 };
+
+/// The statement checks every offline path runs before it reads a video:
+/// Query::Validate, then Unimplemented for relationships and any-of groups,
+/// which the query-independent ingest does not materialize.
+Status ValidateOfflineQuery(const Query& query);
 
 /// Computes the candidate result sequences `P_q` of query `q` by interval
 /// sweep over the materialized individual sequences (paper Eq. 12). Empty
@@ -130,7 +123,8 @@ Result<video::IntervalSet> CandidateSequencesOrdered(
 
 /// Algorithm RVAQ (paper Alg. 4): certified top-K result sequences via
 /// progressive upper/lower bound refinement over the TBClip iterator with
-/// conclusive-skip pruning. `k` must be >= 1. `context` (deadline /
+/// conclusive-skip pruning, over the candidates CandidateSequencesOrdered
+/// sweeps in `options.sweep_order`. `k` must be >= 1. `context` (deadline /
 /// cancellation) is polled once per iterator step; an expired context
 /// returns Cancelled/DeadlineExceeded instead of a result.
 Result<TopKResult> RunRvaq(const IngestedVideo& ingested, const Query& query,

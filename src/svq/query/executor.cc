@@ -58,9 +58,10 @@ Result<StatementResult> ExecuteStatementOn(const core::SnapshotPtr& snapshot,
 
   if (result.bound.video == "*") {
     // Whole-repository broadcast (the binder guarantees ranked + LIMIT):
-    // per-video RVAQ fan-out with the score-ordered merge of
-    // svq/core/topk_merge.h. Bypasses the per-video cost-based planner —
-    // every video gets the default sweep, same as ExecuteTopKAll.
+    // RVAQ over the videos that carry every label of the statement (the
+    // snapshot's label index), merged by svq/core/topk_merge.h. Bypasses
+    // the per-video cost-based planner — every video gets the default
+    // sweep, same as ExecuteTopKAll.
     observability::TraceSpan span(trace, "execute_repository");
     SVQ_ASSIGN_OR_RETURN(
         core::RepositoryResult repo,
@@ -87,8 +88,7 @@ Result<StatementResult> ExecuteStatementOn(const core::SnapshotPtr& snapshot,
 
   if (result.bound.ranked) {
     // Lower the physical plan into core terms: the chosen algorithm plus
-    // the planner's sweep order (honored on the uncached candidate path;
-    // the cached path keeps canonical-order prefix keys — docs/planner.md).
+    // the planner's sweep order (docs/planner.md).
     core::OfflineOptions exec_options = options.offline;
     exec_options.sweep_order = result.plan->SweepOrder();
     SVQ_ASSIGN_OR_RETURN(

@@ -150,10 +150,6 @@ Server::Server(core::VideoQueryEngine* engine, ServerOptions options)
                                     "Query cache misses, all tiers");
   cache_evictions_ = registry_.counter("svq_cache_evictions_total",
                                        "Query cache LRU evictions");
-  cache_candidate_hits_ = registry_.counter(
-      "svq_cache_candidate_hits_total", "Candidate-sequence cache hits");
-  cache_candidate_misses_ = registry_.counter(
-      "svq_cache_candidate_misses_total", "Candidate-sequence cache misses");
   cache_result_hits_ = registry_.counter("svq_cache_result_hits_total",
                                          "Top-K result cache hits");
   cache_result_misses_ = registry_.counter("svq_cache_result_misses_total",
@@ -614,9 +610,6 @@ void Server::BridgeCacheStatsLocked() const {
   cache_hits_->Increment(now.hits() - last.hits());
   cache_misses_->Increment(now.misses() - last.misses());
   cache_evictions_->Increment(now.evictions() - last.evictions());
-  cache_candidate_hits_->Increment(now.candidate_hits - last.candidate_hits);
-  cache_candidate_misses_->Increment(now.candidate_misses -
-                                     last.candidate_misses);
   cache_result_hits_->Increment(now.result_hits - last.result_hits);
   cache_result_misses_->Increment(now.result_misses - last.result_misses);
   cache_single_flight_waits_->Increment(now.single_flight_waits -

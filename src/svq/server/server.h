@@ -211,8 +211,6 @@ class Server : private Handler {
   observability::Counter* cache_hits_;
   observability::Counter* cache_misses_;
   observability::Counter* cache_evictions_;
-  observability::Counter* cache_candidate_hits_;
-  observability::Counter* cache_candidate_misses_;
   observability::Counter* cache_result_hits_;
   observability::Counter* cache_result_misses_;
   observability::Counter* cache_single_flight_waits_;

@@ -351,7 +351,6 @@ TEST(ConcurrentEngineTest, CachedExecutionMatchesUncachedUnderChurn) {
             "ORDER BY RANK(act, obj) LIMIT " + std::to_string(limits[pick]);
         const SnapshotPtr pin = engine.Pin();
         query::StatementOptions uncached;
-        uncached.offline.cache.use_candidate_cache = false;
         uncached.offline.cache.use_result_cache = false;
         auto cached = query::ExecuteStatementOn(pin, statement);
         auto plain = query::ExecuteStatementOn(pin, statement, {}, uncached);
@@ -378,6 +377,100 @@ TEST(ConcurrentEngineTest, CachedExecutionMatchesUncachedUnderChurn) {
   EXPECT_EQ(mismatches.load(), 0);
   // The point of caching: the repeated statements actually hit.
   EXPECT_GT(engine.cache_stats()->Read().hits(), 0);
+}
+
+TEST(ConcurrentEngineTest, BroadcastsMatchUnfilteredFanOutUnderChurn) {
+  // A broadcast runs only the videos its snapshot's label index says carry
+  // every label. Readers pin mid-churn and compare each broadcast with the
+  // unfiltered fan-out over every ingested video of the same pin: sequences
+  // and bounds bit for bit, storage counters exactly. The writer alternates
+  // videos with different labels, so the index both keeps and drops videos.
+  constexpr int kReaders = 3;
+  constexpr int kIterations = 6;
+  auto waving_video = [](const std::string& name, uint64_t seed) {
+    video::SyntheticVideoSpec spec;
+    spec.name = name;
+    spec.num_frames = 16000;
+    spec.seed = seed;
+    spec.actions.push_back({"waving", 350.0, 4200.0});
+    video::SyntheticObjectSpec human;
+    human.label = "human";
+    human.correlate_with_action = "waving";
+    human.correlation = 0.9;
+    human.coverage = 0.9;
+    human.mean_on_frames = 250.0;
+    human.mean_off_frames = 2200.0;
+    spec.objects.push_back(human);
+    auto video = video::SyntheticVideo::Generate(spec);
+    EXPECT_TRUE(video.ok());
+    return *video;
+  };
+  Query waving_human;
+  waving_human.action = "waving";
+  waving_human.objects = {"human"};
+  Query jumping_human;  // no video carries both labels
+  jumping_human.action = "jumping";
+  jumping_human.objects = {"human"};
+  const Query queries[] = {JumpingCar(), waving_human, jumping_human};
+
+  VideoQueryEngine engine(models::ModelSuite(), OnlineConfig(),
+                          IngestOptions(), cache::CacheOptions::Enabled());
+  ASSERT_TRUE(engine.AddVideo(DemoVideo("pool_a", 40)).ok());
+  ASSERT_TRUE(engine.Ingest("pool_a").ok());
+
+  std::thread writer([&]() {
+    for (int i = 0; i < 6; ++i) {
+      const std::string name = "churn_" + std::to_string(i);
+      ASSERT_TRUE(engine
+                      .AddVideo(i % 2 == 0 ? waving_video(name, 500 + i)
+                                           : DemoVideo(name, 500 + i))
+                      .ok());
+      ASSERT_TRUE(engine.Ingest(name).ok());
+    }
+  });
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t]() {
+      const AdditiveScoring scoring;
+      for (int i = 0; i < kIterations; ++i) {
+        const Query& query = queries[(t + i) % 3];
+        const int k = 1 + 2 * ((t + i) % 3);
+        OfflineOptions options;
+        options.runtime.num_threads = 1 + 3 * (i % 2);
+        const SnapshotPtr pin = engine.Pin();
+        std::vector<const IngestedVideo*> all;
+        for (const auto& [name, entry] : pin->videos) {
+          if (entry.ingested != nullptr) all.push_back(entry.ingested.get());
+        }
+        auto got = ExecuteTopKAllOn(pin, query, k, options);
+        auto want = RunRepositoryTopK(all, query, k, scoring, options);
+        if (!got.ok() || !want.ok() ||
+            got->sequences.size() != want->sequences.size() ||
+            got->stats.storage.sorted_accesses !=
+                want->stats.storage.sorted_accesses ||
+            got->stats.storage.random_accesses !=
+                want->stats.storage.random_accesses) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (size_t s = 0; s < got->sequences.size(); ++s) {
+          const RepositoryEntry& lhs = got->sequences[s];
+          const RepositoryEntry& rhs = want->sequences[s];
+          if (lhs.video_name != rhs.video_name ||
+              !(lhs.sequence.clips == rhs.sequence.clips) ||
+              lhs.sequence.lower_bound != rhs.sequence.lower_bound ||
+              lhs.sequence.upper_bound != rhs.sequence.upper_bound) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  writer.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ConcurrentEngineTest, ConcurrentIngestAllPublishesAtomically) {

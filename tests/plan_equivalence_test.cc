@@ -143,7 +143,6 @@ TEST(PlanEquivalenceTest, EveryAlgorithmChoiceMatchesTheOracle) {
 
   query::StatementOptions oracle_options;
   oracle_options.algorithm = plan::AlgorithmChoice::kPqTraverse;
-  oracle_options.offline.cache.use_candidate_cache = false;
   oracle_options.offline.cache.use_result_cache = false;
   oracle_options.offline.cache.use_plan_cache = false;
   auto oracle =
@@ -182,7 +181,6 @@ TEST(PlanEquivalenceTest, ResultsStableUnderConcurrentIngestChurn) {
 
   query::StatementOptions oracle_options;
   oracle_options.algorithm = plan::AlgorithmChoice::kPqTraverse;
-  oracle_options.offline.cache.use_candidate_cache = false;
   oracle_options.offline.cache.use_result_cache = false;
   oracle_options.offline.cache.use_plan_cache = false;
   auto oracle =

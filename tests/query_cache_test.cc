@@ -1,9 +1,8 @@
 // Tests of the snapshot-keyed query cache (docs/caching.md): fingerprint
-// stability, LRU bounds, candidate prefix sharing, top-K K-prefix reuse,
-// single-flight deduplication, and the structural staleness guarantee (a
-// publish swaps in a fresh cache while pinned snapshots keep their own
-// generation). Labeled `tsan` so the concurrent pieces also run under
-// ThreadSanitizer.
+// stability, LRU bounds, top-K K-prefix reuse, single-flight
+// deduplication, and the structural staleness guarantee (a publish swaps
+// in a fresh cache while pinned snapshots keep their own generation).
+// Labeled `tsan` so the concurrent pieces also run under ThreadSanitizer.
 
 #include <atomic>
 #include <cmath>
@@ -149,42 +148,6 @@ TEST(SingleFlightTest, OneLeaderPerKey) {
   flights.End(8);
 }
 
-TEST(QueryCacheTest, CandidatePrefixReuseAcrossStatements) {
-  core::VideoQueryEngine engine(models::ModelSuite(), core::OnlineConfig(),
-                                core::IngestOptions(),
-                                CacheOptions::Enabled());
-  ASSERT_TRUE(engine.AddVideo(DemoVideo("demo", 12)).ok());
-  ASSERT_TRUE(engine.Ingest("demo").ok());
-
-  // Uncached oracle from a second engine over the identical (seeded) video.
-  core::VideoQueryEngine plain;
-  ASSERT_TRUE(plain.AddVideo(DemoVideo("demo", 12)).ok());
-  ASSERT_TRUE(plain.Ingest("demo").ok());
-
-  core::Query narrow = JumpingCar();
-  ASSERT_TRUE(engine.ExecuteTopK(narrow, "demo", 3).ok());
-  const int64_t hits_before =
-      engine.cache_stats()->Read().candidate_hits;
-
-  // {jumping, car, human} extends the cached {jumping, car} prefix.
-  core::Query wide = JumpingCar();
-  wide.objects.push_back("human");
-  auto cached = engine.ExecuteTopK(wide, "demo", 3);
-  ASSERT_TRUE(cached.ok()) << cached.status();
-  EXPECT_GT(engine.cache_stats()->Read().candidate_hits, hits_before);
-
-  auto expected = plain.ExecuteTopK(wide, "demo", 3);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_EQ(cached->sequences.size(), expected->sequences.size());
-  for (size_t i = 0; i < cached->sequences.size(); ++i) {
-    EXPECT_EQ(cached->sequences[i].clips, expected->sequences[i].clips);
-    EXPECT_EQ(cached->sequences[i].lower_bound,
-              expected->sequences[i].lower_bound);
-    EXPECT_EQ(cached->sequences[i].upper_bound,
-              expected->sequences[i].upper_bound);
-  }
-}
-
 TEST(QueryCacheTest, ResultCacheServesRepeatAndSmallerK) {
   core::VideoQueryEngine engine(models::ModelSuite(), core::OnlineConfig(),
                                 core::IngestOptions(),
@@ -243,7 +206,6 @@ TEST(QueryCacheTest, CachePolicyOptOutBypassesBothTiers) {
   ASSERT_TRUE(engine.Ingest("demo").ok());
 
   core::OfflineOptions uncached;
-  uncached.cache.use_candidate_cache = false;
   uncached.cache.use_result_cache = false;
   ASSERT_TRUE(engine
                   .ExecuteTopK(JumpingCar(), "demo", 3,
@@ -255,7 +217,6 @@ TEST(QueryCacheTest, CachePolicyOptOutBypassesBothTiers) {
                   .ok());
   const CacheStats::Snapshot stats = engine.cache_stats()->Read();
   EXPECT_EQ(stats.result_hits + stats.result_misses, 0);
-  EXPECT_EQ(stats.candidate_hits + stats.candidate_misses, 0);
 }
 
 TEST(QueryCacheTest, PublishSwapsInFreshCacheAndPinsKeepTheirs) {
