@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <map>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -25,7 +24,6 @@ namespace {
 using server::Dispatch;
 using server::MessageType;
 using server::QueryResponse;
-using server::ServerStatsWire;
 using server::WireCursor;
 
 /// Client connections served at once: svqd's default cap.
@@ -129,14 +127,6 @@ void MergeQueryMetrics(const server::WireQueryMetrics& in,
   out->fanout_ms = std::max(out->fanout_ms, in.fanout_ms);
   out->server_queue_ms = std::max(out->server_queue_ms, in.server_queue_ms);
   out->server_exec_ms = std::max(out->server_exec_ms, in.server_exec_ms);
-}
-
-void MergeHistogram(const server::WireHistogram& in,
-                    server::WireHistogram* out) {
-  out->count += in.count;
-  for (size_t i = 0; i < out->buckets.size() && i < in.buckets.size(); ++i) {
-    out->buckets[i] += in.buckets[i];
-  }
 }
 
 }  // namespace
@@ -969,45 +959,26 @@ Dispatch Router::RouteStats() {
 
 std::string Router::StatsResponse(
     const std::vector<Result<std::string>>& replies) {
-  ServerStatsWire aggregate;
-  std::map<std::string, double> registry_sum;
+  observability::MetricsSnapshot aggregate;
   size_t available = 0;
   for (const Result<std::string>& reply : replies) {
     if (!reply.ok()) continue;
-    ServerStatsWire stats;
+    observability::MetricsSnapshot backend;
     WireCursor cursor(*reply);
     MessageType type = MessageType::kStatsResponse;
     if (!server::DecodePayloadHeader(&cursor, &type).ok() ||
-        !server::DecodeStatsResponse(&cursor, &stats).ok()) {
+        !server::DecodeStatsResponse(&cursor, &backend).ok()) {
       continue;
     }
     ++available;
-    aggregate.queries_accepted += stats.queries_accepted;
-    aggregate.queries_rejected += stats.queries_rejected;
-    aggregate.queries_ok += stats.queries_ok;
-    aggregate.queries_failed += stats.queries_failed;
-    aggregate.queries_cancelled += stats.queries_cancelled;
-    aggregate.queries_deadline_exceeded += stats.queries_deadline_exceeded;
-    aggregate.stats_requests += stats.stats_requests;
-    aggregate.connections_opened += stats.connections_opened;
-    aggregate.connections_open += stats.connections_open;
-    aggregate.queue_depth += stats.queue_depth;
-    aggregate.in_flight += stats.in_flight;
-    MergeHistogram(stats.query_latency, &aggregate.query_latency);
-    MergeHistogram(stats.stats_latency, &aggregate.stats_latency);
-    for (const auto& [name, value] : stats.registry) {
-      registry_sum[name] += value;
-    }
+    aggregate.Merge(backend);
   }
   if (!replies.empty()) {
     backends_available_->Set(static_cast<double>(available));
   }
   // The router's own metrics ride along under their svq_router_* names —
   // one STATS round trip observes the whole cluster.
-  for (const auto& [name, value] : registry_.Snapshot().Flatten()) {
-    registry_sum[name] += value;
-  }
-  aggregate.registry.assign(registry_sum.begin(), registry_sum.end());
+  aggregate.Merge(registry_.Snapshot());
   return server::EncodeStatsResponse(aggregate);
 }
 

@@ -86,9 +86,10 @@ struct RouterOptions {
 ///    breaker, and — for scatter-gather — degrade to partial results: the
 ///    response carries the surviving shards' sequences with query status
 ///    kUnavailable naming the shards that failed, never a silent subset.
-///  - STATS aggregates every backend's counters and registry (same-name
-///    entries sum; histograms sum bucket-wise) and appends the router's
-///    own svq_router_* metrics.
+///  - STATS merges every backend's metrics-registry snapshot with the
+///    router's own svq_router_* metrics (MetricsSnapshot::Merge):
+///    same-name counters and gauges add, histograms add count, sum and
+///    every bucket, so each histogram's percentiles cover the cluster.
 ///  - Streaming verbs (SUBSCRIBE / FEED / UNSUBSCRIBE) answer
 ///    Unimplemented: standing queries pin per-feed state that a
 ///    stateless router does not replicate.
@@ -126,7 +127,7 @@ class Router : private server::Handler {
   const ShardMap& shard_map() const { return map_; }
 
   /// Router-side metrics (svq_router_*). Exposed for benches and tests;
-  /// STATS responses embed a flattened snapshot automatically.
+  /// every STATS response merges a snapshot of them into the backends'.
   const observability::MetricsRegistry& registry() const {
     return registry_;
   }

@@ -29,6 +29,45 @@ void DumpHelpAndType(std::ostream& out, const std::string& name,
   out << "# TYPE " << name << " " << type << "\n";
 }
 
+/// The first entry of a name-sorted section not ordered before `name`.
+template <typename Entries>
+auto LowerBound(Entries& entries, std::string_view name) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), name,
+      [](const auto& entry, std::string_view key) { return entry.name < key; });
+}
+
+/// The entry of a name-sorted section called `name`, or nullptr.
+template <typename Entry>
+const Entry* FindByName(const std::vector<Entry>& entries,
+                        std::string_view name) {
+  const auto it = LowerBound(entries, name);
+  return it != entries.end() && it->name == name ? &*it : nullptr;
+}
+
+/// Adds `from`'s entries into the name-sorted section `into` with `add`,
+/// inserting the names `into` lacks where they sort.
+template <typename Entry, typename Add>
+void MergeSection(std::vector<Entry>* into, const std::vector<Entry>& from,
+                  Add add) {
+  for (const Entry& entry : from) {
+    const auto it = LowerBound(*into, entry.name);
+    if (it != into->end() && it->name == entry.name) {
+      add(&*it, entry);
+    } else {
+      into->insert(it, entry);
+    }
+  }
+}
+
+/// Histogram counts come from untrusted peers too: a sum past the int64
+/// range saturates instead of overflowing.
+void AddCount(int64_t* into, int64_t value) {
+  if (__builtin_add_overflow(*into, value, into)) {
+    *into = value > 0 ? INT64_MAX : INT64_MIN;
+  }
+}
+
 }  // namespace
 
 double HistogramSnapshot::BucketUpperMicros(int i) {
@@ -44,6 +83,34 @@ double HistogramSnapshot::PercentileMicros(double p) const {
     if (static_cast<double>(seen) >= target) return BucketUpperMicros(i);
   }
   return BucketUpperMicros(kHistogramBuckets - 1);
+}
+
+void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
+  const auto add_value = [](Value* into, const Value& from) {
+    into->value += from.value;
+  };
+  MergeSection(&counters, other.counters, add_value);
+  MergeSection(&gauges, other.gauges, add_value);
+  MergeSection(&histograms, other.histograms,
+               [](HistogramSnapshot* into, const HistogramSnapshot& from) {
+                 AddCount(&into->count, from.count);
+                 into->sum_micros += from.sum_micros;
+                 for (size_t i = 0; i < into->buckets.size(); ++i) {
+                   AddCount(&into->buckets[i], from.buckets[i]);
+                 }
+               });
+}
+
+std::optional<double> MetricsSnapshot::ValueOf(std::string_view name) const {
+  for (const std::vector<Value>* section : {&counters, &gauges}) {
+    if (const Value* value = FindByName(*section, name)) return value->value;
+  }
+  return std::nullopt;
+}
+
+const HistogramSnapshot* MetricsSnapshot::FindHistogram(
+    std::string_view name) const {
+  return FindByName(histograms, name);
 }
 
 void MetricsSnapshot::DumpPrometheus(std::ostream& out) const {

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -18,8 +19,9 @@ namespace svq::observability {
 /// Fixed power-of-two bucket layout shared by every histogram: bucket i
 /// counts observations in [2^i, 2^(i+1)) microseconds, bucket 0 also
 /// absorbs everything below 1 µs, and the last bucket absorbs everything
-/// larger (~67 s and up). The count matches the server wire protocol's
-/// latency histograms so registry snapshots travel losslessly over STATS.
+/// larger (~67 s and up). The STATS wire verb carries every bucket, so a
+/// histogram keeps its percentiles across the wire and through
+/// MetricsSnapshot::Merge.
 inline constexpr int kHistogramBuckets = 27;
 
 /// Monotonically increasing metric. Increment/Add are single relaxed
@@ -80,6 +82,9 @@ struct HistogramSnapshot {
   /// Approximate percentile (0 <= p <= 1) from the bucket upper bounds;
   /// 0 when empty.
   double PercentileMicros(double p) const;
+
+  friend bool operator==(const HistogramSnapshot&,
+                         const HistogramSnapshot&) = default;
 };
 
 /// Thread-safe power-of-two histogram of microsecond durations. Record()
@@ -143,11 +148,25 @@ struct MetricsSnapshot {
     std::string name;
     std::string help;
     double value = 0.0;
+
+    friend bool operator==(const Value&, const Value&) = default;
   };
 
   std::vector<Value> counters;
   std::vector<Value> gauges;
   std::vector<HistogramSnapshot> histograms;
+
+  /// Adds `other` into this snapshot by name, which is how a cluster's
+  /// snapshots combine: counters and gauges add their values; histograms
+  /// add count, sum and every bucket, so percentiles survive the merge. A
+  /// name this snapshot lacks is inserted in name order. Keeps each
+  /// section sorted by name, as MetricsRegistry::Snapshot produces it.
+  void Merge(const MetricsSnapshot& other);
+
+  /// The counter or gauge called `name`; nullopt when there is none.
+  std::optional<double> ValueOf(std::string_view name) const;
+  /// The histogram called `name`; nullptr when there is none.
+  const HistogramSnapshot* FindHistogram(std::string_view name) const;
 
   /// The snapshot as Prometheus text exposition format (# HELP / # TYPE
   /// comments, histogram _bucket/_sum/_count series with cumulative `le`
@@ -155,9 +174,11 @@ struct MetricsSnapshot {
   void DumpPrometheus(std::ostream& out) const;
 
   /// Flat (name, value) view: every counter and gauge verbatim, plus
-  /// `<name>_count` / `<name>_sum_micros` per histogram. This is what the
-  /// STATS wire verb and the bench JSON emitters consume.
+  /// `<name>_count` / `<name>_sum_micros` per histogram.
   std::vector<std::pair<std::string, double>> Flatten() const;
+
+  friend bool operator==(const MetricsSnapshot&,
+                         const MetricsSnapshot&) = default;
 };
 
 /// Process-wide (or per-server) metric directory: named counters, gauges,

@@ -224,7 +224,7 @@ Result<ExplainResponse> Client::Explain(const std::string& statement,
   return response;
 }
 
-Result<ServerStatsWire> Client::GetStats() {
+Result<observability::MetricsSnapshot> Client::GetStats() {
   if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
   SVQ_RETURN_NOT_OK(SendAll(EncodeStatsRequest()));
   std::string payload;
@@ -232,7 +232,7 @@ Result<ServerStatsWire> Client::GetStats() {
   WireCursor cursor(payload);
   MessageType type = MessageType::kStatsResponse;
   SVQ_RETURN_NOT_OK(DecodePayloadHeader(&cursor, &type));
-  ServerStatsWire stats;
+  observability::MetricsSnapshot stats;
   SVQ_RETURN_NOT_OK(DecodeStatsResponse(&cursor, &stats));
   return stats;
 }

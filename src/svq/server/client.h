@@ -77,8 +77,10 @@ class Client {
   Result<QueryResponse> Execute(const std::string& statement,
                                 uint32_t timeout_ms = 0);
 
-  /// The STATS verb: cumulative server counters and latency histograms.
-  Result<ServerStatsWire> GetStats();
+  /// The STATS verb: the server's metrics-registry snapshot (help strings
+  /// are not sent). Through svq_router it is the cluster's: every
+  /// backend's snapshot merged with the router's own.
+  Result<observability::MetricsSnapshot> GetStats();
 
   /// The EXPLAIN verb (wire v3): renders the statement's cost-based plan
   /// against the server's current catalog snapshot. With `analyze` the

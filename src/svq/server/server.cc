@@ -75,17 +75,6 @@ void FillResponse(const query::StatementResult& statement,
   }
 }
 
-/// Registry histograms and the wire's latency histograms share one bucket
-/// layout, so snapshots travel losslessly over STATS.
-static_assert(observability::kHistogramBuckets == kLatencyBuckets);
-
-WireHistogram ToWireHistogram(const observability::HistogramSnapshot& snap) {
-  WireHistogram wire;
-  wire.count = snap.count;
-  wire.buckets.assign(snap.buckets.begin(), snap.buckets.end());
-  return wire;
-}
-
 }  // namespace
 
 Server::Server(core::VideoQueryEngine* engine, ServerOptions options)
@@ -263,7 +252,7 @@ Dispatch Server::Decode(const Frame& frame) {
   switch (frame.type) {
     case MessageType::kStatsRequest: {
       stats_requests_->Increment();
-      Dispatch dispatch = Dispatch::Reply(EncodeStatsResponse(Stats()));
+      Dispatch dispatch = Dispatch::Reply(EncodeStatsResponse(Metrics()));
       stats_latency_->Record(ElapsedMs(received, Clock::now()) * 1000.0);
       return dispatch;
     }
@@ -570,7 +559,7 @@ void Server::DrainSubscriptionLocked(ConnectionId connection,
   }
 }
 
-void Server::BridgeStreamStatsLocked() const {
+void Server::BridgeStreamLocked() const {
   if (dispatcher_ == nullptr) return;
   const stream::DispatcherStats now = dispatcher_->Stats();
   const stream::DispatcherStats& last = last_stream_;
@@ -597,12 +586,12 @@ void Server::BridgeStreamStatsLocked() const {
 // Stats.
 
 void Server::BridgeCountersLocked() const {
-  BridgeCacheStatsLocked();
-  BridgePlannerStatsLocked();
-  BridgeStreamStatsLocked();
+  BridgeCacheLocked();
+  BridgePlannerLocked();
+  BridgeStreamLocked();
 }
 
-void Server::BridgeCacheStatsLocked() const {
+void Server::BridgeCacheLocked() const {
   if (engine_ == nullptr) return;
   const svq::cache::CacheStats::Snapshot now =
       engine_->cache_stats()->Read();
@@ -618,7 +607,7 @@ void Server::BridgeCacheStatsLocked() const {
   last_cache_ = now;
 }
 
-void Server::BridgePlannerStatsLocked() const {
+void Server::BridgePlannerLocked() const {
   const plan::PlannerCounters::Snapshot now =
       plan::GlobalPlannerCounters().Read();
   const plan::PlannerCounters::Snapshot& last = last_plan_;
@@ -661,34 +650,6 @@ void Server::RecordQueryMetrics(const WireQueryMetrics& metrics,
       phase.histogram->Record(trace.TotalMs(phase.span) * 1000.0);
     }
   }
-}
-
-ServerStatsWire Server::StatsLocked() const {
-  BridgeCountersLocked();
-  ServerStatsWire stats;
-  stats.queries_accepted = static_cast<int64_t>(queries_accepted_->value());
-  stats.queries_rejected = static_cast<int64_t>(queries_rejected_->value());
-  stats.queries_ok = static_cast<int64_t>(queries_ok_->value());
-  stats.queries_failed = static_cast<int64_t>(queries_failed_->value());
-  stats.queries_cancelled = static_cast<int64_t>(queries_cancelled_->value());
-  stats.queries_deadline_exceeded =
-      static_cast<int64_t>(queries_deadline_exceeded_->value());
-  stats.stats_requests = static_cast<int64_t>(stats_requests_->value());
-  stats.connections_opened =
-      static_cast<int64_t>(connections_opened_->value());
-  stats.connections_open =
-      static_cast<int64_t>(connections_open_gauge_->value());
-  stats.queue_depth = static_cast<int64_t>(queue_depth_gauge_->value());
-  stats.in_flight = static_cast<int64_t>(in_flight_gauge_->value());
-  stats.query_latency = ToWireHistogram(query_latency_->Snapshot());
-  stats.stats_latency = ToWireHistogram(stats_latency_->Snapshot());
-  stats.registry = registry_.Snapshot().Flatten();
-  return stats;
-}
-
-ServerStatsWire Server::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return StatsLocked();
 }
 
 observability::MetricsSnapshot Server::Metrics() const {

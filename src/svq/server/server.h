@@ -97,15 +97,12 @@ class Server : private Handler {
   void Shutdown(std::chrono::milliseconds drain_timeout =
                     std::chrono::milliseconds(5000));
 
-  /// Cumulative counters + gauges + per-verb latency histograms — the same
-  /// payload the STATS verb returns (including the flattened registry).
-  ServerStatsWire Stats() const;
-
-  /// Point-in-time snapshot of the server's metrics registry: admission /
-  /// outcome counters, connection and queue gauges, per-verb latency and
-  /// per-phase (parse/bind/plan/execute) histograms, plus the engine-side
-  /// aggregates (storage accesses, inference time) accumulated from every
-  /// finished query.
+  /// Point-in-time snapshot of the server's metrics registry, which is
+  /// what the STATS verb returns: admission / outcome counters, connection
+  /// and queue gauges, per-verb latency and per-phase
+  /// (parse/bind/plan/execute) histograms, plus the engine-side aggregates
+  /// (storage accesses, inference time) accumulated from every finished
+  /// query.
   observability::MetricsSnapshot Metrics() const;
 
   /// Writes Metrics() in Prometheus text exposition format.
@@ -151,8 +148,6 @@ class Server : private Handler {
   /// and the bounded queue ages out the backlog meanwhile.
   void DrainSubscriptionLocked(ConnectionId connection,
                                uint64_t subscription_id);
-
-  ServerStatsWire StatsLocked() const;
 
   core::VideoQueryEngine* const engine_;
   const ServerOptions options_;
@@ -206,7 +201,7 @@ class Server : private Handler {
   /// deltas since the previous bridge (mu_ held by caller — it guards
   /// last_cache_). Registry counters only go up, so the bridge tracks the
   /// last folded snapshot instead of Set()ing absolutes.
-  void BridgeCacheStatsLocked() const;
+  void BridgeCacheLocked() const;
   mutable svq::cache::CacheStats::Snapshot last_cache_;
   observability::Counter* cache_hits_;
   observability::Counter* cache_misses_;
@@ -219,7 +214,7 @@ class Server : private Handler {
   /// Folds the process-wide planner counters into the registry as deltas
   /// since the previous bridge, same discipline as the cache bridge above
   /// (mu_ held by caller — it guards last_plan_).
-  void BridgePlannerStatsLocked() const;
+  void BridgePlannerLocked() const;
   mutable plan::PlannerCounters::Snapshot last_plan_;
   observability::Counter* plan_plans_;
   observability::Counter* plan_cache_hits_;
@@ -233,7 +228,7 @@ class Server : private Handler {
   /// Folds the stream dispatcher's cumulative counters into the registry
   /// as deltas since the previous bridge, same discipline as the cache
   /// bridge (mu_ held by caller — it guards last_stream_).
-  void BridgeStreamStatsLocked() const;
+  void BridgeStreamLocked() const;
   mutable stream::DispatcherStats last_stream_;
   observability::Counter* subscribe_requests_;
   observability::Counter* feed_requests_;

@@ -6,7 +6,7 @@
 //   ./build/svq_client --port 7331 --repeat 5 "..."       re-run, per-run
 //                                                         latency (warms the
 //                                                         server query cache)
-//   ./build/svq_client --port 7331 --stats                server counters
+//   ./build/svq_client --port 7331 --stats                server metrics
 //   ./build/svq_client --port 7331 --explain "..."         plan only
 //   ./build/svq_client --port 7331 --explain-analyze "..."  plan + actuals
 //   ./build/svq_client --port 7331 --subscribe "..."        standing query:
@@ -77,43 +77,38 @@ int TransportExit(const svq::Status& status) {
   return 3;
 }
 
-void PrintHistogram(const char* verb,
-                    const svq::server::WireHistogram& histogram) {
-  std::printf("  %-6s count=%lld p50=%.1fms p99=%.1fms\n", verb,
-              static_cast<long long>(histogram.count),
-              histogram.PercentileMicros(0.50) / 1000.0,
-              histogram.PercentileMicros(0.99) / 1000.0);
-}
-
 int RunStats(svq::server::Client& client) {
   auto stats = client.GetStats();
   if (!stats.ok()) return TransportExit(stats.status());
+  // The summary reads svqd's registry names, which svq_router sums over
+  // its backends; a name the peer does not report reads 0.
+  auto metric = [&](const std::string& name) {
+    return stats->ValueOf(name).value_or(0.0);
+  };
   std::printf("server stats:\n");
-  std::printf("  accepted=%lld rejected=%lld ok=%lld failed=%lld "
-              "cancelled=%lld deadline_exceeded=%lld\n",
-              static_cast<long long>(stats->queries_accepted),
-              static_cast<long long>(stats->queries_rejected),
-              static_cast<long long>(stats->queries_ok),
-              static_cast<long long>(stats->queries_failed),
-              static_cast<long long>(stats->queries_cancelled),
-              static_cast<long long>(stats->queries_deadline_exceeded));
-  std::printf("  connections: open=%lld opened=%lld   queue_depth=%lld "
-              "in_flight=%lld   stats_requests=%lld\n",
-              static_cast<long long>(stats->connections_open),
-              static_cast<long long>(stats->connections_opened),
-              static_cast<long long>(stats->queue_depth),
-              static_cast<long long>(stats->in_flight),
-              static_cast<long long>(stats->stats_requests));
-  PrintHistogram("QUERY", stats->query_latency);
-  PrintHistogram("STATS", stats->stats_latency);
+  std::printf("  accepted=%.0f rejected=%.0f ok=%.0f failed=%.0f "
+              "cancelled=%.0f deadline_exceeded=%.0f\n",
+              metric("svqd_queries_accepted_total"),
+              metric("svqd_queries_rejected_total"),
+              metric("svqd_queries_ok_total"),
+              metric("svqd_queries_failed_total"),
+              metric("svqd_queries_cancelled_total"),
+              metric("svqd_queries_deadline_exceeded_total"));
+  std::printf("  connections: open=%.0f opened=%.0f   queue_depth=%.0f "
+              "in_flight=%.0f   stats_requests=%.0f\n",
+              metric("svqd_connections_open"),
+              metric("svqd_connections_opened_total"),
+              metric("svqd_queue_depth"), metric("svqd_in_flight"),
+              metric("svqd_stats_requests_total"));
+  for (const auto& histogram : stats->histograms) {
+    std::printf("  %-44s count=%lld p50=%.0fus p99=%.0fus\n",
+                histogram.name.c_str(),
+                static_cast<long long>(histogram.count),
+                histogram.PercentileMicros(0.50),
+                histogram.PercentileMicros(0.99));
+  }
   // Query-cache summary up front; the raw per-tier counters follow in the
   // registry dump.
-  auto metric = [&](const std::string& name) -> double {
-    for (const auto& [entry_name, value] : stats->registry) {
-      if (entry_name == name) return value;
-    }
-    return 0.0;
-  };
   const double cache_hits = metric("svq_cache_hits_total");
   const double cache_misses = metric("svq_cache_misses_total");
   if (cache_hits + cache_misses > 0) {
@@ -124,9 +119,10 @@ int RunStats(svq::server::Client& client) {
                 metric("svq_cache_evictions_total"),
                 metric("svq_cache_bytes"));
   }
-  if (!stats->registry.empty()) {
-    std::printf("registry (%zu metrics):\n", stats->registry.size());
-    for (const auto& [name, value] : stats->registry) {
+  const auto registry = stats->Flatten();
+  if (!registry.empty()) {
+    std::printf("registry (%zu metrics):\n", registry.size());
+    for (const auto& [name, value] : registry) {
       std::printf("  %-44s %.6g\n", name.c_str(), value);
     }
   }

@@ -247,15 +247,15 @@ int main(int argc, char** argv) {
               drain_ms);
   std::fflush(stdout);
   server.Shutdown(std::chrono::milliseconds(drain_ms));
-  const svq::server::ServerStatsWire stats = server.Stats();
-  std::printf("svqd: drained. accepted=%lld ok=%lld rejected=%lld "
-              "cancelled=%lld deadline_exceeded=%lld failed=%lld\n",
-              static_cast<long long>(stats.queries_accepted),
-              static_cast<long long>(stats.queries_ok),
-              static_cast<long long>(stats.queries_rejected),
-              static_cast<long long>(stats.queries_cancelled),
-              static_cast<long long>(stats.queries_deadline_exceeded),
-              static_cast<long long>(stats.queries_failed));
+  const svq::observability::MetricsSnapshot stats = server.Metrics();
+  const auto queries = [&stats](const std::string& outcome) {
+    return stats.ValueOf("svqd_queries_" + outcome + "_total").value_or(0.0);
+  };
+  std::printf("svqd: drained. accepted=%.0f ok=%.0f rejected=%.0f "
+              "cancelled=%.0f deadline_exceeded=%.0f failed=%.0f\n",
+              queries("accepted"), queries("ok"), queries("rejected"),
+              queries("cancelled"), queries("deadline_exceeded"),
+              queries("failed"));
   if (!metrics_dump.empty()) {
     if (metrics_dump == "-") {
       std::fflush(stdout);

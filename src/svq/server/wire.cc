@@ -1,7 +1,6 @@
 #include "svq/server/wire.h"
 
 #include <bit>
-#include <cmath>
 
 namespace svq::server {
 
@@ -99,45 +98,7 @@ Status WireCursor::ReadString(std::string* value) {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Histogram.
-
-double WireHistogram::BucketUpperMicros(int i) {
-  return std::ldexp(1.0, i + 1);
-}
-
-double WireHistogram::PercentileMicros(double p) const {
-  if (count <= 0) return 0.0;
-  const double target = p * static_cast<double>(count);
-  int64_t seen = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += buckets[static_cast<size_t>(i)];
-    if (static_cast<double>(seen) >= target) return BucketUpperMicros(i);
-  }
-  return BucketUpperMicros(kLatencyBuckets - 1);
-}
-
 namespace {
-
-void AppendHistogram(std::string* out, const WireHistogram& histogram) {
-  AppendI64(out, histogram.count);
-  AppendU32(out, static_cast<uint32_t>(kLatencyBuckets));
-  for (const int64_t bucket : histogram.buckets) AppendI64(out, bucket);
-}
-
-Status ReadHistogram(WireCursor* cursor, WireHistogram* histogram) {
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&histogram->count));
-  uint32_t buckets = 0;
-  SVQ_RETURN_NOT_OK(cursor->ReadU32(&buckets));
-  if (buckets != static_cast<uint32_t>(kLatencyBuckets)) {
-    return Status::Corruption("histogram bucket count mismatch");
-  }
-  histogram->buckets.assign(kLatencyBuckets, 0);
-  for (int64_t& bucket : histogram->buckets) {
-    SVQ_RETURN_NOT_OK(cursor->ReadI64(&bucket));
-  }
-  return Status::OK();
-}
 
 Status ExpectEnd(const WireCursor& cursor) {
   if (!cursor.AtEnd()) {
@@ -159,6 +120,41 @@ Status ReadStatus(WireCursor* cursor, Status* status) {
   std::string message;
   SVQ_RETURN_NOT_OK(cursor->ReadString(&message));
   *status = Status(static_cast<StatusCode>(raw_code), std::move(message));
+  return Status::OK();
+}
+
+/// Reads an entry count and checks that that many entries of at least
+/// `min_bytes` each fit in the rest of the frame, before the caller
+/// reserves anything: a hostile count cannot force an allocation beyond
+/// what the frame holds.
+Status ReadCount(WireCursor* cursor, size_t min_bytes, const char* what,
+                 uint32_t* count) {
+  SVQ_RETURN_NOT_OK(cursor->ReadU32(count));
+  if (static_cast<size_t>(*count) * min_bytes > cursor->remaining()) {
+    return Status::Corruption(std::string(what) + " count overruns frame");
+  }
+  return Status::OK();
+}
+
+/// Reads one STATS section: a count, then entries that `read` decodes,
+/// whose names must strictly increase.
+template <typename Entry, typename Read>
+Status ReadStatsSection(WireCursor* cursor, size_t min_bytes,
+                        std::vector<Entry>* entries, Read read) {
+  uint32_t count = 0;
+  SVQ_RETURN_NOT_OK(ReadCount(cursor, min_bytes, "stats entry", &count));
+  entries->clear();
+  entries->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    Entry entry;
+    SVQ_RETURN_NOT_OK(cursor->ReadString(&entry.name));
+    SVQ_RETURN_NOT_OK(read(&entry));
+    if (!entries->empty() && !(entries->back().name < entry.name)) {
+      return Status::Corruption("stats entry '" + entry.name +
+                                "' out of name order");
+    }
+    entries->push_back(std::move(entry));
+  }
   return Status::OK();
 }
 
@@ -217,25 +213,22 @@ std::string EncodeQueryResponse(const QueryResponse& response) {
   return EncodeFrame(MessageType::kQueryResponse, body);
 }
 
-std::string EncodeStatsResponse(const ServerStatsWire& stats) {
+std::string EncodeStatsResponse(const observability::MetricsSnapshot& stats) {
   std::string body;
-  AppendI64(&body, stats.queries_accepted);
-  AppendI64(&body, stats.queries_rejected);
-  AppendI64(&body, stats.queries_ok);
-  AppendI64(&body, stats.queries_failed);
-  AppendI64(&body, stats.queries_cancelled);
-  AppendI64(&body, stats.queries_deadline_exceeded);
-  AppendI64(&body, stats.stats_requests);
-  AppendI64(&body, stats.connections_opened);
-  AppendI64(&body, stats.connections_open);
-  AppendI64(&body, stats.queue_depth);
-  AppendI64(&body, stats.in_flight);
-  AppendHistogram(&body, stats.query_latency);
-  AppendHistogram(&body, stats.stats_latency);
-  AppendU32(&body, static_cast<uint32_t>(stats.registry.size()));
-  for (const auto& [name, value] : stats.registry) {
-    AppendString(&body, name);
-    AppendF64(&body, value);
+  for (const auto* section : {&stats.counters, &stats.gauges}) {
+    AppendU32(&body, static_cast<uint32_t>(section->size()));
+    for (const observability::MetricsSnapshot::Value& value : *section) {
+      AppendString(&body, value.name);
+      AppendF64(&body, value.value);
+    }
+  }
+  AppendU32(&body, static_cast<uint32_t>(stats.histograms.size()));
+  for (const observability::HistogramSnapshot& histogram : stats.histograms) {
+    AppendString(&body, histogram.name);
+    AppendI64(&body, histogram.count);
+    AppendF64(&body, histogram.sum_micros);
+    AppendU32(&body, static_cast<uint32_t>(histogram.buckets.size()));
+    for (const int64_t bucket : histogram.buckets) AppendI64(&body, bucket);
   }
   return EncodeFrame(MessageType::kStatsResponse, body);
 }
@@ -366,11 +359,8 @@ Status DecodeQueryResponse(WireCursor* cursor, QueryResponse* response) {
   SVQ_RETURN_NOT_OK(cursor->ReadU8(&ranked));
   response->ranked = ranked != 0;
   uint32_t sequence_count = 0;
-  SVQ_RETURN_NOT_OK(cursor->ReadU32(&sequence_count));
-  // 32 bytes per sequence: the count cannot exceed what the frame holds.
-  if (static_cast<size_t>(sequence_count) * 32 > cursor->remaining()) {
-    return Status::Corruption("sequence count overruns frame");
-  }
+  // 32 bytes per sequence.
+  SVQ_RETURN_NOT_OK(ReadCount(cursor, 32, "sequence", &sequence_count));
   response->sequences.assign(sequence_count, WireSequence());
   for (WireSequence& sequence : response->sequences) {
     SVQ_RETURN_NOT_OK(cursor->ReadI64(&sequence.begin));
@@ -394,36 +384,38 @@ Status DecodeQueryResponse(WireCursor* cursor, QueryResponse* response) {
   return ExpectEnd(*cursor);
 }
 
-Status DecodeStatsResponse(WireCursor* cursor, ServerStatsWire* stats) {
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->queries_accepted));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->queries_rejected));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->queries_ok));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->queries_failed));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->queries_cancelled));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->queries_deadline_exceeded));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->stats_requests));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->connections_opened));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->connections_open));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->queue_depth));
-  SVQ_RETURN_NOT_OK(cursor->ReadI64(&stats->in_flight));
-  SVQ_RETURN_NOT_OK(ReadHistogram(cursor, &stats->query_latency));
-  SVQ_RETURN_NOT_OK(ReadHistogram(cursor, &stats->stats_latency));
-  uint32_t registry_count = 0;
-  SVQ_RETURN_NOT_OK(cursor->ReadU32(&registry_count));
-  // 12 bytes minimum per entry (u32 name length + f64 value): a hostile
-  // count cannot force an allocation beyond what the frame holds.
-  if (static_cast<size_t>(registry_count) * 12 > cursor->remaining()) {
-    return Status::Corruption("registry entry count overruns frame");
-  }
-  stats->registry.clear();
-  stats->registry.reserve(registry_count);
-  for (uint32_t i = 0; i < registry_count; ++i) {
-    std::string name;
-    double value = 0.0;
-    SVQ_RETURN_NOT_OK(cursor->ReadString(&name));
-    SVQ_RETURN_NOT_OK(cursor->ReadF64(&value));
-    stats->registry.emplace_back(std::move(name), value);
-  }
+Status DecodeStatsResponse(WireCursor* cursor,
+                           observability::MetricsSnapshot* stats) {
+  // Smallest encodings: an empty name plus the fixed-width fields.
+  constexpr size_t kValueBytes = 4 + 8;
+  constexpr size_t kHistogramBytes =
+      4 + 8 + 8 + 4 + 8 * observability::kHistogramBuckets;
+  const auto read_value =
+      [cursor](observability::MetricsSnapshot::Value* value) {
+        return cursor->ReadF64(&value->value);
+      };
+  SVQ_RETURN_NOT_OK(
+      ReadStatsSection(cursor, kValueBytes, &stats->counters, read_value));
+  SVQ_RETURN_NOT_OK(
+      ReadStatsSection(cursor, kValueBytes, &stats->gauges, read_value));
+  SVQ_RETURN_NOT_OK(ReadStatsSection(
+      cursor, kHistogramBytes, &stats->histograms,
+      [cursor](observability::HistogramSnapshot* histogram) {
+        SVQ_RETURN_NOT_OK(cursor->ReadI64(&histogram->count));
+        SVQ_RETURN_NOT_OK(cursor->ReadF64(&histogram->sum_micros));
+        uint32_t buckets = 0;
+        SVQ_RETURN_NOT_OK(cursor->ReadU32(&buckets));
+        if (buckets != histogram->buckets.size()) {
+          return Status::Corruption(
+              "histogram '" + histogram->name + "' has " +
+              std::to_string(buckets) + " buckets, expected " +
+              std::to_string(histogram->buckets.size()));
+        }
+        for (int64_t& bucket : histogram->buckets) {
+          SVQ_RETURN_NOT_OK(cursor->ReadI64(&bucket));
+        }
+        return Status::OK();
+      }));
   return ExpectEnd(*cursor);
 }
 

@@ -5,10 +5,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "svq/common/status.h"
+#include "svq/observability/metrics.h"
 
 namespace svq::server {
 
@@ -29,15 +29,16 @@ namespace svq::server {
 /// v3 — EXPLAIN verb (plan text for a statement, optionally executed
 /// under ANALYZE); v4 — streaming verbs (SUBSCRIBE / FEED / UNSUBSCRIBE)
 /// plus server-pushed EVENT frames for standing queries
-/// (docs/streaming.md).
-inline constexpr uint8_t kWireVersion = 4;
+/// (docs/streaming.md); v5 — the STATS response is the metrics-registry
+/// snapshot alone, every histogram with all of its buckets.
+inline constexpr uint8_t kWireVersion = 5;
 inline constexpr size_t kFrameHeaderBytes = 4;
 inline constexpr size_t kDefaultMaxFrameBytes = 1 << 20;
 
 /// Frame payload discriminator (second payload byte).
 enum class MessageType : uint8_t {
   kQueryRequest = 1,    ///< QUERY verb: statement + per-request timeout
-  kStatsRequest = 2,    ///< STATS verb: cumulative server counters
+  kStatsRequest = 2,    ///< STATS verb: the server's metrics registry
   kQueryResponse = 3,
   kStatsResponse = 4,
   kExplainRequest = 5,  ///< EXPLAIN verb: render the statement's plan
@@ -258,56 +259,6 @@ struct UnsubscribeResponse {
   Status status;
 };
 
-/// Fixed-layout latency histogram: bucket i counts observations in
-/// [2^i, 2^(i+1)) microseconds; the last bucket absorbs everything larger
-/// (~67 s and up).
-inline constexpr int kLatencyBuckets = 27;
-
-struct WireHistogram {
-  int64_t count = 0;
-  std::vector<int64_t> buckets = std::vector<int64_t>(kLatencyBuckets, 0);
-
-  /// Inclusive upper bound of bucket `i` in microseconds.
-  static double BucketUpperMicros(int i);
-  /// Approximate percentile (0 <= p <= 1) from the bucket upper bounds;
-  /// 0 when empty.
-  double PercentileMicros(double p) const;
-
-  friend bool operator==(const WireHistogram&,
-                         const WireHistogram&) = default;
-};
-
-/// STATS verb response: cumulative counters since server start plus
-/// instantaneous gauges and per-verb latency histograms.
-struct ServerStatsWire {
-  // Admission outcomes (cumulative).
-  int64_t queries_accepted = 0;   ///< admitted past admission control
-  int64_t queries_rejected = 0;   ///< turned away (queue full or draining)
-  // Execution outcomes (cumulative; partition the accepted queries).
-  int64_t queries_ok = 0;
-  int64_t queries_failed = 0;     ///< non-OK other than cancel/deadline
-  int64_t queries_cancelled = 0;  ///< client vanished or drain cancelled it
-  int64_t queries_deadline_exceeded = 0;
-  int64_t stats_requests = 0;
-  int64_t connections_opened = 0;
-  // Instantaneous gauges.
-  int64_t connections_open = 0;
-  int64_t queue_depth = 0;
-  int64_t in_flight = 0;
-  // Per-verb latency (QUERY measured from admission to response encode,
-  // STATS from receipt to response encode).
-  WireHistogram query_latency;
-  WireHistogram stats_latency;
-  // v2: the server's full metrics registry, flattened to (name, value)
-  // pairs (MetricsSnapshot::Flatten) — every counter and gauge verbatim
-  // plus `<histogram>_count` / `<histogram>_sum_micros` per histogram.
-  // Sorted by name; the fixed counters above stay for cheap access.
-  std::vector<std::pair<std::string, double>> registry;
-
-  friend bool operator==(const ServerStatsWire&,
-                         const ServerStatsWire&) = default;
-};
-
 // ---------------------------------------------------------------------------
 // Frame encode/decode.
 
@@ -317,7 +268,12 @@ std::string EncodeFrame(MessageType type, std::string_view body);
 std::string EncodeQueryRequest(const QueryRequest& request);
 std::string EncodeStatsRequest();
 std::string EncodeQueryResponse(const QueryResponse& response);
-std::string EncodeStatsResponse(const ServerStatsWire& stats);
+/// The STATS response body (v5): the snapshot's counters, gauges and
+/// histograms, each section a u32 count of entries in name order. A
+/// counter or gauge is its name and f64 value; a histogram is its name,
+/// i64 count, f64 sum_micros, u32 bucket count (always kHistogramBuckets)
+/// and that many i64 buckets. Help strings stay home.
+std::string EncodeStatsResponse(const observability::MetricsSnapshot& stats);
 std::string EncodeExplainRequest(const ExplainRequest& request);
 std::string EncodeExplainResponse(const ExplainResponse& response);
 std::string EncodeSubscribeRequest(const SubscribeRequest& request);
@@ -337,7 +293,10 @@ Status DecodePayloadHeader(WireCursor* cursor, MessageType* type);
 /// Every decoder verifies the body is fully consumed.
 Status DecodeQueryRequest(WireCursor* cursor, QueryRequest* request);
 Status DecodeQueryResponse(WireCursor* cursor, QueryResponse* response);
-Status DecodeStatsResponse(WireCursor* cursor, ServerStatsWire* stats);
+/// Corruption also when a section's names do not strictly increase, so
+/// every decoded snapshot keeps MetricsSnapshot's name order.
+Status DecodeStatsResponse(WireCursor* cursor,
+                           observability::MetricsSnapshot* stats);
 Status DecodeExplainRequest(WireCursor* cursor, ExplainRequest* request);
 Status DecodeExplainResponse(WireCursor* cursor, ExplainResponse* response);
 Status DecodeSubscribeRequest(WireCursor* cursor, SubscribeRequest* request);

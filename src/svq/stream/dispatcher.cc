@@ -185,7 +185,7 @@ void StreamDispatcher::DispatchOneLocked(const FeedPtr& feed,
                      [](const SubscriptionPtr& s) { return s->detached(); }),
       feed->subs.end());
   clips_dispatched_.fetch_add(1, std::memory_order_relaxed);
-  FoldPoolStatsLocked(feed);
+  FoldPoolCountersLocked(feed);
 }
 
 void StreamDispatcher::CloseFeedLocked(const FeedPtr& feed,
@@ -205,7 +205,7 @@ void StreamDispatcher::CloseFeedLocked(const FeedPtr& feed,
     }
   }
   feed->subs.clear();
-  FoldPoolStatsLocked(feed);
+  FoldPoolCountersLocked(feed);
 }
 
 void StreamDispatcher::Notify(const std::vector<uint64_t>& notify) {
@@ -213,7 +213,7 @@ void StreamDispatcher::Notify(const std::vector<uint64_t>& notify) {
   for (const uint64_t id : notify) event_callback_(id);
 }
 
-void StreamDispatcher::FoldPoolStatsLocked(const FeedPtr& feed) {
+void StreamDispatcher::FoldPoolCountersLocked(const FeedPtr& feed) {
   const models::InferenceStats run = feed->pool->RunStats();
   const models::InferenceStats charged = feed->pool->ChargedStats();
   model_units_run_.fetch_add(run.units - feed->folded_run.units,

@@ -170,7 +170,7 @@ class StreamDispatcher {
     bool source_attached = false;
 
     /// Pool accounting already folded into the dispatcher counters
-    /// (guarded by mu; see FoldPoolStatsLocked).
+    /// (guarded by mu; see FoldPoolCountersLocked).
     models::InferenceStats folded_run;
     models::InferenceStats folded_charged;
   };
@@ -193,7 +193,7 @@ class StreamDispatcher {
 
   /// Folds one feed pool's inference accounting into the dispatcher-wide
   /// counters as a delta since the previous fold (feed->mu held).
-  void FoldPoolStatsLocked(const FeedPtr& feed);
+  void FoldPoolCountersLocked(const FeedPtr& feed);
 
   void WorkerLoop();
 

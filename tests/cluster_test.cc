@@ -94,10 +94,7 @@ RouterOptions TestOptions() {
 }
 
 double RegistryValue(const Router& router, const std::string& name) {
-  for (const auto& [key, value] : router.registry().Snapshot().Flatten()) {
-    if (key == name) return value;
-  }
-  return 0.0;
+  return router.registry().Snapshot().ValueOf(name).value_or(0.0);
 }
 
 /// Polls `done` for up to 5 s.
@@ -398,8 +395,10 @@ TEST_F(ClusterTest, SingleVideoStatementRoutesToOwningShard) {
         << i;
   }
   // Only the owning shard saw the query.
-  EXPECT_EQ(servers_[1]->Stats().queries_accepted, 1);
-  EXPECT_EQ(servers_[0]->Stats().queries_accepted, 0);
+  EXPECT_EQ(servers_[1]->Metrics().ValueOf("svqd_queries_accepted_total"),
+            1.0);
+  EXPECT_EQ(servers_[0]->Metrics().ValueOf("svqd_queries_accepted_total"),
+            0.0);
 }
 
 TEST_F(ClusterTest, UnknownVideoGetsTheBackendsDiagnostic) {
@@ -461,22 +460,75 @@ TEST_F(ClusterTest, StatsAggregateBackendsAndRouterRegistry) {
   auto stats = client.GetStats();
   ASSERT_TRUE(stats.ok()) << stats.status();
   // The broadcast hit both backends; the aggregate sums their counters.
-  EXPECT_EQ(stats->queries_accepted, 2);
-  EXPECT_EQ(stats->queries_ok, 2);
-  EXPECT_EQ(stats->query_latency.count, 2);
+  EXPECT_EQ(stats->ValueOf("svqd_queries_accepted_total"), 2.0);
+  EXPECT_EQ(stats->ValueOf("svqd_queries_ok_total"), 2.0);
+  const observability::HistogramSnapshot* latency =
+      stats->FindHistogram("svqd_query_latency_micros");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 2);
+  // The router's own metrics ride along.
+  EXPECT_EQ(stats->ValueOf("svq_router_queries_total"), 1.0);
+  EXPECT_EQ(stats->ValueOf("svq_router_backends_total"), 2.0);
+  EXPECT_EQ(stats->ValueOf("svq_router_backend_failures_total"), 0.0);
+}
 
-  const auto find = [&](const std::string& name) -> double {
-    for (const auto& [key, value] : stats->registry) {
-      if (key == name) return value;
+TEST_F(ClusterTest, StatsMergeEveryHistogramBucketWise) {
+  StartCluster();
+  server::Client client = RouterClient();
+  // serving_0 and serving_1 live on shard 0, serving_3 on shard 1; the
+  // broadcast runs on both.
+  for (const char* video : {"serving_0", "serving_3", "serving_1", "*"}) {
+    auto response = client.Execute(RankedStatement(video, 3));
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->status.ok()) << response->status;
+  }
+  auto stats = client.GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+
+  // Every svqd histogram is the two backends' sum, bucket for bucket —
+  // except the STATS verb's own latency, which each backend records after
+  // answering.
+  const observability::MetricsSnapshot shard0 = servers_[0]->Metrics();
+  const observability::MetricsSnapshot shard1 = servers_[1]->Metrics();
+  size_t merged_backend_histograms = 0;
+  for (const observability::HistogramSnapshot& first : shard0.histograms) {
+    if (first.name == "svqd_stats_latency_micros") continue;
+    SCOPED_TRACE(first.name);
+    const observability::HistogramSnapshot* second =
+        shard1.FindHistogram(first.name);
+    const observability::HistogramSnapshot* merged =
+        stats->FindHistogram(first.name);
+    ASSERT_NE(second, nullptr);
+    ASSERT_NE(merged, nullptr);
+    // Each shard ran statements, so both sides carry buckets.
+    EXPECT_GT(first.count, 0);
+    EXPECT_GT(second->count, 0);
+    EXPECT_EQ(merged->count, first.count + second->count);
+    EXPECT_DOUBLE_EQ(merged->sum_micros,
+                     first.sum_micros + second->sum_micros);
+    for (size_t i = 0; i < first.buckets.size(); ++i) {
+      EXPECT_EQ(merged->buckets[i], first.buckets[i] + second->buckets[i])
+          << "bucket " << i;
     }
-    ADD_FAILURE() << "registry entry missing: " << name;
-    return -1.0;
-  };
-  // Backend registries sum by name; the router's own metrics ride along.
-  EXPECT_DOUBLE_EQ(find("svqd_queries_accepted_total"), 2.0);
-  EXPECT_DOUBLE_EQ(find("svq_router_queries_total"), 1.0);
-  EXPECT_DOUBLE_EQ(find("svq_router_backends_total"), 2.0);
-  EXPECT_DOUBLE_EQ(find("svq_router_backend_failures_total"), 0.0);
+    ++merged_backend_histograms;
+  }
+  // svqd_query_latency_micros and the four phase histograms.
+  EXPECT_EQ(merged_backend_histograms, 5u);
+
+  // The router's own histograms arrive as its registry holds them.
+  const observability::MetricsSnapshot router = router_->registry().Snapshot();
+  ASSERT_EQ(router.histograms.size(), 2u);
+  for (observability::HistogramSnapshot expected : router.histograms) {
+    SCOPED_TRACE(expected.name);
+    const observability::HistogramSnapshot* merged =
+        stats->FindHistogram(expected.name);
+    ASSERT_NE(merged, nullptr);
+    expected.help.clear();  // help strings are not sent
+    EXPECT_EQ(*merged, expected);
+  }
+  EXPECT_EQ(stats->FindHistogram("svq_router_fanout_micros")->count, 1);
+  EXPECT_EQ(stats->histograms.size(),
+            shard0.histograms.size() + router.histograms.size());
 }
 
 TEST_F(ClusterTest, KilledBackendDegradesToExplicitPartialResults) {
@@ -950,7 +1002,7 @@ TEST(RouterStatsTest, StatsPastTheAdmissionBoundRepeatTheLastAggregate) {
   // The silent shard times out; the live one's counters come back.
   auto before = client.GetStats();
   ASSERT_TRUE(before.ok()) << before.status();
-  ASSERT_EQ(before->queries_ok, 1);
+  ASSERT_EQ(before->ValueOf("svqd_queries_ok_total"), 1.0);
 
   // Fill every admission slot with requests the silent shard holds for
   // recv_timeout (or connect_timeout, past its listen backlog).
@@ -971,9 +1023,11 @@ TEST(RouterStatsTest, StatsPastTheAdmissionBoundRepeatTheLastAggregate) {
   EXPECT_DOUBLE_EQ(RegistryValue(*cluster.router, "svq_router_rejected_total"),
                    1.0)
       << "the STATS was admitted after all";
-  EXPECT_EQ(after->queries_ok, before->queries_ok);
-  EXPECT_EQ(after->queries_accepted, before->queries_accepted);
-  EXPECT_EQ(after->registry, before->registry);
+  EXPECT_EQ(after->ValueOf("svqd_queries_ok_total"),
+            before->ValueOf("svqd_queries_ok_total"));
+  EXPECT_EQ(after->ValueOf("svqd_queries_accepted_total"),
+            before->ValueOf("svqd_queries_accepted_total"));
+  EXPECT_EQ(*after, *before);
   ::close(flooder);  // cancels the flood
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -60,6 +61,7 @@ TEST(HistogramTest, BucketsPowersOfTwo) {
   EXPECT_DOUBLE_EQ(snapshot.sum_micros, 0.5 + 3.0 + 1000.0 + 1e12);
   EXPECT_LE(snapshot.PercentileMicros(0.5), 4.0);
   EXPECT_GT(snapshot.PercentileMicros(0.99), 1e6);
+  EXPECT_EQ(HistogramSnapshot().PercentileMicros(0.5), 0.0);
 }
 
 TEST(HistogramTest, ClampsNonFiniteAndNegativeInputs) {
@@ -112,6 +114,67 @@ TEST(MetricsRegistryTest, FlattenExposesHistogramCountAndSum) {
   EXPECT_DOUBLE_EQ(flat[2].second, 2.0);
   EXPECT_EQ(flat[3].first, "h_micros_sum_micros");
   EXPECT_DOUBLE_EQ(flat[3].second, 30.0);
+}
+
+TEST(MetricsSnapshotTest, MergeAddsByNameAndBucketWise) {
+  MetricsRegistry shard0;
+  MetricsRegistry shard1;
+  shard0.counter("b_total")->Increment(2);
+  shard1.counter("b_total")->Increment(3);
+  shard1.counter("a_total")->Increment(1);
+  shard0.gauge("open")->Set(1.0);
+  shard1.gauge("open")->Set(4.0);
+  shard0.histogram("lat_micros")->Record(3.0);  // bucket 1
+  for (int i = 0; i < 99; ++i) {
+    shard1.histogram("lat_micros")->Record(1000.0);  // bucket 9
+  }
+  shard1.histogram("z_micros")->Record(5.0);
+
+  MetricsSnapshot merged;
+  merged.Merge(shard0.Snapshot());
+  EXPECT_EQ(merged, shard0.Snapshot());
+  merged.Merge(shard1.Snapshot());
+  // Names only shard 1 has are inserted in name order.
+  ASSERT_EQ(merged.counters.size(), 2u);
+  EXPECT_EQ(merged.counters[0].name, "a_total");
+  EXPECT_EQ(merged.counters[1].name, "b_total");
+  EXPECT_EQ(merged.ValueOf("a_total"), 1.0);
+  EXPECT_EQ(merged.ValueOf("b_total"), 5.0);
+  EXPECT_EQ(merged.ValueOf("open"), 5.0);
+  EXPECT_EQ(merged.ValueOf("lat_micros"), std::nullopt);
+  ASSERT_EQ(merged.histograms.size(), 2u);
+  EXPECT_EQ(merged.histograms[1].name, "z_micros");
+  EXPECT_EQ(merged.FindHistogram("missing_micros"), nullptr);
+
+  const HistogramSnapshot* latency = merged.FindHistogram("lat_micros");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 100);
+  EXPECT_DOUBLE_EQ(latency->sum_micros, 3.0 + 99 * 1000.0);
+  EXPECT_EQ(latency->buckets[1], 1);
+  EXPECT_EQ(latency->buckets[9], 99);
+  // Percentiles read the merged buckets: neither shard alone has these.
+  EXPECT_EQ(latency->PercentileMicros(0.01), 4.0);
+  EXPECT_EQ(latency->PercentileMicros(0.5), 1024.0);
+}
+
+TEST(MetricsSnapshotTest, MergeSaturatesHistogramCounts) {
+  // Snapshots arrive from peers too, so a sum past the int64 range must
+  // saturate rather than overflow.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  HistogramSnapshot histogram;
+  histogram.name = "h_micros";
+  histogram.count = kMax - 1;
+  histogram.buckets[0] = kMax;
+  histogram.buckets[1] = kMin;
+  MetricsSnapshot merged;
+  merged.histograms = {histogram};
+  MetricsSnapshot other;
+  other.histograms = {histogram};
+  merged.Merge(other);
+  EXPECT_EQ(merged.histograms[0].count, kMax);
+  EXPECT_EQ(merged.histograms[0].buckets[0], kMax);
+  EXPECT_EQ(merged.histograms[0].buckets[1], kMin);
 }
 
 TEST(MetricsRegistryTest, PrometheusDumpGolden) {

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,9 +247,9 @@ TEST_F(ServerTest, OverloadBurstGetsCleanRejections) {
   EXPECT_GE(rejected.load(), 1);
   EXPECT_EQ(other.load(), 0);
 
-  const ServerStatsWire stats = server_->Stats();
-  EXPECT_EQ(stats.queries_rejected, rejected.load());
-  EXPECT_EQ(stats.queries_ok, ok.load());
+  const observability::MetricsSnapshot stats = server_->Metrics();
+  EXPECT_EQ(stats.ValueOf("svqd_queries_rejected_total"), rejected.load());
+  EXPECT_EQ(stats.ValueOf("svqd_queries_ok_total"), ok.load());
 }
 
 TEST_F(ServerTest, ClientTimeoutSurfacesAsDeadlineExceeded) {
@@ -265,8 +266,9 @@ TEST_F(ServerTest, ClientTimeoutSurfacesAsDeadlineExceeded) {
   auto response = client.Execute(kStreamingStatement, /*timeout_ms=*/1);
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_TRUE(response->status.IsDeadlineExceeded()) << response->status;
-  EXPECT_EQ(server_->Stats().queries_deadline_exceeded, 1);
-  EXPECT_EQ(server_->Stats().queries_ok, 0);
+  const observability::MetricsSnapshot stats = server_->Metrics();
+  EXPECT_EQ(stats.ValueOf("svqd_queries_deadline_exceeded_total"), 1.0);
+  EXPECT_EQ(stats.ValueOf("svqd_queries_ok_total"), 0.0);
 }
 
 TEST_F(ServerTest, StatsVerbReportsCounters) {
@@ -278,13 +280,16 @@ TEST_F(ServerTest, StatsVerbReportsCounters) {
 
   auto stats = client.GetStats();
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->queries_accepted, 1);
-  EXPECT_EQ(stats->queries_ok, 1);
-  EXPECT_EQ(stats->queries_rejected, 0);
-  EXPECT_EQ(stats->stats_requests, 1);
-  EXPECT_EQ(stats->connections_open, 1);
-  EXPECT_EQ(stats->query_latency.count, 1);
-  EXPECT_GT(stats->query_latency.PercentileMicros(0.5), 0.0);
+  EXPECT_EQ(stats->ValueOf("svqd_queries_accepted_total"), 1.0);
+  EXPECT_EQ(stats->ValueOf("svqd_queries_ok_total"), 1.0);
+  EXPECT_EQ(stats->ValueOf("svqd_queries_rejected_total"), 0.0);
+  EXPECT_EQ(stats->ValueOf("svqd_stats_requests_total"), 1.0);
+  EXPECT_EQ(stats->ValueOf("svqd_connections_open"), 1.0);
+  const observability::HistogramSnapshot* latency =
+      stats->FindHistogram("svqd_query_latency_micros");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 1);
+  EXPECT_GT(latency->PercentileMicros(0.5), 0.0);
 }
 
 TEST_F(ServerTest, StatsVerbRoundTripsRegistryCounters) {
@@ -296,51 +301,59 @@ TEST_F(ServerTest, StatsVerbRoundTripsRegistryCounters) {
 
   auto stats = client.GetStats();
   ASSERT_TRUE(stats.ok()) << stats.status();
-  ASSERT_FALSE(stats->registry.empty());
+  ASSERT_FALSE(stats->counters.empty());
 
-  const auto find = [&](const std::string& name) -> double {
-    for (const auto& [key, value] : stats->registry) {
-      if (key == name) return value;
-    }
-    ADD_FAILURE() << "registry entry missing: " << name;
-    return -1.0;
+  const auto histogram = [&](const std::string& name) {
+    const observability::HistogramSnapshot* found = stats->FindHistogram(name);
+    if (found == nullptr) ADD_FAILURE() << "histogram missing: " << name;
+    return found != nullptr ? *found : observability::HistogramSnapshot();
   };
-
-  // The wire registry must agree with the legacy counters in the same
-  // response — one source of truth, two encodings.
-  EXPECT_DOUBLE_EQ(find("svqd_queries_accepted_total"),
-                   static_cast<double>(stats->queries_accepted));
-  EXPECT_DOUBLE_EQ(find("svqd_queries_ok_total"),
-                   static_cast<double>(stats->queries_ok));
-  EXPECT_DOUBLE_EQ(find("svqd_query_latency_micros_count"),
-                   static_cast<double>(stats->query_latency.count));
-  EXPECT_GT(find("svqd_query_latency_micros_sum_micros"), 0.0);
+  EXPECT_EQ(histogram("svqd_query_latency_micros").count, 1);
+  EXPECT_GT(histogram("svqd_query_latency_micros").sum_micros, 0.0);
   // The ranked query executed, so the per-phase trace spans fed the phase
   // histograms and the engine aggregates saw storage traffic. Which access
   // class depends on the planner's algorithm choice (RVAQ drives sorted
   // cursors, Pq-Traverse reads sequentially), so assert on the sum.
-  EXPECT_DOUBLE_EQ(find("svqd_phase_parse_micros_count"), 1.0);
-  EXPECT_DOUBLE_EQ(find("svqd_phase_execute_micros_count"), 1.0);
-  EXPECT_GT(find("svq_storage_sorted_accesses_total") +
-                find("svq_storage_random_accesses_total") +
-                find("svq_storage_sequential_reads_total"),
+  EXPECT_EQ(histogram("svqd_phase_parse_micros").count, 1);
+  EXPECT_EQ(histogram("svqd_phase_execute_micros").count, 1);
+  const auto value = [&](const std::string& name) {
+    const std::optional<double> found = stats->ValueOf(name);
+    if (!found) ADD_FAILURE() << "registry entry missing: " << name;
+    return found.value_or(-1.0);
+  };
+  EXPECT_GT(value("svq_storage_sorted_accesses_total") +
+                value("svq_storage_random_accesses_total") +
+                value("svq_storage_sequential_reads_total"),
             0.0);
 
-  // And the snapshot the wire carried matches the server's in-process
-  // registry for monotone counters that cannot have moved since.
-  const auto in_process = server_->Metrics().Flatten();
-  const auto in_process_find = [&](const std::string& name) -> double {
-    for (const auto& [key, value] : in_process) {
-      if (key == name) return value;
+  // The wire carried the server's in-process registry entry for entry and
+  // bucket for bucket, help strings aside. Nothing has run since, except
+  // that the STATS verb recorded its own latency after encoding.
+  const observability::MetricsSnapshot in_process = server_->Metrics();
+  const auto expect_values =
+      [](const std::vector<observability::MetricsSnapshot::Value>& wire,
+         const std::vector<observability::MetricsSnapshot::Value>& local) {
+        ASSERT_EQ(wire.size(), local.size());
+        for (size_t i = 0; i < local.size(); ++i) {
+          EXPECT_EQ(wire[i].name, local[i].name);
+          EXPECT_EQ(wire[i].value, local[i].value) << local[i].name;
+          EXPECT_TRUE(wire[i].help.empty()) << local[i].name;
+        }
+      };
+  expect_values(stats->counters, in_process.counters);
+  expect_values(stats->gauges, in_process.gauges);
+  ASSERT_EQ(stats->histograms.size(), in_process.histograms.size());
+  for (size_t i = 0; i < in_process.histograms.size(); ++i) {
+    observability::HistogramSnapshot wire = stats->histograms[i];
+    const observability::HistogramSnapshot& local = in_process.histograms[i];
+    ASSERT_EQ(wire.name, local.name);
+    EXPECT_TRUE(wire.help.empty()) << local.name;
+    if (local.name == "svqd_stats_latency_micros") {
+      EXPECT_EQ(wire.count + 1, local.count);
+      continue;
     }
-    ADD_FAILURE() << "in-process registry entry missing: " << name;
-    return -1.0;
-  };
-  for (const char* name :
-       {"svqd_queries_accepted_total", "svqd_queries_ok_total",
-        "svqd_query_latency_micros_count",
-        "svq_storage_sorted_accesses_total"}) {
-    EXPECT_DOUBLE_EQ(find(name), in_process_find(name)) << name;
+    wire.help = local.help;
+    EXPECT_EQ(wire, local) << local.name;
   }
 }
 
@@ -418,7 +431,7 @@ TEST_F(ServerTest, ShutdownDrainsInFlightQueries) {
   });
   // Only start draining once the query is admitted, so this exercises the
   // drain path rather than the draining-rejects-new-work path.
-  while (server_->Stats().queries_accepted == 0) {
+  while (server_->Metrics().ValueOf("svqd_queries_accepted_total") == 0.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server_->Shutdown();
@@ -447,8 +460,11 @@ TEST_F(ServerTest, DrainingServerRejectsQueuedBacklog) {
     if (response.ok() && response->status.ok()) ok.fetch_add(1);
   });
   while (true) {
-    const ServerStatsWire stats = server_->Stats();
-    if (stats.in_flight > 0 || stats.queries_ok > 0) break;
+    const observability::MetricsSnapshot stats = server_->Metrics();
+    if (stats.ValueOf("svqd_in_flight") > 0.0 ||
+        stats.ValueOf("svqd_queries_ok_total") > 0.0) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Queue one more behind the in-flight query, then shut down: the backlog
@@ -460,8 +476,8 @@ TEST_F(ServerTest, DrainingServerRejectsQueuedBacklog) {
     if (response.ok() && response->status.IsCancelled()) cancelled.fetch_add(1);
     if (response.ok() && response->status.ok()) ok.fetch_add(1);
   });
-  while (server_->Stats().queue_depth == 0 &&
-         server_->Stats().queries_accepted < 2) {
+  while (server_->Metrics().ValueOf("svqd_queue_depth") == 0.0 &&
+         server_->Metrics().ValueOf("svqd_queries_accepted_total") < 2.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server_->Shutdown(std::chrono::milliseconds(0));

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace svq::server {
 namespace {
@@ -87,36 +89,130 @@ TEST(WireTest, ErrorResponseCarriesStatus) {
   EXPECT_TRUE(decoded.sequences.empty());
 }
 
-TEST(WireTest, StatsResponseRoundTrip) {
-  ServerStatsWire stats;
-  stats.queries_accepted = 100;
-  stats.queries_rejected = 3;
-  stats.queries_ok = 90;
-  stats.queries_failed = 2;
-  stats.queries_cancelled = 4;
-  stats.queries_deadline_exceeded = 4;
-  stats.stats_requests = 9;
-  stats.connections_opened = 12;
-  stats.connections_open = 5;
-  stats.queue_depth = 2;
-  stats.in_flight = 4;
-  stats.query_latency.count = 100;
-  stats.query_latency.buckets[10] = 60;
-  stats.query_latency.buckets[11] = 40;
-  stats.stats_latency.count = 9;
-  stats.stats_latency.buckets[3] = 9;
-  stats.registry = {{"svqd_queries_ok_total", 90.0},
-                    {"svqd_query_latency_micros_sum_micros", 123456.75},
-                    {"svq_storage_random_accesses_total", 567.0}};
+/// A STATS body with every section populated and doubles that only a
+/// bit-exact encoding keeps: negative zero, a subnormal, infinities, a NaN
+/// with a payload, and an integer past 2^53.
+observability::MetricsSnapshot SampleStats() {
+  observability::MetricsSnapshot stats;
+  stats.counters = {
+      {"svq_storage_random_accesses_total", "", 567.0},
+      {"svqd_queries_ok_total", "", 9007199254740994.0},
+      {"svqd_weird_total", "", std::bit_cast<double>(0x7ff8dead0000beefULL)}};
+  stats.gauges = {
+      {"svqd_connections_open", "", -0.0},
+      {"svqd_in_flight", "", 4.9406564584124654e-324},
+      {"svqd_queue_depth", "", -std::numeric_limits<double>::infinity()}};
+  observability::HistogramSnapshot phase;
+  phase.name = "svqd_phase_execute_micros";
+  phase.count = 100;
+  phase.sum_micros = 123456.789;
+  phase.buckets[10] = 60;
+  phase.buckets[11] = 40;
+  observability::HistogramSnapshot latency;
+  latency.name = "svqd_query_latency_micros";
+  latency.count = std::numeric_limits<int64_t>::max();
+  latency.sum_micros = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < latency.buckets.size(); ++i) {
+    latency.buckets[i] = static_cast<int64_t>(i) - 13;
+  }
+  stats.histograms = {phase, latency};
+  return stats;
+}
 
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST(WireTest, StatsResponseRoundTrip) {
+  const observability::MetricsSnapshot stats = SampleStats();
   const std::string payload = PayloadOf(EncodeStatsResponse(stats));
   WireCursor cursor(payload);
   MessageType type = MessageType::kStatsRequest;
   ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
   EXPECT_EQ(type, MessageType::kStatsResponse);
-  ServerStatsWire decoded;
+  observability::MetricsSnapshot decoded;
   ASSERT_TRUE(DecodeStatsResponse(&cursor, &decoded).ok());
-  EXPECT_EQ(decoded, stats);
+
+  const auto expect_values =
+      [](const std::vector<observability::MetricsSnapshot::Value>& got,
+         const std::vector<observability::MetricsSnapshot::Value>& want) {
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].name, want[i].name);
+          EXPECT_EQ(Bits(got[i].value), Bits(want[i].value)) << want[i].name;
+        }
+      };
+  expect_values(decoded.counters, stats.counters);
+  expect_values(decoded.gauges, stats.gauges);
+  ASSERT_EQ(decoded.histograms.size(), stats.histograms.size());
+  for (size_t i = 0; i < stats.histograms.size(); ++i) {
+    const observability::HistogramSnapshot& want = stats.histograms[i];
+    const observability::HistogramSnapshot& got = decoded.histograms[i];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(Bits(got.sum_micros), Bits(want.sum_micros));
+    EXPECT_EQ(got.buckets, want.buckets);
+  }
+}
+
+TEST(WireTest, StatsResponseTruncationFailsCleanly) {
+  const std::string payload = PayloadOf(EncodeStatsResponse(SampleStats()));
+  for (size_t cut = 2; cut < payload.size(); ++cut) {
+    const std::string prefix = payload.substr(0, cut);
+    WireCursor cursor(prefix);
+    MessageType type = MessageType::kStatsRequest;
+    ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
+    observability::MetricsSnapshot decoded;
+    EXPECT_TRUE(DecodeStatsResponse(&cursor, &decoded).IsCorruption()) << cut;
+  }
+}
+
+TEST(WireTest, StatsResponseRejectsWrongBucketCount) {
+  observability::MetricsSnapshot stats;
+  stats.histograms = {SampleStats().histograms[0]};
+  const std::string good = PayloadOf(EncodeStatsResponse(stats));
+  // Header, three section counts, then the histogram's name, count and sum.
+  const size_t offset =
+      2 + 3 * 4 + 4 + stats.histograms[0].name.size() + 8 + 8;
+  ASSERT_EQ(static_cast<uint8_t>(good[offset]),
+            observability::kHistogramBuckets);
+  for (const uint8_t buckets : {0, 26, 28, 255}) {
+    std::string payload = good;
+    payload[offset] = static_cast<char>(buckets);
+    WireCursor cursor(payload);
+    MessageType type = MessageType::kStatsRequest;
+    ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
+    observability::MetricsSnapshot decoded;
+    EXPECT_TRUE(DecodeStatsResponse(&cursor, &decoded).IsCorruption())
+        << static_cast<int>(buckets);
+  }
+}
+
+TEST(WireTest, StatsResponseRejectsTrailingBytes) {
+  std::string payload = PayloadOf(EncodeStatsResponse(SampleStats()));
+  payload += "x";
+  WireCursor cursor(payload);
+  MessageType type = MessageType::kStatsRequest;
+  ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
+  observability::MetricsSnapshot decoded;
+  EXPECT_TRUE(DecodeStatsResponse(&cursor, &decoded).IsCorruption());
+}
+
+TEST(WireTest, StatsResponseRejectsNamesOutOfOrder) {
+  // Merging relies on every snapshot's name order, so a decoded one must
+  // keep it: a repeated or decreasing name is corruption.
+  for (const auto& names : std::vector<std::vector<std::string>>{
+           {"b_total", "a_total"}, {"a_total", "a_total"}}) {
+    observability::MetricsSnapshot stats;
+    for (const std::string& name : names) {
+      stats.gauges.push_back({name, "", 1.0});
+    }
+    const std::string payload = PayloadOf(EncodeStatsResponse(stats));
+    WireCursor cursor(payload);
+    MessageType type = MessageType::kStatsRequest;
+    ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
+    observability::MetricsSnapshot decoded;
+    EXPECT_TRUE(DecodeStatsResponse(&cursor, &decoded).IsCorruption())
+        << names[0] << ", " << names[1];
+  }
 }
 
 TEST(WireTest, ExplainRequestRoundTrip) {
@@ -309,30 +405,35 @@ TEST(FrameAssemblerTest, OversizedFrameIsAnError) {
 }
 
 TEST(WireTest, EmptyRegistryRoundTrips) {
-  ServerStatsWire stats;
-  stats.queries_accepted = 1;
+  const observability::MetricsSnapshot stats;
   const std::string payload = PayloadOf(EncodeStatsResponse(stats));
   WireCursor cursor(payload);
   MessageType type = MessageType::kStatsRequest;
   ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
-  ServerStatsWire decoded;
+  observability::MetricsSnapshot decoded;
   ASSERT_TRUE(DecodeStatsResponse(&cursor, &decoded).ok());
-  EXPECT_TRUE(decoded.registry.empty());
   EXPECT_EQ(decoded, stats);
 }
 
 TEST(WireTest, HostileRegistryCountRejected) {
-  // With an empty registry the u32 entry count is the final field of the
-  // stats body; inflating it must trip the count-vs-remaining check
-  // instead of allocating or overrunning.
-  ServerStatsWire stats;
-  std::string payload = PayloadOf(EncodeStatsResponse(stats));
-  payload[payload.size() - 1] = static_cast<char>(0x80);
-  WireCursor cursor(payload);
-  MessageType type = MessageType::kStatsRequest;
-  ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
-  ServerStatsWire decoded;
-  EXPECT_TRUE(DecodeStatsResponse(&cursor, &decoded).IsCorruption());
+  // An empty snapshot is three u32 section counts: counters, gauges,
+  // histograms. Inflating any of them must trip the count-vs-remaining
+  // check before the decoder reserves room for the entries.
+  const std::string empty =
+      PayloadOf(EncodeStatsResponse(observability::MetricsSnapshot()));
+  ASSERT_EQ(empty.size(), 2u + 3 * 4);
+  for (const size_t section : {0, 1, 2}) {
+    std::string payload = empty;
+    payload.replace(2 + 4 * section, 4, "\xff\xff\xff\xff");
+    WireCursor cursor(payload);
+    MessageType type = MessageType::kStatsRequest;
+    ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
+    observability::MetricsSnapshot decoded;
+    const Status status = DecodeStatsResponse(&cursor, &decoded);
+    EXPECT_TRUE(status.IsCorruption()) << section;
+    EXPECT_NE(status.message().find("overruns frame"), std::string::npos)
+        << section << ": " << status.message();
+  }
 }
 
 // --- Streaming verbs (wire v4): round trips, every-prefix truncation, and
@@ -550,15 +651,34 @@ TEST(WireTest, HostileStatusCodeRejected) {
 }
 
 TEST(WireHistogramTest, PercentilesFromBuckets) {
-  WireHistogram histogram;
+  // svq_client reads p50/p99 off the histograms of a decoded STATS
+  // response, so the percentiles must survive the wire.
+  observability::HistogramSnapshot histogram;
+  histogram.name = "svqd_query_latency_micros";
   histogram.count = 4;
   histogram.buckets[0] = 1;   // < 2 us
   histogram.buckets[1] = 1;   // [2, 4)
   histogram.buckets[9] = 1;   // [512, 1024)
-  histogram.buckets[kLatencyBuckets - 1] = 1;  // overflow
-  EXPECT_LE(histogram.PercentileMicros(0.5), 4.0);
-  EXPECT_GT(histogram.PercentileMicros(0.99), 1e6);
-  EXPECT_EQ(WireHistogram().PercentileMicros(0.5), 0.0);
+  histogram.buckets[observability::kHistogramBuckets - 1] = 1;  // overflow
+  observability::MetricsSnapshot stats;
+  stats.histograms = {histogram, observability::HistogramSnapshot()};
+  stats.histograms[1].name = "svqd_stats_latency_micros";
+
+  const std::string payload = PayloadOf(EncodeStatsResponse(stats));
+  WireCursor cursor(payload);
+  MessageType type = MessageType::kStatsRequest;
+  ASSERT_TRUE(DecodePayloadHeader(&cursor, &type).ok());
+  observability::MetricsSnapshot decoded;
+  ASSERT_TRUE(DecodeStatsResponse(&cursor, &decoded).ok());
+  const observability::HistogramSnapshot* latency =
+      decoded.FindHistogram("svqd_query_latency_micros");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_LE(latency->PercentileMicros(0.5), 4.0);
+  EXPECT_GT(latency->PercentileMicros(0.99), 1e6);
+  const observability::HistogramSnapshot* empty =
+      decoded.FindHistogram("svqd_stats_latency_micros");
+  ASSERT_NE(empty, nullptr);
+  EXPECT_EQ(empty->PercentileMicros(0.5), 0.0);
 }
 
 }  // namespace
