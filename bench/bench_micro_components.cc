@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -128,22 +127,18 @@ BENCHMARK(BM_EvaluateClip);
 
 constexpr int64_t kTableClips = 50000;
 
-/// A table of one row per clip, written to disk and opened again: the
-/// table a catalog reopen serves.
+/// A table of one row per clip, encoded and parsed again: the table a
+/// catalog reopen serves.
 std::unique_ptr<svq::storage::ScoreTable> ReopenedTable() {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "svq_bench_table.svqt")
-          .string();
   std::vector<svq::storage::ClipScoreRow> rows;
   svq::Rng rng(9);
   for (int64_t i = 0; i < kTableClips; ++i) {
     rows.push_back({i, rng.NextDouble()});
   }
   auto built = *svq::storage::ScoreTable::Create(std::move(rows), kTableClips);
-  (void)built->Write(path);
-  auto table = *svq::storage::ScoreTable::Open(path, kTableClips);
-  std::filesystem::remove(path);
-  return table;
+  std::string bytes;
+  built->AppendTo(&bytes);
+  return *svq::storage::ScoreTable::Parse(bytes, kTableClips, "bench table");
 }
 
 void BM_TableRandomAccess(benchmark::State& state) {

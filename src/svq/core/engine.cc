@@ -1,7 +1,6 @@
 #include "svq/core/engine.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <future>
 #include <iterator>
 #include <thread>
@@ -27,22 +26,6 @@ const char* AlgorithmSpanName(OfflineAlgorithm algorithm) {
       return "pq_traverse";
   }
   return "offline";
-}
-
-/// Per-video ingest options: with the disk backend, every video gets its
-/// own subdirectory so table files never collide across videos.
-Result<IngestOptions> PerVideoOptions(const IngestOptions& base,
-                                      const std::string& video_name) {
-  if (base.backend != IngestOptions::TableBackend::kDisk) return base;
-  IngestOptions options = base;
-  options.directory = base.directory + "/" + video_name;
-  std::error_code ec;
-  std::filesystem::create_directories(options.directory, ec);
-  if (ec) {
-    return Status::IOError("create directory failed: " + options.directory +
-                           ": " + ec.message());
-  }
-  return options;
 }
 
 /// Merges an execution's accounting into the context's optional per-query
@@ -450,16 +433,13 @@ Result<video::VideoId> VideoQueryEngine::AddIngested(
 Result<IngestedVideo> VideoQueryEngine::IngestOne(
     const CatalogSnapshot& snapshot,
     const CatalogSnapshot::Entry& entry) const {
-  SVQ_ASSIGN_OR_RETURN(
-      const IngestOptions options,
-      PerVideoOptions(ingest_options_, entry.video->name()));
   // Ingestion is query independent: models process their full vocabulary.
   models::ModelSet models =
       models::MakeModelSet(entry.video, snapshot.suite,
                            /*query_object_labels=*/{},
                            /*query_action_labels=*/{});
   return IngestVideo(entry.video, entry.id, models.tracker.get(),
-                     models.recognizer.get(), options);
+                     models.recognizer.get(), ingest_options_);
 }
 
 Status VideoQueryEngine::Ingest(const std::string& video_name) {

@@ -166,7 +166,7 @@ class VideoQueryEngine {
   Result<video::VideoId> AddVideo(
       std::shared_ptr<const video::SyntheticVideo> video);
 
-  /// Registers artifacts reopened from a kDisk ingest directory
+  /// Registers artifacts reopened from a kDisk ingest's video file
   /// (OpenIngestedVideo) under `ingested->name`. The entry carries no raw
   /// video, so offline top-K queries work immediately while online /
   /// streaming execution over it reports FailedPrecondition (re-running

@@ -52,15 +52,16 @@ struct IngestOptions {
 
   enum class TableBackend {
     kMemory,  ///< clip score tables built in RAM only
-    kDisk,    ///< clip score tables written to files and served as read
-              ///< back from them, as a reopen would serve them
+    kDisk,    ///< clip score tables built in RAM and, with every other
+              ///< artifact, also written to one file per video
   };
   TableBackend backend = TableBackend::kMemory;
-  /// Directory for table/sequence files; required for kDisk.
+  /// The ingest directory, required for kDisk: each video becomes the file
+  /// `<directory>/<video name>`, and the directory is created when missing.
   std::string directory;
-  /// I/O environment for every kDisk artifact write (tables, sequences,
-  /// manifest). nullptr means io::Env::Default(); tests pass a
-  /// FaultInjectionEnv to simulate crashes mid-ingest.
+  /// I/O environment for the kDisk file write. nullptr means
+  /// io::Env::Default(); tests pass a FaultInjectionEnv to simulate crashes
+  /// mid-ingest.
   io::Env* env = nullptr;
 
   /// Parallel-execution knobs for the post-inference ingest phases
@@ -134,20 +135,25 @@ struct IngestedVideo {
 
 /// Runs the ingestion phase over one video with the given tracker and
 /// action recognizer. Query independent: processes every type in the model
-/// vocabularies. With the kDisk backend, score tables, sequence files and a
-/// manifest are written under `options.directory`, and each score table is
-/// served as read back from its file.
+/// vocabularies. With the kDisk backend, the whole video — header, one
+/// section per object and action type, checksum footer — is committed as
+/// the single file `<options.directory>/<video name>` (docs/storage.md);
+/// a reopen of that file serves exactly the artifacts returned. Errors:
+/// InvalidArgument (including a kDisk video name that is not a plain file
+/// name), IOError.
 Result<IngestedVideo> IngestVideo(
     const std::shared_ptr<const video::SyntheticVideo>& video,
     video::VideoId id, models::ObjectTracker* tracker,
     models::ActionRecognizer* recognizer, const IngestOptions& options);
 
-/// Reopens a directory previously written by a kDisk ingestion: loads the
-/// manifest, opens every score table against the manifest's clip count, and
-/// loads the individual sequences — no model inference. This is how a
-/// repository restarts without paying the (hours-long) ingestion again.
-/// Errors: IOError, Corruption (the damaged file is quarantined).
-Result<IngestedVideo> OpenIngestedVideo(const std::string& directory);
+/// Reopens the file `path` that a kDisk ingestion wrote: reads it once,
+/// verifies its checksum footer once, and parses every section against
+/// the header's clip count — no model inference. This is how a repository
+/// restarts without paying the (hours-long) ingestion again. Errors:
+/// IOError (missing or unreadable; a per-video directory of an earlier
+/// format says to re-ingest), Corruption (the damaged file is quarantined
+/// to `<path>.quarantined`).
+Result<IngestedVideo> OpenIngestedVideo(const std::string& path);
 
 }  // namespace svq::core
 

@@ -40,6 +40,15 @@ class ByteReader {
     return true;
   }
 
+  /// Views the next `n` bytes without copying them; false when they are
+  /// not all present. The view aliases the reader's buffer.
+  bool ReadView(std::string_view* out, size_t n) {
+    if (remaining() < n) return false;
+    *out = data_.substr(pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   /// Reads a uint64-length-prefixed string, rejecting lengths above
   /// `max_len` or beyond the remaining bytes.
   bool ReadLengthPrefixedString(std::string* out, uint64_t max_len) {

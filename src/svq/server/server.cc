@@ -637,14 +637,16 @@ void Server::RecordQueryMetrics(const WireQueryMetrics& metrics,
   runtime_fanout_ms_->Add(metrics.fanout_ms);
   engine_algorithm_ms_->Add(metrics.algorithm_ms);
   // Phase spans -> per-phase latency histograms. A phase that never ran
-  // (parse error aborts before bind) records nothing.
+  // (parse error aborts before bind) records nothing. A broadcast executes
+  // under its own span, with no plan span, and counts as execution too.
   const struct {
     const char* span;
     observability::Histogram* histogram;
   } phases[] = {{"parse", phase_parse_},
                 {"bind", phase_bind_},
                 {"plan", phase_plan_},
-                {"execute", phase_execute_}};
+                {"execute", phase_execute_},
+                {"execute_repository", phase_execute_}};
   for (const auto& phase : phases) {
     if (trace.CountOf(phase.span) > 0) {
       phase.histogram->Record(trace.TotalMs(phase.span) * 1000.0);

@@ -70,10 +70,10 @@ int Usage(const char* argv0) {
       "          [--metrics-dump PATH]   Prometheus text dump on exit\n"
       "                                  ('-' writes to stdout)\n"
       "          [--ingest-dir DIR]      persist demo ingest artifacts under\n"
-      "                                  DIR (one subdirectory per video)\n"
+      "                                  DIR (one file per video)\n"
       "          [--catalog DIR]         serve a previously written ingest\n"
       "                                  directory instead of regenerating\n"
-      "                                  the demo; corrupt artifact sets are\n"
+      "                                  the demo; corrupt video files are\n"
       "                                  quarantined and skipped\n",
       argv0);
   return 1;
@@ -146,15 +146,22 @@ int main(int argc, char** argv) {
                                      svq::core::OnlineConfig(),
                                      ingest_options, cache_options);
   if (!catalog_dir.empty()) {
-    // Restart path: open every artifact set under the catalog directory
-    // instead of regenerating the demo. A corrupt set is quarantined
+    // Restart path: open every video file under the catalog directory
+    // instead of regenerating the demo. A corrupt file is quarantined
     // (renamed aside by OpenIngestedVideo) and skipped — one damaged video
-    // must never keep the rest of the catalog from serving.
+    // must never keep the rest of the catalog from serving. Temp files of
+    // an interrupted write and quarantined files are not videos; a
+    // per-video directory of an earlier format is reported and skipped.
     std::error_code ec;
     std::vector<std::string> entries;
     for (const auto& dirent :
          std::filesystem::directory_iterator(catalog_dir, ec)) {
-      if (dirent.is_directory()) entries.push_back(dirent.path().string());
+      const std::string name = dirent.path().filename().string();
+      if (name.find(".tmp.") != std::string::npos ||
+          name.ends_with(".quarantined")) {
+        continue;
+      }
+      entries.push_back(dirent.path().string());
     }
     if (ec) {
       std::fprintf(stderr, "svqd: cannot read catalog '%s': %s\n",
@@ -163,10 +170,10 @@ int main(int argc, char** argv) {
     }
     std::sort(entries.begin(), entries.end());
     int opened = 0;
-    for (const std::string& directory : entries) {
-      auto ingested = svq::core::OpenIngestedVideo(directory);
+    for (const std::string& path : entries) {
+      auto ingested = svq::core::OpenIngestedVideo(path);
       if (!ingested.ok()) {
-        std::fprintf(stderr, "svqd: skipping '%s': %s\n", directory.c_str(),
+        std::fprintf(stderr, "svqd: skipping '%s': %s\n", path.c_str(),
                      ingested.status().ToString().c_str());
         continue;
       }
@@ -179,7 +186,7 @@ int main(int argc, char** argv) {
         continue;
       }
       std::printf("svqd: opened ingested video '%s' from %s\n", name.c_str(),
-                  directory.c_str());
+                  path.c_str());
       ++opened;
     }
     if (opened == 0) {

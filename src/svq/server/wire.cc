@@ -343,18 +343,7 @@ Status DecodeQueryRequest(WireCursor* cursor, QueryRequest* request) {
 
 Status DecodeQueryResponse(WireCursor* cursor, QueryResponse* response) {
   SVQ_RETURN_NOT_OK(cursor->ReadU64(&response->request_id));
-  // Statuses use the svq/common encoding; bridge through the cursor by
-  // re-reading code + message with the same layout.
-  uint8_t raw_code = 0;
-  SVQ_RETURN_NOT_OK(cursor->ReadU8(&raw_code));
-  if (raw_code > static_cast<uint8_t>(StatusCode::kUnavailable)) {
-    return Status::Corruption("unknown status code " +
-                              std::to_string(raw_code));
-  }
-  std::string message;
-  SVQ_RETURN_NOT_OK(cursor->ReadString(&message));
-  response->status =
-      Status(static_cast<StatusCode>(raw_code), std::move(message));
+  SVQ_RETURN_NOT_OK(ReadStatus(cursor, &response->status));
   uint8_t ranked = 0;
   SVQ_RETURN_NOT_OK(cursor->ReadU8(&ranked));
   response->ranked = ranked != 0;
@@ -431,16 +420,7 @@ Status DecodeExplainRequest(WireCursor* cursor, ExplainRequest* request) {
 
 Status DecodeExplainResponse(WireCursor* cursor, ExplainResponse* response) {
   SVQ_RETURN_NOT_OK(cursor->ReadU64(&response->request_id));
-  uint8_t raw_code = 0;
-  SVQ_RETURN_NOT_OK(cursor->ReadU8(&raw_code));
-  if (raw_code > static_cast<uint8_t>(StatusCode::kUnavailable)) {
-    return Status::Corruption("unknown status code " +
-                              std::to_string(raw_code));
-  }
-  std::string message;
-  SVQ_RETURN_NOT_OK(cursor->ReadString(&message));
-  response->status =
-      Status(static_cast<StatusCode>(raw_code), std::move(message));
+  SVQ_RETURN_NOT_OK(ReadStatus(cursor, &response->status));
   SVQ_RETURN_NOT_OK(cursor->ReadString(&response->text));
   return ExpectEnd(*cursor);
 }

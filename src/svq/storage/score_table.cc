@@ -1,34 +1,20 @@
 #include "svq/storage/score_table.h"
 
 #include <algorithm>
-#include <string_view>
 
 #include "svq/io/bytes.h"
-#include "svq/io/checksum_format.h"
-#include "svq/io/env.h"
 
 namespace svq::storage {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x53565154;  // "SVQT"
-// Header + rows + the CRC-32C checksum footer of svq/io/checksum_format.h,
-// written atomically (docs/storage.md).
-constexpr uint32_t kVersion = 2;
-
-struct FileHeader {
-  uint32_t magic = kMagic;
-  uint32_t version = kVersion;
-  uint64_t row_count = 0;
-};
-
-struct FileRow {
+/// One encoded row; the encoding is the in-memory layout of this struct.
+struct EncodedRow {
   int64_t clip;
   double score;
 };
 
-static_assert(sizeof(FileHeader) == 16, "header layout must be stable");
-static_assert(sizeof(FileRow) == 16, "row layout must be stable");
+static_assert(sizeof(EncodedRow) == 16, "row layout must be stable");
 
 }  // namespace
 
@@ -43,41 +29,26 @@ Result<std::unique_ptr<ScoreTable>> ScoreTable::Create(
                         StatusCode::kInvalidArgument, "score table");
 }
 
-Result<std::unique_ptr<ScoreTable>> ScoreTable::Open(const std::string& path,
-                                                     int64_t num_clips) {
-  SVQ_ASSIGN_OR_RETURN(const std::string file, io::ReadFileToString(path));
-  // Verify the footer (size agreement + CRC over header and rows) before
-  // trusting a single header field; the rows parsed below are the bytes
-  // just verified.
-  SVQ_ASSIGN_OR_RETURN(const std::string_view payload,
-                       io::StripChecksumFooter(file, path));
-  io::ByteReader in(payload);
-  FileHeader header;
-  if (!in.Read(&header)) {
-    return Status::Corruption("file too short for header: " + path);
-  }
-  if (header.magic != kMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  if (header.version != kVersion) {
-    return Status::Corruption("unsupported version in " + path);
-  }
+Result<std::unique_ptr<ScoreTable>> ScoreTable::Parse(
+    std::string_view bytes, int64_t num_clips, const std::string& source) {
+  io::ByteReader in(bytes);
+  uint64_t row_count = 0;
   // The row count is untrusted until proven consistent with the bytes that
   // actually exist — a corrupt 2^60 here must fail cleanly, not drive a
   // huge allocation (hostile-file hardening, docs/storage.md).
-  if (in.remaining() % sizeof(FileRow) != 0 ||
-      header.row_count != in.remaining() / sizeof(FileRow)) {
-    return Status::Corruption("row count disagrees with file size in " +
-                              path);
+  if (!in.Read(&row_count) || in.remaining() % sizeof(EncodedRow) != 0 ||
+      row_count != in.remaining() / sizeof(EncodedRow)) {
+    return Status::Corruption("row count disagrees with section length in " +
+                              source);
   }
-  std::vector<ClipScoreRow> rows(static_cast<size_t>(header.row_count));
+  std::vector<ClipScoreRow> rows(static_cast<size_t>(row_count));
   for (ClipScoreRow& row : rows) {
-    FileRow file_row{};
-    in.Read(&file_row);
-    row = {file_row.clip, file_row.score};
+    EncodedRow encoded{};
+    in.Read(&encoded);
+    row = {encoded.clip, encoded.score};
   }
   return FromRankedRows(std::move(rows), num_clips, StatusCode::kCorruption,
-                        path);
+                        source);
 }
 
 Result<std::unique_ptr<ScoreTable>> ScoreTable::FromRankedRows(
@@ -114,22 +85,11 @@ Result<std::unique_ptr<ScoreTable>> ScoreTable::FromRankedRows(
   return table;
 }
 
-Status ScoreTable::Write(const std::string& path, io::Env* env) const {
-  // Serialize completely in memory, then hand one buffer to the atomic
-  // write protocol: either the whole checksummed file appears at `path` or
-  // `path` is untouched — a failure can never leave a partial table at the
-  // final name (docs/storage.md).
-  FileHeader header;
-  header.row_count = rows_.size();
-  std::string buffer;
-  buffer.reserve(sizeof(FileHeader) + rows_.size() * sizeof(FileRow) +
-                 io::kChecksumFooterSize);
-  io::AppendValue(&buffer, header);
+void ScoreTable::AppendTo(std::string* out) const {
+  io::AppendValue(out, static_cast<uint64_t>(rows_.size()));
   for (const ClipScoreRow& row : rows_) {
-    io::AppendValue(&buffer, FileRow{row.clip, row.score});
+    io::AppendValue(out, EncodedRow{row.clip, row.score});
   }
-  io::AppendChecksumFooter(&buffer);
-  return io::WriteFileAtomic(env, path, buffer);
 }
 
 Status ScoreTable::RankOutOfRange(int64_t rank) const {

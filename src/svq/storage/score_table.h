@@ -5,15 +5,12 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svq/common/result.h"
 #include "svq/storage/access_stats.h"
 #include "svq/video/types.h"
-
-namespace svq::io {
-class Env;
-}  // namespace svq::io
 
 namespace svq::storage {
 
@@ -34,8 +31,9 @@ struct ClipScoreRow {
 /// The rows live in memory in rank order beside a dense clip -> rank index
 /// of `num_clips` entries, so every access is an array load: no syscall,
 /// no hash probe, no virtual call. A table built from rows (Create) and the
-/// same table written and reopened (Write, Open) serve identically. Tables
-/// do not count accesses — use TableReader for per-query instrumentation.
+/// same table encoded and parsed again (AppendTo, Parse) serve identically.
+/// Tables do not count accesses — use TableReader for per-query
+/// instrumentation.
 class ScoreTable {
  public:
   /// Largest `num_clips` a table indexes: ranks are stored as int32.
@@ -47,21 +45,20 @@ class ScoreTable {
   static Result<std::unique_ptr<ScoreTable>> Create(
       std::vector<ClipScoreRow> rows, int64_t num_clips);
 
-  /// Reads the v2 table file at `path` once, verifies its checksum footer,
-  /// and checks the row count against the payload size, the descending
+  /// Parses an encoding written by AppendTo that spans all of `bytes`
+  /// (the tail of a video file's section, docs/storage.md). Checks the row
+  /// count against the byte count before allocating, then the descending
   /// row order, clip uniqueness, and that every clip lies in
-  /// [0, num_clips) before serving it from memory. No file descriptor
-  /// stays open. Errors: IOError (missing/unreadable), Corruption (torn,
-  /// damaged, or hostile file), InvalidArgument (`num_clips` out of range).
-  static Result<std::unique_ptr<ScoreTable>> Open(const std::string& path,
-                                                  int64_t num_clips);
+  /// [0, num_clips). `source` names the bytes in error messages.
+  /// Errors: Corruption (malformed or hostile bytes), InvalidArgument
+  /// (`num_clips` out of range).
+  static Result<std::unique_ptr<ScoreTable>> Parse(std::string_view bytes,
+                                                   int64_t num_clips,
+                                                   const std::string& source);
 
-  /// Writes the table to `path` in v2 format (CRC-32C footer) via the
-  /// crash-safe io::WriteFileAtomic protocol: on failure `path` is
-  /// untouched — no partial table can ever appear at the final name.
-  /// `env` is the I/O environment (nullptr = io::Env::Default(); tests
-  /// inject faults).
-  Status Write(const std::string& path, io::Env* env = nullptr) const;
+  /// Appends the table's encoding to `out`: the row count (uint64), then
+  /// every row in rank order as (int64 clip, double score).
+  void AppendTo(std::string* out) const;
 
   int64_t NumRows() const { return static_cast<int64_t>(rows_.size()); }
 
@@ -92,7 +89,7 @@ class ScoreTable {
   /// Builds the clip -> rank index over rows already in rank order.
   /// Duplicate clips, clips outside [0, num_clips) and rows out of score
   /// order fail with `error_code`: InvalidArgument for caller rows,
-  /// Corruption for file rows.
+  /// Corruption for parsed rows.
   static Result<std::unique_ptr<ScoreTable>> FromRankedRows(
       std::vector<ClipScoreRow> rows, int64_t num_clips,
       StatusCode error_code, const std::string& source);

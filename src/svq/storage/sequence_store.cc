@@ -1,88 +1,51 @@
 #include "svq/storage/sequence_store.h"
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
-
-#include "svq/io/bytes.h"
-#include "svq/io/checksum_format.h"
-#include "svq/io/env.h"
 
 namespace svq::storage {
 
-namespace {
-// Magic + body + the CRC-32C checksum footer of svq/io/checksum_format.h,
-// written atomically (docs/storage.md).
-constexpr uint32_t kMagic = 0x32515653;  // "SVQ2"
-constexpr uint64_t kMaxLabelLength = 1u << 20;
-}  // namespace
-
-Status SequenceStore::Save(
-    const std::string& path,
-    const std::map<std::string, video::IntervalSet>& sequences,
-    io::Env* env) {
-  std::string buffer;
-  io::AppendValue(&buffer, kMagic);
-  io::AppendValue(&buffer, static_cast<uint64_t>(sequences.size()));
-  for (const auto& [label, set] : sequences) {
-    io::AppendLengthPrefixedString(&buffer, label);
-    io::AppendValue(&buffer, static_cast<uint64_t>(set.size()));
-    for (const video::Interval& interval : set.intervals()) {
-      io::AppendValue(&buffer, interval.begin);
-      io::AppendValue(&buffer, interval.end);
-    }
+void SequenceStore::AppendEntry(std::string_view label,
+                                const video::IntervalSet& sequences,
+                                std::string* out) {
+  io::AppendLengthPrefixedString(out, label);
+  io::AppendValue(out, static_cast<uint64_t>(sequences.size()));
+  for (const video::Interval& interval : sequences.intervals()) {
+    io::AppendValue(out, interval.begin);
+    io::AppendValue(out, interval.end);
   }
-  io::AppendChecksumFooter(&buffer);
-  return io::WriteFileAtomic(env, path, buffer);
 }
 
-Result<std::map<std::string, video::IntervalSet>> SequenceStore::Load(
-    const std::string& path) {
-  SVQ_ASSIGN_OR_RETURN(const std::string file, io::ReadFileToString(path));
-  // Checksum first: after this point every byte of the payload is known
-  // good, and parse failures can only come from writer bugs, not damage.
-  SVQ_ASSIGN_OR_RETURN(const std::string_view payload,
-                       io::StripChecksumFooter(file, path));
-  io::ByteReader in(payload);
-  uint32_t magic = 0;
-  if (!in.Read(&magic) || magic != kMagic) {
-    return Status::Corruption("bad magic in " + path);
+Result<SequenceStore::Entry> SequenceStore::ParseEntry(
+    io::ByteReader* in, const std::string& source) {
+  Entry entry;
+  if (!in->ReadLengthPrefixedString(&entry.first, kMaxLabelLength)) {
+    return Status::Corruption("bad label in " + source);
   }
-  uint64_t label_count = 0;
-  if (!in.Read(&label_count)) return Status::Corruption("truncated " + path);
-  std::map<std::string, video::IntervalSet> sequences;
-  for (uint64_t i = 0; i < label_count; ++i) {
-    std::string label;
-    if (!in.ReadLengthPrefixedString(&label, kMaxLabelLength)) {
-      return Status::Corruption("bad label in " + path);
-    }
-    uint64_t interval_count = 0;
-    if (!in.Read(&interval_count)) {
-      return Status::Corruption("truncated " + path);
-    }
-    // An interval is two int64s: bound the untrusted count against the
-    // bytes that actually remain before reserving a single element — a
-    // corrupt 2^60 must fail cleanly, not OOM (hostile-file hardening).
-    if (interval_count > in.remaining() / (2 * sizeof(int64_t))) {
-      return Status::Corruption("interval count exceeds file size in " +
-                                path);
-    }
-    std::vector<video::Interval> intervals;
-    intervals.reserve(static_cast<size_t>(interval_count));
-    for (uint64_t j = 0; j < interval_count; ++j) {
-      video::Interval interval;
-      if (!in.Read(&interval.begin) || !in.Read(&interval.end)) {
-        return Status::Corruption("truncated interval in " + path);
-      }
-      if (interval.end < interval.begin) {
-        return Status::Corruption("inverted interval in " + path);
-      }
-      intervals.push_back(interval);
-    }
-    sequences.emplace(std::move(label),
-                      video::IntervalSet(std::move(intervals)));
+  uint64_t interval_count = 0;
+  if (!in->Read(&interval_count)) {
+    return Status::Corruption("truncated " + source);
   }
-  return sequences;
+  // An interval is two int64s: bound the untrusted count against the
+  // bytes that actually remain before reserving a single element — a
+  // corrupt 2^60 must fail cleanly, not OOM (hostile-file hardening).
+  if (interval_count > in->remaining() / (2 * sizeof(int64_t))) {
+    return Status::Corruption("interval count exceeds section length in " +
+                              source);
+  }
+  std::vector<video::Interval> intervals;
+  intervals.reserve(static_cast<size_t>(interval_count));
+  for (uint64_t i = 0; i < interval_count; ++i) {
+    video::Interval interval;
+    in->Read(&interval.begin);
+    in->Read(&interval.end);
+    if (interval.end < interval.begin) {
+      return Status::Corruption("inverted interval in " + source);
+    }
+    intervals.push_back(interval);
+  }
+  entry.second = video::IntervalSet(std::move(intervals));
+  return entry;
 }
 
 }  // namespace svq::storage

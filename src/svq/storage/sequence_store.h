@@ -1,40 +1,43 @@
 #ifndef SVQ_STORAGE_SEQUENCE_STORE_H_
 #define SVQ_STORAGE_SEQUENCE_STORE_H_
 
-#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "svq/common/result.h"
+#include "svq/io/bytes.h"
 #include "svq/video/interval_set.h"
-
-namespace svq::io {
-class Env;
-}  // namespace svq::io
 
 namespace svq::storage {
 
-/// Persistence of the per-type individual sequences of paper §4.2: for each
+/// Encoding of the per-type individual sequences of paper §4.2: for each
 /// object type the positive-clip runs `P_{o_i}` and for each action type
 /// `P_{a_j}`, materialized at ingestion time and loaded at query time.
-/// Sequences are stored in the clip domain as half-open intervals.
+/// One entry holds one label and its sequences in the clip domain as
+/// half-open intervals; an entry opens each section of a video file
+/// (docs/storage.md).
 class SequenceStore {
  public:
-  /// Writes `sequences` (label -> clip-interval set) to `path` in v2
-  /// format (CRC-32C footer) via the crash-safe io::WriteFileAtomic
-  /// protocol: on failure `path` keeps its previous complete contents (or
-  /// stays absent). `env` is the I/O environment (nullptr =
-  /// io::Env::Default(); tests inject faults).
-  static Status Save(const std::string& path,
-                     const std::map<std::string, video::IntervalSet>& sequences,
-                     io::Env* env = nullptr);
+  /// One label and its individual sequences.
+  using Entry = std::pair<std::string, video::IntervalSet>;
 
-  /// Reads a file written by Save, verified against its checksum footer
-  /// before any field is parsed. Every on-disk count is bounded by the real
-  /// file size before allocation.
-  /// Errors: IOError (missing/unreadable), Corruption (torn, damaged, or
-  /// hostile file).
-  static Result<std::map<std::string, video::IntervalSet>> Load(
-      const std::string& path);
+  /// Longest label an entry may carry.
+  static constexpr uint64_t kMaxLabelLength = 1u << 20;
+
+  /// Appends one entry to `out`: the label (uint64 length + bytes), the
+  /// interval count (uint64), then every interval as (int64 begin,
+  /// int64 end).
+  static void AppendEntry(std::string_view label,
+                          const video::IntervalSet& sequences,
+                          std::string* out);
+
+  /// Reads one entry written by AppendEntry from `in`. Every count is
+  /// bounded by the bytes that remain before anything is allocated.
+  /// `source` names the bytes in error messages. Errors: Corruption
+  /// (truncated, malformed, or hostile bytes).
+  static Result<Entry> ParseEntry(io::ByteReader* in,
+                                  const std::string& source);
 };
 
 }  // namespace svq::storage

@@ -180,10 +180,12 @@ void StreamDispatcher::DispatchOneLocked(const FeedPtr& feed,
     events_dropped_.fetch_add(outcome.dropped, std::memory_order_relaxed);
     if (outcome.pushed > 0) notify->push_back(sub->id());
   }
-  feed->subs.erase(
-      std::remove_if(feed->subs.begin(), feed->subs.end(),
-                     [](const SubscriptionPtr& s) { return s->detached(); }),
-      feed->subs.end());
+  // A subscription leaving its feed keeps the statistics it left with.
+  std::erase_if(feed->subs, [](const SubscriptionPtr& s) {
+    if (!s->detached()) return false;
+    s->SnapshotStats();
+    return true;
+  });
   clips_dispatched_.fetch_add(1, std::memory_order_relaxed);
   FoldPoolCountersLocked(feed);
 }
@@ -199,6 +201,8 @@ void StreamDispatcher::CloseFeedLocked(const FeedPtr& feed,
                                std::memory_order_relaxed);
       events_dropped_.fetch_add(outcome.dropped, std::memory_order_relaxed);
       if (outcome.pushed > 0) notify->push_back(sub->id());
+    } else {
+      sub->SnapshotStats();
     }
     if (sub->MarkDetached()) {
       subscriptions_active_.fetch_sub(1, std::memory_order_relaxed);
@@ -206,6 +210,10 @@ void StreamDispatcher::CloseFeedLocked(const FeedPtr& feed,
   }
   feed->subs.clear();
   FoldPoolCountersLocked(feed);
+}
+
+void StreamDispatcher::SnapshotStatsLocked(const FeedPtr& feed) {
+  for (const SubscriptionPtr& sub : feed->subs) sub->SnapshotStats();
 }
 
 void StreamDispatcher::Notify(const std::vector<uint64_t>& notify) {
@@ -264,6 +272,8 @@ Result<FeedProgress> StreamDispatcher::FeedClips(const std::string& feed_name,
     // their trailing flush + kEndOfStream instead of waiting forever.
     if (feed->next_clip >= feed->num_clips) {
       CloseFeedLocked(feed, &notify);
+    } else {
+      SnapshotStatsLocked(feed);
     }
     progress.next_clip = feed->next_clip;
     progress.num_clips = feed->num_clips;
@@ -406,6 +416,7 @@ void StreamDispatcher::WorkerLoop() {
           feed_closed = true;
         } else {
           DispatchOneLocked(feed, *clip, &notify);
+          SnapshotStatsLocked(feed);
           feed->next_clip = clip->clip + 1;
         }
       }

@@ -188,6 +188,10 @@ class StreamDispatcher {
   /// Drains + closes the feed (feed->mu held); fills `notify`.
   void CloseFeedLocked(const FeedPtr& feed, std::vector<uint64_t>* notify);
 
+  /// Copies every attached subscription's engine statistics for
+  /// Subscription::stats() (feed->mu held): once per batch, not per clip.
+  void SnapshotStatsLocked(const FeedPtr& feed);
+
   /// Invokes the event callback for each id, with no locks held.
   void Notify(const std::vector<uint64_t>& notify);
 

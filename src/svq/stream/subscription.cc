@@ -45,7 +45,6 @@ Subscription::PushOutcome Subscription::ProcessClip(
   if (!status->ok()) return outcome;
   const std::vector<video::Interval> completed = engine_->TakeCompleted();
   std::lock_guard<std::mutex> lock(mu_);
-  last_stats_ = engine_->Snapshot();
   for (const video::Interval& interval : completed) {
     StreamEvent event;
     event.kind = StreamEvent::Kind::kSequence;
@@ -80,6 +79,13 @@ Subscription::PushOutcome Subscription::FinishStream() {
   ++outcome.pushed;
   dropped_total_ += outcome.dropped;
   return outcome;
+}
+
+void Subscription::SnapshotStats() {
+  if (engine_ == nullptr) return;
+  core::OnlineStats stats = engine_->Snapshot();
+  std::lock_guard<std::mutex> lock(mu_);
+  last_stats_ = std::move(stats);
 }
 
 Subscription::PushOutcome Subscription::FailStream(Status status) {

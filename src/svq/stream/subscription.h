@@ -53,7 +53,9 @@ class Subscription {
   /// This is what a client disconnect triggers server-side.
   void Cancel() { cancel_.Cancel(); }
 
-  /// Engine statistics as of the last dispatched clip.
+  /// Engine statistics as of the last dispatched batch: the dispatcher
+  /// copies them once per batch it feeds, at end of stream, and when the
+  /// subscription leaves its feed.
   core::OnlineStats stats() const;
 
  private:
@@ -71,8 +73,11 @@ class Subscription {
   };
   PushOutcome ProcessClip(const video::ClipRef& clip, Status* status);
   /// End-of-stream: flushes the trailing open sequence
-  /// (OnlineEngine::Finish) and queues kEndOfStream.
+  /// (OnlineEngine::Finish), copies the final statistics and queues
+  /// kEndOfStream.
   PushOutcome FinishStream();
+  /// Copies the engine's statistics into what stats() reports.
+  void SnapshotStats();
   /// Terminal failure: queues kError with `status`.
   PushOutcome FailStream(Status status);
 
@@ -99,7 +104,7 @@ class Subscription {
   /// feed close); the dispatch loop prunes detached subscriptions.
   std::atomic<bool> detached_{false};
 
-  mutable std::mutex mu_;  // guards queue_ + stats_ below
+  mutable std::mutex mu_;  // guards queue_ + last_stats_ below
   EventQueue queue_;
   int64_t dropped_total_ = 0;
   core::OnlineStats last_stats_;

@@ -531,6 +531,35 @@ TEST_F(ClusterTest, StatsMergeEveryHistogramBucketWise) {
             shard0.histograms.size() + router.histograms.size());
 }
 
+TEST_F(ClusterTest, BroadcastLegsReachTheMergedExecuteHistogram) {
+  // Each backend runs its broadcast leg under its own span; every leg still
+  // counts as execution, so N broadcasts over two shards add 2N.
+  StartCluster();
+  server::Client client = RouterClient();
+  const auto execute_count = [&]() -> int64_t {
+    auto stats = client.GetStats();
+    if (!stats.ok()) {
+      ADD_FAILURE() << stats.status();
+      return -1;
+    }
+    const observability::HistogramSnapshot* execute =
+        stats->FindHistogram("svqd_phase_execute_micros");
+    if (execute == nullptr) {
+      ADD_FAILURE() << "svqd_phase_execute_micros missing";
+      return -1;
+    }
+    return execute->count;
+  };
+  const int64_t before = execute_count();
+  constexpr int kBroadcasts = 3;
+  for (int i = 0; i < kBroadcasts; ++i) {
+    auto response = client.Execute(RankedStatement("*", 6));
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->status.ok()) << response->status;
+  }
+  EXPECT_EQ(execute_count(), before + 2 * kBroadcasts);
+}
+
 TEST_F(ClusterTest, KilledBackendDegradesToExplicitPartialResults) {
   StartCluster();
   const std::string statement = RankedStatement("*", 6);

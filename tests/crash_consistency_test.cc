@@ -1,6 +1,6 @@
 // Crash-consistency sweeps over the storage write protocol (docs/storage.md):
 // a simulated crash — clean syscall failure, torn write, or power cut — at
-// every write boundary of an artifact write (and of a whole ingest) must
+// every write boundary of a video file's write (and of a whole ingest) must
 // leave the directory in a state that reopens as either the complete old
 // contents or the complete new contents. A half-written file that *opens*
 // is the bug class this suite exists to catch.
@@ -9,16 +9,17 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "svq/core/ingest.h"
+#include "svq/io/env.h"
 #include "svq/io/fault_injection_env.h"
 #include "svq/models/synthetic_models.h"
 #include "svq/storage/score_table.h"
-#include "svq/storage/sequence_store.h"
 #include "svq/video/interval_set.h"
 
 namespace svq {
@@ -40,172 +41,21 @@ std::string TempDir(const std::string& name) {
   return dir;
 }
 
-// ---------------------------------------------------------------------------
-// Single-artifact sweeps: overwriting an existing file must yield exactly
-// the old or exactly the new contents, never a mixture.
-
 using SequenceMap = std::map<std::string, video::IntervalSet>;
-
-SequenceMap OldSequences() {
-  SequenceMap map;
-  map.emplace("cup", video::IntervalSet({{2, 5}, {9, 12}}));
-  map.emplace("phone", video::IntervalSet({{0, 3}}));
-  return map;
-}
-
-SequenceMap NewSequences() {
-  SequenceMap map;
-  map.emplace("cup", video::IntervalSet({{1, 4}}));
-  map.emplace("laptop", video::IntervalSet({{7, 8}, {20, 31}, {40, 44}}));
-  return map;
-}
-
-bool SameSequences(const SequenceMap& a, const SequenceMap& b) {
-  if (a.size() != b.size()) return false;
-  for (const auto& [label, set] : a) {
-    auto it = b.find(label);
-    if (it == b.end()) return false;
-    const auto& lhs = set.intervals();
-    const auto& rhs = it->second.intervals();
-    if (lhs.size() != rhs.size()) return false;
-    for (size_t i = 0; i < lhs.size(); ++i) {
-      if (lhs[i].begin != rhs[i].begin || lhs[i].end != rhs[i].end) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-TEST(SequenceStoreCrashTest, FailAtEveryOpLeavesOldOrNew) {
-  const std::string dir = TempDir("seq_ops");
-  const std::string path = dir + "/sequences.svqs";
-
-  // Dry run to learn the op count of one Save.
-  io::FaultInjectionEnv env;
-  ASSERT_TRUE(storage::SequenceStore::Save(path, NewSequences(), &env).ok());
-  const int64_t total_ops = env.ops_seen();
-  ASSERT_GE(total_ops, 5);
-
-  for (int64_t op = 0; op < total_ops; ++op) {
-    ASSERT_TRUE(storage::SequenceStore::Save(path, OldSequences()).ok());
-    env.Reset();
-    env.FailOp(op);
-    const Status status =
-        storage::SequenceStore::Save(path, NewSequences(), &env);
-    auto loaded = storage::SequenceStore::Load(path);
-    ASSERT_TRUE(loaded.ok()) << "op " << op << ": " << loaded.status();
-    if (status.ok()) {
-      EXPECT_TRUE(SameSequences(*loaded, NewSequences())) << "op " << op;
-    } else {
-      EXPECT_TRUE(SameSequences(*loaded, OldSequences()) ||
-                  SameSequences(*loaded, NewSequences()))
-          << "op " << op;
-    }
-  }
-  fs::remove_all(dir);
-}
-
-TEST(SequenceStoreCrashTest, PowerCutAtEveryByteLeavesOldOrNew) {
-  const std::string dir = TempDir("seq_bytes");
-  const std::string path = dir + "/sequences.svqs";
-
-  io::FaultInjectionEnv env;
-  ASSERT_TRUE(storage::SequenceStore::Save(path, NewSequences(), &env).ok());
-  const uint64_t total_bytes = env.bytes_appended();
-  ASSERT_GT(total_bytes, 0u);
-
-  for (uint64_t cut = 0; cut < total_bytes; ++cut) {
-    ASSERT_TRUE(storage::SequenceStore::Save(path, OldSequences()).ok());
-    env.Reset();
-    env.CutAtByte(cut);
-    EXPECT_FALSE(storage::SequenceStore::Save(path, NewSequences(), &env).ok())
-        << "cut " << cut;
-    // The machine died mid-write: the final path must still load as the
-    // previous complete state (the torn bytes stayed in the temp file).
-    auto loaded = storage::SequenceStore::Load(path);
-    ASSERT_TRUE(loaded.ok()) << "cut " << cut << ": " << loaded.status();
-    EXPECT_TRUE(SameSequences(*loaded, OldSequences())) << "cut " << cut;
-  }
-  fs::remove_all(dir);
-}
-
-/// Clip ids of OldTable() and NewTable() lie in [0, kTableClips).
-constexpr int64_t kTableClips = 8;
-
-std::unique_ptr<storage::ScoreTable> OldTable() {
-  return *storage::ScoreTable::Create({{1, 0.9}, {2, 0.5}, {3, 0.2}},
-                                      kTableClips);
-}
-
-std::unique_ptr<storage::ScoreTable> NewTable() {
-  return *storage::ScoreTable::Create(
-      {{4, 0.8}, {5, 0.7}, {6, 0.6}, {7, 0.1}}, kTableClips);
-}
-
-TEST(ScoreTableCrashTest, FailAtEveryOpLeavesOldOrNew) {
-  const std::string dir = TempDir("table_ops");
-  const std::string path = dir + "/table.svqt";
-
-  io::FaultInjectionEnv env;
-  ASSERT_TRUE(NewTable()->Write(path, &env).ok());
-  const int64_t total_ops = env.ops_seen();
-  ASSERT_GE(total_ops, 5);
-
-  for (int64_t op = 0; op < total_ops; ++op) {
-    ASSERT_TRUE(OldTable()->Write(path).ok());
-    env.Reset();
-    env.FailOp(op);
-    const Status status = NewTable()->Write(path, &env);
-    auto table = storage::ScoreTable::Open(path, kTableClips);
-    ASSERT_TRUE(table.ok()) << "op " << op << ": " << table.status();
-    const int64_t rows = (*table)->NumRows();
-    if (status.ok()) {
-      EXPECT_EQ(rows, 4) << "op " << op;
-    } else {
-      EXPECT_TRUE(rows == 3 || rows == 4) << "op " << op;
-      // Old and new tables share no clip ids, so one probe tells which
-      // complete state we see; a mixture would have failed Open already.
-      EXPECT_EQ((*table)->ScoreOf(1).ok(), rows == 3) << "op " << op;
-      EXPECT_EQ((*table)->ScoreOf(4).ok(), rows == 4) << "op " << op;
-    }
-  }
-  fs::remove_all(dir);
-}
-
-TEST(ScoreTableCrashTest, PowerCutAtEveryByteLeavesOld) {
-  const std::string dir = TempDir("table_bytes");
-  const std::string path = dir + "/table.svqt";
-
-  io::FaultInjectionEnv env;
-  ASSERT_TRUE(NewTable()->Write(path, &env).ok());
-  const uint64_t total_bytes = env.bytes_appended();
-
-  for (uint64_t cut = 0; cut < total_bytes; ++cut) {
-    ASSERT_TRUE(OldTable()->Write(path).ok());
-    env.Reset();
-    env.CutAtByte(cut);
-    EXPECT_FALSE(NewTable()->Write(path, &env).ok())
-        << "cut " << cut;
-    auto table = storage::ScoreTable::Open(path, kTableClips);
-    ASSERT_TRUE(table.ok()) << "cut " << cut << ": " << table.status();
-    EXPECT_EQ((*table)->NumRows(), 3) << "cut " << cut;
-    EXPECT_TRUE((*table)->ScoreOf(1).ok()) << "cut " << cut;
-  }
-  fs::remove_all(dir);
-}
 
 // ---------------------------------------------------------------------------
 // Whole-ingest sweeps: a crash anywhere inside IngestVideo's disk phase must
-// leave a fresh directory that either reopens as the complete artifact set
-// or fails to open cleanly. The manifest is written last, so it is the
-// commit point: no manifest, no (partial) catalog entry.
+// leave a directory in which the video's file either opens as the complete
+// new video or is absent (or, at worst, fails to open cleanly). The rename
+// is the commit point: no renamed file, no (partial) catalog entry.
 
-std::shared_ptr<const video::SyntheticVideo> MakeVideo() {
+constexpr const char* kVideoName = "crash_test";
+
+std::shared_ptr<const video::SyntheticVideo> MakeVideo(uint64_t seed = 19) {
   video::SyntheticVideoSpec spec;
-  spec.name = "crash_test";
+  spec.name = kVideoName;
   spec.num_frames = 4000;
-  spec.seed = 19;
+  spec.seed = seed;
   spec.actions.push_back({"smoking", 300.0, 2500.0});
   video::SyntheticObjectSpec cup;
   cup.label = "cup";
@@ -235,37 +85,43 @@ Status IngestTo(const std::string& dir, io::Env* env,
       .status();
 }
 
-/// Comparable summary of an opened directory.
+/// Everything an opened video serves, row for row, in comparable form.
 struct DirSummary {
+  using Rows = std::map<std::string, std::vector<storage::ClipScoreRow>>;
   std::string name;
+  video::VideoId id = 0;
+  int64_t num_frames = 0;
   int64_t num_clips = 0;
-  std::map<std::string, int64_t> object_rows;
-  std::map<std::string, int64_t> action_rows;
+  Rows object_rows;
+  Rows action_rows;
   SequenceMap object_sequences;
   SequenceMap action_sequences;
+
+  friend bool operator==(const DirSummary&, const DirSummary&) = default;
 };
 
 DirSummary Summarize(const core::IngestedVideo& opened) {
   DirSummary summary;
   summary.name = opened.name;
+  summary.id = opened.id;
+  summary.num_frames = opened.num_frames;
   summary.num_clips = opened.num_clips;
+  const auto rows_of = [](const storage::ScoreTable& table) {
+    std::vector<storage::ClipScoreRow> rows;
+    for (int64_t r = 0; r < table.NumRows(); ++r) rows.push_back(*table.RowAt(r));
+    return rows;
+  };
   for (const auto& [label, table] : opened.object_tables) {
-    summary.object_rows[label] = table->NumRows();
+    summary.object_rows[label] = rows_of(*table);
   }
   for (const auto& [label, table] : opened.action_tables) {
-    summary.action_rows[label] = table->NumRows();
+    summary.action_rows[label] = rows_of(*table);
   }
   summary.object_sequences = opened.object_sequences;
   summary.action_sequences = opened.action_sequences;
   return summary;
 }
 
-bool SameSummary(const DirSummary& a, const DirSummary& b) {
-  return a.name == b.name && a.num_clips == b.num_clips &&
-         a.object_rows == b.object_rows && a.action_rows == b.action_rows &&
-         SameSequences(a.object_sequences, b.object_sequences) &&
-         SameSequences(a.action_sequences, b.action_sequences);
-}
 
 class IngestCrashTest : public ::testing::Test {
  protected:
@@ -278,20 +134,21 @@ class IngestCrashTest : public ::testing::Test {
     ASSERT_TRUE(IngestTo(ref_dir, &env, video_).ok());
     total_ops_ = env.ops_seen();
     total_bytes_ = env.bytes_appended();
-    ASSERT_GE(total_ops_, 5 * 5) << "expected five artifact files";
-    auto reference = core::OpenIngestedVideo(ref_dir);
+    // One file: open, append, fsync, rename, directory fsync.
+    ASSERT_EQ(total_ops_, 5) << "expected one file per video";
+    auto reference = core::OpenIngestedVideo(ref_dir + "/" + kVideoName);
     ASSERT_TRUE(reference.ok()) << reference.status();
     reference_ = Summarize(*reference);
     fs::remove_all(ref_dir);
   }
 
   /// The sweep body: after a faulted ingest into a fresh directory, the
-  /// directory either opens as the complete reference state or fails with
-  /// a clean IOError/Corruption — never a crash, never a partial open.
+  /// video's file either opens as the complete reference state or fails
+  /// with a clean IOError/Corruption — never a crash, never a partial open.
   void CheckDir(const std::string& dir, const std::string& what) {
-    auto opened = core::OpenIngestedVideo(dir);
+    auto opened = core::OpenIngestedVideo(dir + "/" + kVideoName);
     if (opened.ok()) {
-      EXPECT_TRUE(SameSummary(Summarize(*opened), reference_)) << what;
+      EXPECT_EQ(Summarize(*opened), reference_) << what;
     } else {
       EXPECT_TRUE(opened.status().IsIOError() ||
                   opened.status().IsCorruption())
@@ -314,10 +171,10 @@ TEST_F(IngestCrashTest, CleanFailureAtEverySyscall) {
     EXPECT_TRUE(env.fault_fired()) << "op " << op;
     if (status.ok()) {
       // The failed write was retried-free and one-shot: an ingest that
-      // reports success must have produced the full artifact set.
-      auto opened = core::OpenIngestedVideo(dir);
+      // reports success must have produced the complete video file.
+      auto opened = core::OpenIngestedVideo(dir + "/" + kVideoName);
       ASSERT_TRUE(opened.ok()) << "op " << op << ": " << opened.status();
-      EXPECT_TRUE(SameSummary(Summarize(*opened), reference_)) << "op " << op;
+      EXPECT_EQ(Summarize(*opened), reference_) << "op " << op;
     } else {
       CheckDir(dir, "op " + std::to_string(op));
     }
@@ -341,8 +198,8 @@ TEST_F(IngestCrashTest, PowerCutAtEverySyscall) {
 TEST_F(IngestCrashTest, PowerCutAcrossByteBoundaries) {
   // Every single byte would mean total_bytes_ full ingests; stride the
   // sweep to ~64 cut points while always including the first and last
-  // byte of the stream. Op-level sweeps above cover every syscall
-  // boundary exactly.
+  // byte of the stream. VideoFileCrashTest cuts the same write at every
+  // byte, and the op-level sweeps above cover every syscall boundary.
   const uint64_t stride = std::max<uint64_t>(1, total_bytes_ / 64);
   for (uint64_t cut = 0; cut < total_bytes_; cut += stride) {
     const std::string dir = TempDir("ingest_cutbyte");
@@ -360,6 +217,135 @@ TEST_F(IngestCrashTest, PowerCutAcrossByteBoundaries) {
     CheckDir(dir, "cut at last byte");
     fs::remove_all(dir);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One-file sweeps: the bytes of one serialized video, written at every
+// fault point — into a fresh directory and over an older complete file of
+// the same video. The final path must then hold exactly the old bytes'
+// video or exactly the new one's (absent counting as old in a fresh
+// directory); a half-written file that opens is the bug.
+
+class VideoFileCrashTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Serialize each video once, through a clean ingest.
+    old_file_ = Serialized(MakeVideo(23), &old_);
+    new_file_ = Serialized(MakeVideo(19), &new_);
+    ASSERT_FALSE(old_file_.empty());
+    ASSERT_FALSE(new_file_.empty());
+    ASSERT_NE(old_, new_) << "old and new must differ";
+    dir_ = TempDir("video_file");
+    path_ = dir_ + "/" + kVideoName;
+    io::FaultInjectionEnv env;
+    ASSERT_TRUE(io::WriteFileAtomic(&env, path_, new_file_).ok());
+    total_ops_ = env.ops_seen();
+    total_bytes_ = env.bytes_appended();
+    ASSERT_EQ(total_ops_, 5);
+    ASSERT_EQ(total_bytes_, new_file_.size());
+  }
+
+  void TearDown() override { fs::remove_all(dir_); }
+
+  std::string Serialized(
+      const std::shared_ptr<const video::SyntheticVideo>& video,
+      DirSummary* summary) {
+    const std::string dir = TempDir("serialize");
+    EXPECT_TRUE(IngestTo(dir, nullptr, video).ok());
+    auto opened = core::OpenIngestedVideo(dir + "/" + kVideoName);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    if (opened.ok()) *summary = Summarize(*opened);
+    auto bytes = io::ReadFileToString(dir + "/" + kVideoName);
+    fs::remove_all(dir);
+    return bytes.ok() ? *bytes : std::string();
+  }
+
+  /// Puts the directory back to its pre-write state: the older complete
+  /// file, or nothing.
+  void Reset(bool over_old) {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    if (over_old) {
+      std::ofstream out(path_, std::ios::binary);
+      out.write(old_file_.data(),
+                static_cast<std::streamsize>(old_file_.size()));
+      ASSERT_TRUE(out.good());
+    }
+  }
+
+  /// What the final path serves now.
+  enum class State { kAbsent, kOld, kNew, kOther };
+  State Observe(const std::string& what) {
+    if (!fs::exists(path_)) return State::kAbsent;
+    auto opened = core::OpenIngestedVideo(path_);
+    if (!opened.ok()) {
+      ADD_FAILURE() << what << ": " << opened.status();
+      return State::kOther;
+    }
+    const DirSummary summary = Summarize(*opened);
+    if (summary == old_) return State::kOld;
+    if (summary == new_) return State::kNew;
+    return State::kOther;
+  }
+
+  void FailAtEveryOp(bool over_old) {
+    const State before = over_old ? State::kOld : State::kAbsent;
+    for (int64_t op = 0; op < total_ops_; ++op) {
+      Reset(over_old);
+      io::FaultInjectionEnv env;
+      env.FailOp(op);
+      const Status status = io::WriteFileAtomic(&env, path_, new_file_);
+      EXPECT_TRUE(env.fault_fired()) << "op " << op;
+      EXPECT_FALSE(status.ok()) << "op " << op;
+      // Up to and including a failed rename nothing changed; once the
+      // rename landed, only the directory fsync can fail, and the new
+      // file stands.
+      constexpr int64_t kRenameOp = 3;
+      EXPECT_EQ(Observe("op " + std::to_string(op)),
+                op <= kRenameOp ? before : State::kNew)
+          << "op " << op;
+    }
+  }
+
+  void PowerCutAtEveryByte(bool over_old) {
+    const State before = over_old ? State::kOld : State::kAbsent;
+    for (uint64_t cut = 0; cut < total_bytes_; ++cut) {
+      Reset(over_old);
+      io::FaultInjectionEnv env;
+      env.CutAtByte(cut);
+      EXPECT_FALSE(io::WriteFileAtomic(&env, path_, new_file_).ok())
+          << "cut " << cut;
+      // The machine died mid-append: the torn bytes stayed in the temp
+      // file, and the final path still serves the previous state.
+      ASSERT_EQ(Observe("cut " + std::to_string(cut)), before)
+          << "cut " << cut;
+    }
+  }
+
+  std::string old_file_;
+  std::string new_file_;
+  DirSummary old_;
+  DirSummary new_;
+  std::string dir_;
+  std::string path_;
+  int64_t total_ops_ = 0;
+  uint64_t total_bytes_ = 0;
+};
+
+TEST_F(VideoFileCrashTest, FailAtEveryOpOverOldFileLeavesOldOrNew) {
+  FailAtEveryOp(/*over_old=*/true);
+}
+
+TEST_F(VideoFileCrashTest, FailAtEveryOpInFreshDirLeavesNothingOrNew) {
+  FailAtEveryOp(/*over_old=*/false);
+}
+
+TEST_F(VideoFileCrashTest, PowerCutAtEveryByteOverOldFileLeavesOld) {
+  PowerCutAtEveryByte(/*over_old=*/true);
+}
+
+TEST_F(VideoFileCrashTest, PowerCutAtEveryByteInFreshDirLeavesNothing) {
+  PowerCutAtEveryByte(/*over_old=*/false);
 }
 
 }  // namespace

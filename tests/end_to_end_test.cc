@@ -94,7 +94,7 @@ TEST(EndToEndTest, DiskBackedRepositoryRestart) {
 
   // Phase 2: "restart" — reopen purely from the directory and answer the
   // same query without the video or any model. The engine writes each
-  // video into its own subdirectory.
+  // video as one file named by the video.
   auto reopened = core::OpenIngestedVideo(dir + "/cafe");
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   core::AdditiveScoring scoring;

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "svq/query/executor.h"
 
@@ -115,6 +118,44 @@ TEST(EngineTest, ServesReopenedArtifactsWithoutRawVideo) {
   auto online = server.ExecuteOnline(JumpingCar(), "demo");
   EXPECT_EQ(online.status().code(), StatusCode::kFailedPrecondition);
   fs::remove_all(dir);
+}
+
+TEST(EngineTest, DiskIngestAllWritesOneFilePerVideo) {
+  // Concurrent ingests into an ingest directory that does not exist yet:
+  // each video becomes exactly one regular file named by the video, with
+  // no subdirectory, and every file reopens as what was served.
+  namespace fs = std::filesystem;
+  const std::string root =
+      (fs::temp_directory_path() / "svq_engine_one_file").string();
+  fs::remove_all(root);
+  const std::string dir = root + "/catalog";
+  IngestOptions disk_options;
+  disk_options.backend = IngestOptions::TableBackend::kDisk;
+  disk_options.directory = dir;
+  VideoQueryEngine writer(models::ModelSuite(), OnlineConfig(), disk_options);
+  const std::vector<std::string> names = {"clip_a", "clip_b", "clip_c"};
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_TRUE(writer.AddVideo(DemoVideo(names[i], 40 + i)).ok());
+  }
+  ASSERT_TRUE(writer.IngestAll(static_cast<int>(names.size())).ok());
+
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_TRUE(entry.is_regular_file()) << entry.path();
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, names);
+  for (const std::string& name : names) {
+    auto reopened = OpenIngestedVideo(dir + "/" + name);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    const auto served = writer.Ingested(name);
+    ASSERT_NE(served, nullptr);
+    EXPECT_EQ(reopened->id, served->id);
+    EXPECT_EQ(reopened->object_sequences, served->object_sequences);
+    EXPECT_EQ(reopened->action_sequences, served->action_sequences);
+  }
+  fs::remove_all(root);
 }
 
 TEST(EngineTest, AllOfflineAlgorithmsAgreeOnSequences) {

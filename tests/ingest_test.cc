@@ -4,6 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "svq/core/rvaq.h"
 #include "svq/models/synthetic_models.h"
@@ -164,11 +168,27 @@ TEST(IngestTest, SequencesAlignWithGroundTruth) {
   EXPECT_GT(coverage, 0.8);
 }
 
+void ExpectSameTables(
+    const std::map<std::string, std::unique_ptr<storage::ScoreTable>>& a,
+    const std::map<std::string, std::unique_ptr<storage::ScoreTable>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [label, table] : a) {
+    SCOPED_TRACE(label);
+    ASSERT_TRUE(b.contains(label));
+    const storage::ScoreTable& other = *b.at(label);
+    ASSERT_EQ(table->NumRows(), other.NumRows());
+    for (int64_t r = 0; r < table->NumRows(); ++r) {
+      EXPECT_EQ(*table->RowAt(r), *other.RowAt(r)) << "rank " << r;
+    }
+  }
+}
+
 TEST(IngestTest, DiskBackendRoundTrips) {
   auto video = MakeVideo();
+  // The ingest directory does not exist yet: the disk backend creates it.
   const std::string dir =
       (std::filesystem::temp_directory_path() / "svq_ingest_test").string();
-  std::filesystem::create_directories(dir);
+  std::filesystem::remove_all(dir);
   IngestOptions options;
   options.backend = IngestOptions::TableBackend::kDisk;
   options.directory = dir;
@@ -188,25 +208,47 @@ TEST(IngestTest, DiskBackendRoundTrips) {
   // Disk and memory backends serve identical data.
   EXPECT_EQ(disk->object_sequences, mem->object_sequences);
   EXPECT_EQ(disk->action_sequences, mem->action_sequences);
-  const storage::ScoreTable* dt = disk->ObjectTable("cup");
-  const storage::ScoreTable* mt = mem->ObjectTable("cup");
-  ASSERT_NE(dt, nullptr);
-  ASSERT_NE(mt, nullptr);
-  ASSERT_EQ(dt->NumRows(), mt->NumRows());
-  for (int64_t r = 0; r < dt->NumRows(); ++r) {
-    EXPECT_EQ(*dt->RowAt(r), *mt->RowAt(r));
+  ExpectSameTables(disk->object_tables, mem->object_tables);
+  ExpectSameTables(disk->action_tables, mem->action_tables);
+  EXPECT_NE(disk->ObjectTable("cup"), nullptr);
+  // The whole video is one regular file named by the video.
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_TRUE(entry.is_regular_file()) << entry.path();
+    entries.push_back(entry.path().filename().string());
   }
-  // Sequence files were persisted.
-  EXPECT_TRUE(std::filesystem::exists(dir + "/object_sequences.svqs"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/action_sequences.svqs"));
+  EXPECT_EQ(entries, std::vector<std::string>{"ingest_test"});
   std::filesystem::remove_all(dir);
+}
+
+TEST(IngestTest, DiskBackendNeedsAFileName) {
+  SyntheticVideoSpec spec;
+  spec.num_frames = 800;
+  spec.actions.push_back({"smoking", 100.0, 300.0});
+  IngestOptions options;
+  options.backend = IngestOptions::TableBackend::kDisk;
+  options.directory =
+      (std::filesystem::temp_directory_path() / "svq_ingest_names").string();
+  for (const std::string name : {"a/b", "..", "."}) {
+    spec.name = name;
+    auto video = SyntheticVideo::Generate(spec);
+    ASSERT_TRUE(video.ok()) << name;
+    models::ModelSet models =
+        models::MakeModelSet(*video, models::MaskRcnnI3dSuite(), {}, {});
+    EXPECT_TRUE(IngestVideo(*video, 1, models.tracker.get(),
+                            models.recognizer.get(), options)
+                    .status()
+                    .IsInvalidArgument())
+        << name;
+  }
+  std::filesystem::remove_all(options.directory);
 }
 
 TEST(IngestTest, ReopenedDirectoryServesIdenticalQueries) {
   auto video = MakeVideo();
   const std::string dir =
       (std::filesystem::temp_directory_path() / "svq_ingest_reopen").string();
-  std::filesystem::create_directories(dir);
+  std::filesystem::remove_all(dir);
   IngestOptions options;
   options.backend = IngestOptions::TableBackend::kDisk;
   options.directory = dir;
@@ -217,7 +259,7 @@ TEST(IngestTest, ReopenedDirectoryServesIdenticalQueries) {
   ASSERT_TRUE(fresh.ok()) << fresh.status();
 
   // Reopen purely from disk: no video, no models.
-  auto reopened = OpenIngestedVideo(dir);
+  auto reopened = OpenIngestedVideo(dir + "/" + video->name());
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened->name, fresh->name);
   EXPECT_EQ(reopened->id, 3);
@@ -226,6 +268,9 @@ TEST(IngestTest, ReopenedDirectoryServesIdenticalQueries) {
   EXPECT_EQ(reopened->layout.FramesPerClip(), fresh->layout.FramesPerClip());
   EXPECT_EQ(reopened->object_sequences, fresh->object_sequences);
   EXPECT_EQ(reopened->action_sequences, fresh->action_sequences);
+  // Every table, row for row: the restart serves what the ingest served.
+  ExpectSameTables(reopened->object_tables, fresh->object_tables);
+  ExpectSameTables(reopened->action_tables, fresh->action_tables);
 
   // A ranked query over the reopened metadata returns the same answer.
   Query query;
@@ -248,16 +293,24 @@ TEST(IngestTest, ReopenedDirectoryServesIdenticalQueries) {
 }
 
 TEST(IngestTest, OpenRejectsMissingOrCorruptManifest) {
-  EXPECT_TRUE(OpenIngestedVideo("/nonexistent/dir").status().IsIOError());
+  EXPECT_TRUE(OpenIngestedVideo("/nonexistent/video").status().IsIOError());
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "svq_ingest_badmanifest")
+      (std::filesystem::temp_directory_path() / "svq_ingest_badfile")
           .string();
-  std::filesystem::create_directories(dir);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/old_layout");
   {
-    std::ofstream out(dir + "/manifest.svqm", std::ios::binary);
+    std::ofstream out(dir + "/nonsense", std::ios::binary);
     out << "nonsense";
   }
-  EXPECT_TRUE(OpenIngestedVideo(dir).status().IsCorruption());
+  EXPECT_TRUE(OpenIngestedVideo(dir + "/nonsense").status().IsCorruption());
+  // A per-video directory of the earlier format is no video file: the
+  // caller is told to re-ingest, and nothing is quarantined.
+  const Status old_layout = OpenIngestedVideo(dir + "/old_layout").status();
+  EXPECT_TRUE(old_layout.IsIOError()) << old_layout;
+  EXPECT_NE(old_layout.message().find("re-ingest"), std::string::npos)
+      << old_layout;
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/old_layout"));
   std::filesystem::remove_all(dir);
 }
 

@@ -1,21 +1,17 @@
 // Suite names follow the two ways a table comes to be: MemoryScoreTableTest
-// builds tables from rows, DiskScoreTableTest writes them to a file and
-// opens them again. Both produce the one ScoreTable type.
+// builds tables from rows, DiskScoreTableTest encodes them as a video file
+// stores them and parses them again. Both produce the one ScoreTable type.
 
 #include "svq/storage/score_table.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <string>
+#include <vector>
 
 #include "svq/common/rng.h"
 #include "svq/io/bytes.h"
-#include "svq/io/checksum_format.h"
-#include "svq/io/env.h"
-#include "svq/io/fault_injection_env.h"
 
 namespace svq::storage {
 namespace {
@@ -33,29 +29,23 @@ std::unique_ptr<ScoreTable> SampleTable() {
   return std::move(table).value();
 }
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+std::string Encoded(const ScoreTable& table) {
+  std::string bytes;
+  table.AppendTo(&bytes);
+  return bytes;
 }
 
-void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-/// A v2 table file with a valid checksum footer whose header declares
-/// `row_count` and whose body holds `rows` verbatim, in the given order:
-/// it passes the footer check, so only Open's own validation can reject it.
-std::string ChecksummedTable(uint64_t row_count,
+/// A table encoding whose row count reads `row_count` and whose body holds
+/// `rows` verbatim, in the given order: inside a video file it would pass
+/// the checksum, so only Parse's own validation can reject it.
+std::string HandEncodedTable(uint64_t row_count,
                              const std::vector<ClipScoreRow>& rows) {
   std::string bytes;
-  io::AppendValue(&bytes, static_cast<uint32_t>(0x53565154));  // "SVQT"
-  io::AppendValue(&bytes, static_cast<uint32_t>(2));           // version
   io::AppendValue(&bytes, row_count);
   for (const ClipScoreRow& row : rows) {
     io::AppendValue(&bytes, row.clip);
     io::AppendValue(&bytes, row.score);
   }
-  io::AppendChecksumFooter(&bytes);
   return bytes;
 }
 
@@ -110,10 +100,8 @@ TEST(MemoryScoreTableTest, RankOutOfRange) {
 }
 
 TEST(DiskScoreTableTest, RoundTripMatchesMemory) {
-  const std::string path = TempPath("svq_table_roundtrip.svqt");
   auto built = SampleTable();
-  ASSERT_TRUE(built->Write(path).ok());
-  auto disk = ScoreTable::Open(path, kNumClips);
+  auto disk = ScoreTable::Parse(Encoded(*built), kNumClips, "sample");
   ASSERT_TRUE(disk.ok()) << disk.status();
   ASSERT_EQ((*disk)->NumRows(), built->NumRows());
   for (int64_t r = -1; r <= built->NumRows(); ++r) {
@@ -132,64 +120,59 @@ TEST(DiskScoreTableTest, RoundTripMatchesMemory) {
       EXPECT_EQ(*dscore, *bscore) << "clip " << clip;
     }
   }
-  std::filesystem::remove(path);
+  // The encoding is the row count and 16 bytes per row, nothing else.
+  EXPECT_EQ(Encoded(*built).size(), 8u + 16u * SampleRows().size());
 }
 
 TEST(DiskScoreTableTest, EmptyTable) {
-  const std::string path = TempPath("svq_table_empty.svqt");
   auto empty = ScoreTable::Create({}, 0);
   ASSERT_TRUE(empty.ok());
-  ASSERT_TRUE((*empty)->Write(path).ok());
-  auto disk = ScoreTable::Open(path, 0);
+  auto disk = ScoreTable::Parse(Encoded(**empty), 0, "empty");
   ASSERT_TRUE(disk.ok());
   EXPECT_EQ((*disk)->NumRows(), 0);
   EXPECT_TRUE((*disk)->RowAt(0).status().IsOutOfRange());
-  std::filesystem::remove(path);
-}
-
-TEST(DiskScoreTableTest, MissingFileIsIOError) {
-  EXPECT_TRUE(ScoreTable::Open("/nonexistent/nope.svqt", kNumClips)
-                  .status()
-                  .IsIOError());
-}
-
-TEST(DiskScoreTableTest, DetectsBadMagic) {
-  const std::string path = TempPath("svq_table_badmagic.svqt");
-  WriteBytes(path, "this is not a score table at all, not even close...");
-  EXPECT_TRUE(ScoreTable::Open(path, kNumClips).status().IsCorruption());
-  // A sound footer over a foreign header is still not a table.
-  std::string foreign = "not a table header";
-  io::AppendChecksumFooter(&foreign);
-  WriteBytes(path, foreign);
-  EXPECT_TRUE(ScoreTable::Open(path, kNumClips).status().IsCorruption());
-  std::filesystem::remove(path);
 }
 
 TEST(DiskScoreTableTest, DetectsTruncation) {
-  const std::string path = TempPath("svq_table_trunc.svqt");
-  ASSERT_TRUE(SampleTable()->Write(path).ok());
-  std::filesystem::resize_file(path, 40);  // header + ~1.5 rows
-  EXPECT_FALSE(ScoreTable::Open(path, kNumClips).ok());
-  std::filesystem::remove(path);
+  const std::string bytes = Encoded(*SampleTable());
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    auto result = ScoreTable::Parse(bytes.substr(0, n), kNumClips, "cut");
+    ASSERT_FALSE(result.ok()) << "length " << n;
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status();
+  }
 }
 
 TEST(DiskScoreTableTest, HostileRowCountIsCorruptionNotOOM) {
-  // A checksum-valid header claiming 2^60 rows over a short body must be
-  // rejected by size validation, not drive a 2^60-element allocation.
-  const std::string path = TempPath("svq_table_hostile.svqt");
+  // A row count of 2^60 over a short body must be rejected by size
+  // validation, not drive a 2^60-element allocation.
   for (const std::vector<ClipScoreRow>& body :
        {std::vector<ClipScoreRow>{}, SampleRows()}) {
-    WriteBytes(path, ChecksummedTable(uint64_t{1} << 60, body));
-    auto result = ScoreTable::Open(path, kNumClips);
+    auto result = ScoreTable::Parse(
+        HandEncodedTable(uint64_t{1} << 60, body), kNumClips, "hostile");
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(result.status().IsCorruption()) << result.status();
   }
-  std::filesystem::remove(path);
+}
+
+TEST(DiskScoreTableTest, EveryRowCountBitFlipIsCorruption) {
+  // The row count must account for exactly the bytes that follow it, so
+  // no flip of any of its bits, nor of a whole byte, can parse.
+  const std::string pristine = Encoded(*SampleTable());
+  for (size_t i = 0; i < sizeof(uint64_t); ++i) {
+    for (int bit = 0; bit <= 8; ++bit) {
+      std::string mutated = pristine;
+      mutated[i] ^=
+          bit == 8 ? static_cast<char>(0xFF) : static_cast<char>(1 << bit);
+      auto result = ScoreTable::Parse(mutated, kNumClips, "flipped");
+      ASSERT_FALSE(result.ok()) << "byte " << i << " bit " << bit;
+      EXPECT_TRUE(result.status().IsCorruption()) << result.status();
+    }
+  }
 }
 
 TEST(DiskScoreTableTest, ChecksummedButInvalidRowsAreCorruption) {
-  // Each file carries a valid footer, so only the row checks can catch it.
-  const std::string path = TempPath("svq_table_badrows.svqt");
+  // Each encoding is well formed, as a checksum-valid file would carry it,
+  // so only the row checks can catch it.
   const std::vector<std::vector<ClipScoreRow>> bad = {
       {{5, 0.9}, {kNumClips, 0.4}},  // clip == num_clips
       {{-3, 0.9}},                   // negative clip
@@ -197,89 +180,31 @@ TEST(DiskScoreTableTest, ChecksummedButInvalidRowsAreCorruption) {
       {{5, 0.9}, {5, 0.4}},          // duplicate clip
   };
   for (const std::vector<ClipScoreRow>& rows : bad) {
-    WriteBytes(path, ChecksummedTable(rows.size(), rows));
-    auto result = ScoreTable::Open(path, kNumClips);
+    auto result = ScoreTable::Parse(HandEncodedTable(rows.size(), rows),
+                                    kNumClips, "bad rows");
     ASSERT_FALSE(result.ok()) << rows[0].clip;
     EXPECT_TRUE(result.status().IsCorruption()) << result.status();
   }
-  // The same file opens once num_clips covers its clips.
-  WriteBytes(path, ChecksummedTable(2, {{5, 0.9}, {kNumClips, 0.4}}));
-  EXPECT_TRUE(ScoreTable::Open(path, kNumClips + 1).ok());
-  std::filesystem::remove(path);
-}
-
-TEST(DiskScoreTableTest, EveryHeaderAndFooterBitFlipIsCorruption) {
-  const std::string path = TempPath("svq_table_flip.svqt");
-  ASSERT_TRUE(SampleTable()->Write(path).ok());
-  auto pristine = io::ReadFileToString(path);
-  ASSERT_TRUE(pristine.ok());
-  ASSERT_GT(pristine->size(), 40u);  // 16-byte header + rows + 24-byte footer
-  // Every single-bit flip (plus a full-byte flip) in the header and footer
-  // must surface as Corruption: never a successful open, never a crash.
-  std::vector<size_t> positions;
-  for (size_t i = 0; i < 16; ++i) positions.push_back(i);
-  for (size_t i = pristine->size() - 24; i < pristine->size(); ++i) {
-    positions.push_back(i);
-  }
-  for (const size_t i : positions) {
-    for (int bit = 0; bit <= 8; ++bit) {
-      const char mask =
-          bit == 8 ? static_cast<char>(0xFF) : static_cast<char>(1 << bit);
-      std::string mutated = *pristine;
-      mutated[i] ^= mask;
-      WriteBytes(path, mutated);
-      auto result = ScoreTable::Open(path, kNumClips);
-      ASSERT_FALSE(result.ok()) << "byte " << i << " bit " << bit;
-      EXPECT_TRUE(result.status().IsCorruption())
-          << "byte " << i << " bit " << bit << ": " << result.status();
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(DiskScoreTableTest, FailedWriteLeavesNoPartialFile) {
-  // Regression: a failed Write must never leave a partial file at the
-  // final path — neither on a clean syscall failure nor on a short write.
-  const std::string path = TempPath("svq_table_failwrite.svqt");
-  std::filesystem::remove(path);
-  auto table = SampleTable();
-  io::FaultInjectionEnv env;
-  env.ShortWrite(/*op_index=*/1, /*bytes=*/10);
-  EXPECT_FALSE(table->Write(path, &env).ok());
-  EXPECT_FALSE(std::filesystem::exists(path));
-  env.Reset();
-  env.FailOp(3);  // the rename
-  EXPECT_FALSE(table->Write(path, &env).ok());
-  EXPECT_FALSE(std::filesystem::exists(path));
-  // And a failed overwrite keeps the previous complete table readable.
-  env.Reset();
-  ASSERT_TRUE(table->Write(path, &env).ok());
-  env.Reset();
-  env.ShortWrite(/*op_index=*/1, /*bytes=*/4);
-  auto other = ScoreTable::Create({{1, 0.5}}, kNumClips);
-  ASSERT_TRUE(other.ok());
-  EXPECT_FALSE((*other)->Write(path, &env).ok());
-  auto disk = ScoreTable::Open(path, kNumClips);
-  ASSERT_TRUE(disk.ok()) << disk.status();
-  EXPECT_EQ((*disk)->NumRows(), 5);
-  std::filesystem::remove(path);
+  // The same bytes parse once num_clips covers their clips.
+  EXPECT_TRUE(ScoreTable::Parse(
+                  HandEncodedTable(2, {{5, 0.9}, {kNumClips, 0.4}}),
+                  kNumClips + 1, "wider")
+                  .ok());
 }
 
 TEST(DiskScoreTableTest, LargeTableRandomSpotChecks) {
-  const std::string path = TempPath("svq_table_large.svqt");
   Rng rng(77);
   std::vector<ClipScoreRow> rows;
   for (int i = 0; i < 20000; ++i) rows.push_back({i, rng.NextDouble()});
   auto built = ScoreTable::Create(rows, 20000);
   ASSERT_TRUE(built.ok());
-  ASSERT_TRUE((*built)->Write(path).ok());
-  auto disk = ScoreTable::Open(path, 20000);
+  auto disk = ScoreTable::Parse(Encoded(**built), 20000, "large");
   ASSERT_TRUE(disk.ok());
   for (int i = 0; i < 200; ++i) {
     const auto& row = rows[rng.NextUint64(rows.size())];
     EXPECT_DOUBLE_EQ(*(*disk)->ScoreOf(row.clip), row.score);
   }
-  // Sorted order holds on disk.
+  // Sorted order survives the encoding.
   double prev = 2.0;
   for (int64_t r = 0; r < 100; ++r) {
     auto row = (*disk)->RowAt(r);
@@ -287,7 +212,6 @@ TEST(DiskScoreTableTest, LargeTableRandomSpotChecks) {
     EXPECT_LE(row->score, prev);
     prev = row->score;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(TableReaderTest, CountsAccessClasses) {

@@ -1,137 +1,125 @@
+// SequenceStore entries are the head of every section of a video file
+// (docs/storage.md): one label and its individual sequences.
+
 #include "svq/storage/sequence_store.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
+#include <map>
+#include <string>
 
 #include "svq/io/bytes.h"
-#include "svq/io/checksum_format.h"
-#include "svq/io/env.h"
 
 namespace svq::storage {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using SequenceMap = std::map<std::string, video::IntervalSet>;
 
-void WriteRaw(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out.good());
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST(SequenceStoreTest, RoundTrip) {
-  std::map<std::string, video::IntervalSet> sequences;
-  sequences["car"] = video::IntervalSet({{0, 3}, {10, 14}});
-  sequences["jumping"] = video::IntervalSet({{2, 5}});
-  sequences["empty_label"] = video::IntervalSet();
-
-  const std::string path = TempPath("svq_sequences.svqs");
-  ASSERT_TRUE(SequenceStore::Save(path, sequences).ok());
-  auto loaded = SequenceStore::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, sequences);
-  std::filesystem::remove(path);
-}
-
-TEST(SequenceStoreTest, EmptyMap) {
-  const std::string path = TempPath("svq_sequences_empty.svqs");
-  ASSERT_TRUE(SequenceStore::Save(path, {}).ok());
-  auto loaded = SequenceStore::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->empty());
-  std::filesystem::remove(path);
-}
-
-TEST(SequenceStoreTest, MissingFile) {
-  EXPECT_TRUE(SequenceStore::Load("/nonexistent/file.svqs")
-                  .status()
-                  .IsIOError());
-}
-
-TEST(SequenceStoreTest, BadMagic) {
-  const std::string path = TempPath("svq_sequences_bad.svqs");
-  std::ofstream out(path, std::ios::binary);
-  out << "garbage garbage garbage";
-  out.close();
-  EXPECT_TRUE(SequenceStore::Load(path).status().IsCorruption());
-  std::filesystem::remove(path);
-}
-
-TEST(SequenceStoreTest, Truncated) {
-  std::map<std::string, video::IntervalSet> sequences;
-  sequences["car"] = video::IntervalSet({{0, 3}, {10, 14}});
-  const std::string path = TempPath("svq_sequences_trunc.svqs");
-  ASSERT_TRUE(SequenceStore::Save(path, sequences).ok());
-  std::filesystem::resize_file(path, 20);
-  EXPECT_TRUE(SequenceStore::Load(path).status().IsCorruption());
-  std::filesystem::remove(path);
-}
-
-/// The head of a sequence store holding one label, in the format Save
-/// writes: magic, label count, then the label itself.
-std::string OneLabelHead() {
+/// Encodes every entry of `sequences` back to back.
+std::string EncodeAll(const SequenceMap& sequences) {
   std::string bytes;
-  io::AppendValue(&bytes, static_cast<uint32_t>(0x32515653));  // "SVQ2"
-  io::AppendValue(&bytes, static_cast<uint64_t>(1));           // one label
+  for (const auto& [label, set] : sequences) {
+    SequenceStore::AppendEntry(label, set, &bytes);
+  }
   return bytes;
 }
 
+/// Parses entries until the bytes run out.
+Result<SequenceMap> ParseAll(const std::string& bytes) {
+  io::ByteReader in(bytes);
+  SequenceMap sequences;
+  while (in.remaining() > 0) {
+    SVQ_ASSIGN_OR_RETURN(SequenceStore::Entry entry,
+                         SequenceStore::ParseEntry(&in, "entries"));
+    sequences.emplace(std::move(entry.first), std::move(entry.second));
+  }
+  return sequences;
+}
+
+TEST(SequenceStoreTest, RoundTrip) {
+  SequenceMap sequences;
+  sequences["car"] = video::IntervalSet({{0, 3}, {10, 14}});
+  sequences["jumping"] = video::IntervalSet({{2, 5}});
+  sequences["empty_label"] = video::IntervalSet();
+  auto loaded = ParseAll(EncodeAll(sequences));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(*loaded, sequences);
+}
+
+TEST(SequenceStoreTest, EmptyMap) {
+  // An entry with no intervals is its label and a zero count.
+  std::string bytes;
+  SequenceStore::AppendEntry("cup", video::IntervalSet(), &bytes);
+  EXPECT_EQ(bytes.size(), 8u + 3u + 8u);
+  io::ByteReader in(bytes);
+  auto entry = SequenceStore::ParseEntry(&in, "empty");
+  ASSERT_TRUE(entry.ok()) << entry.status();
+  EXPECT_EQ(entry->first, "cup");
+  EXPECT_TRUE(entry->second.empty());
+  EXPECT_EQ(in.remaining(), 0u);
+}
+
+TEST(SequenceStoreTest, Truncated) {
+  SequenceMap sequences;
+  sequences["car"] = video::IntervalSet({{0, 3}, {10, 14}});
+  const std::string bytes = EncodeAll(sequences);
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    io::ByteReader in(std::string_view(bytes).substr(0, n));
+    auto entry = SequenceStore::ParseEntry(&in, "cut");
+    ASSERT_FALSE(entry.ok()) << "length " << n;
+    EXPECT_TRUE(entry.status().IsCorruption()) << entry.status();
+  }
+}
+
 TEST(SequenceStoreTest, HostileIntervalCountIsCorruptionNotOOM) {
-  // A checksum-valid file claiming 2^60 intervals for a label: Load must
-  // reject the count against the bytes that actually remain, not
-  // reserve() for it.
-  std::string bytes = OneLabelHead();
+  // An entry claiming 2^60 intervals: ParseEntry must reject the count
+  // against the bytes that actually remain, not reserve() for it.
+  std::string bytes;
   io::AppendLengthPrefixedString(&bytes, "cup");
   io::AppendValue(&bytes, static_cast<uint64_t>(1) << 60);     // intervals
-  io::AppendChecksumFooter(&bytes);
-  const std::string path = TempPath("svq_sequences_hostile.svqs");
-  WriteRaw(path, bytes);
-  EXPECT_TRUE(SequenceStore::Load(path).status().IsCorruption());
-  std::filesystem::remove(path);
+  io::AppendValue(&bytes, int64_t{0});
+  io::AppendValue(&bytes, int64_t{1});
+  io::ByteReader in(bytes);
+  EXPECT_TRUE(SequenceStore::ParseEntry(&in, "hostile").status().IsCorruption());
 }
 
 TEST(SequenceStoreTest, HostileLabelLengthIsCorruptionNotOOM) {
-  std::string bytes = OneLabelHead();
+  std::string bytes;
   io::AppendValue(&bytes, static_cast<uint64_t>(1) << 59);     // label length
-  io::AppendChecksumFooter(&bytes);
-  const std::string path = TempPath("svq_sequences_hostile_label.svqs");
-  WriteRaw(path, bytes);
-  EXPECT_TRUE(SequenceStore::Load(path).status().IsCorruption());
-  std::filesystem::remove(path);
-}
-
-TEST(SequenceStoreTest, ChecksumCatchesBitFlips) {
-  std::map<std::string, video::IntervalSet> sequences;
-  sequences["car"] = video::IntervalSet({{0, 3}, {10, 14}});
-  const std::string path = TempPath("svq_sequences_flip.svqs");
-  ASSERT_TRUE(SequenceStore::Save(path, sequences).ok());
-  auto pristine = io::ReadFileToString(path);
-  ASSERT_TRUE(pristine.ok());
-  for (size_t i = 0; i < pristine->size(); ++i) {
-    std::string mutated = *pristine;
-    mutated[i] ^= 0x01;
-    WriteRaw(path, mutated);
-    auto loaded = SequenceStore::Load(path);
-    ASSERT_FALSE(loaded.ok()) << "byte " << i;
-    EXPECT_TRUE(loaded.status().IsCorruption()) << "byte " << i;
-  }
-  std::filesystem::remove(path);
+  io::ByteReader in(bytes);
+  EXPECT_TRUE(SequenceStore::ParseEntry(&in, "hostile").status().IsCorruption());
+  // A label longer than the bound is refused even when its bytes exist.
+  bytes.clear();
+  io::AppendLengthPrefixedString(
+      &bytes, std::string(SequenceStore::kMaxLabelLength + 1, 'x'));
+  io::AppendValue(&bytes, uint64_t{0});
+  io::ByteReader oversized(bytes);
+  EXPECT_TRUE(
+      SequenceStore::ParseEntry(&oversized, "oversized").status().IsCorruption());
 }
 
 TEST(SequenceStoreTest, UnicodeAndSpecialLabels) {
-  std::map<std::string, video::IntervalSet> sequences;
+  // Labels are stored verbatim: no two labels can collide, whatever
+  // characters they hold.
+  SequenceMap sequences;
   sequences["robot dancing"] = video::IntervalSet({{1, 2}});
+  sequences["robot_dancing"] = video::IntervalSet({{5, 6}});
   sequences["naïve_label"] = video::IntervalSet({{3, 4}});
-  const std::string path = TempPath("svq_sequences_labels.svqs");
-  ASSERT_TRUE(SequenceStore::Save(path, sequences).ok());
-  auto loaded = SequenceStore::Load(path);
-  ASSERT_TRUE(loaded.ok());
+  sequences["a/b"] = video::IntervalSet({{7, 9}});
+  auto loaded = ParseAll(EncodeAll(sequences));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(*loaded, sequences);
-  std::filesystem::remove(path);
+}
+
+TEST(SequenceStoreTest, InvertedIntervalIsCorruption) {
+  std::string bytes;
+  io::AppendLengthPrefixedString(&bytes, "cup");
+  io::AppendValue(&bytes, uint64_t{1});
+  io::AppendValue(&bytes, int64_t{9});
+  io::AppendValue(&bytes, int64_t{4});
+  io::ByteReader in(bytes);
+  EXPECT_TRUE(SequenceStore::ParseEntry(&in, "inverted").status().IsCorruption());
 }
 
 }  // namespace

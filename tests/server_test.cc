@@ -38,6 +38,12 @@ constexpr const char* kRankedStatement =
     "WHERE act='smoking' AND obj.include('cup') "
     "ORDER BY RANK(act, obj) LIMIT 3";
 
+constexpr const char* kBroadcastStatement =
+    "SELECT MERGE(clipID), RANK(act, obj) FROM (PROCESS * PRODUCE "
+    "clipID, obj USING ObjectDetector, act USING ActionRecognizer) "
+    "WHERE act='smoking' AND obj.include('cup') "
+    "ORDER BY RANK(act, obj) LIMIT 3";
+
 constexpr const char* kStreamingStatement =
     "SELECT MERGE(clipID) FROM (PROCESS serving_0 PRODUCE clipID, obj USING "
     "ObjectDetector, act USING ActionRecognizer) "
@@ -355,6 +361,26 @@ TEST_F(ServerTest, StatsVerbRoundTripsRegistryCounters) {
     wire.help = local.help;
     EXPECT_EQ(wire, local) << local.name;
   }
+}
+
+TEST_F(ServerTest, BroadcastFeedsTheExecutePhaseHistogram) {
+  // A `PROCESS *` statement executes under its own span and plans nothing:
+  // it counts once as execution and leaves the plan histogram alone.
+  StartServer();
+  const auto count = [&](const std::string& name) {
+    const observability::MetricsSnapshot stats = server_->Metrics();
+    const observability::HistogramSnapshot* found = stats.FindHistogram(name);
+    if (found == nullptr) ADD_FAILURE() << "histogram missing: " << name;
+    return found != nullptr ? found->count : int64_t{-1};
+  };
+  const int64_t execute_before = count("svqd_phase_execute_micros");
+  const int64_t plan_before = count("svqd_phase_plan_micros");
+  Client client = Connected();
+  auto response = client.Execute(kBroadcastStatement);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->status.ok()) << response->status;
+  EXPECT_EQ(count("svqd_phase_execute_micros"), execute_before + 1);
+  EXPECT_EQ(count("svqd_phase_plan_micros"), plan_before);
 }
 
 TEST_F(ServerTest, BadStatementReturnsErrorNotDisconnect) {

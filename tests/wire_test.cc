@@ -638,16 +638,39 @@ TEST(WireTest, StreamFramesRejectTrailingGarbage) {
 
 TEST(WireTest, HostileStatusCodeRejected) {
   // A status byte beyond the last defined StatusCode must be treated as
-  // corruption, not cast blindly into the enum.
-  SubscribeResponse response;
-  response.request_id = 1;
-  std::string payload = PayloadOf(EncodeSubscribeResponse(response));
-  // Status code byte follows the 2-byte header + 8-byte request id.
-  payload[2 + 8] = static_cast<char>(250);
-  SubscribeResponse decoded;
-  EXPECT_TRUE(DecodeAs(payload, MessageType::kSubscribeResponse,
-                       DecodeSubscribeResponse, &decoded)
-                  .IsCorruption());
+  // corruption, not cast blindly into the enum. In every response that
+  // carries a status, its code byte follows the 2-byte header and the
+  // 8-byte request id.
+  constexpr size_t kStatusAt = 2 + 8;
+  {
+    SubscribeResponse response;
+    response.request_id = 1;
+    std::string payload = PayloadOf(EncodeSubscribeResponse(response));
+    payload[kStatusAt] = static_cast<char>(250);
+    SubscribeResponse decoded;
+    EXPECT_TRUE(DecodeAs(payload, MessageType::kSubscribeResponse,
+                         DecodeSubscribeResponse, &decoded)
+                    .IsCorruption());
+  }
+  {
+    std::string payload = PayloadOf(EncodeQueryResponse(SampleResponse()));
+    payload[kStatusAt] = static_cast<char>(250);
+    QueryResponse decoded;
+    EXPECT_TRUE(DecodeAs(payload, MessageType::kQueryResponse,
+                         DecodeQueryResponse, &decoded)
+                    .IsCorruption());
+  }
+  {
+    ExplainResponse response;
+    response.request_id = 1;
+    response.text = "plan";
+    std::string payload = PayloadOf(EncodeExplainResponse(response));
+    payload[kStatusAt] = static_cast<char>(250);
+    ExplainResponse decoded;
+    EXPECT_TRUE(DecodeAs(payload, MessageType::kExplainResponse,
+                         DecodeExplainResponse, &decoded)
+                    .IsCorruption());
+  }
 }
 
 TEST(WireHistogramTest, PercentilesFromBuckets) {
