@@ -114,7 +114,7 @@ void BM_EvaluateClip(benchmark::State& state) {
   svq::core::FrameTable frames(models.detector.get(), config.object_threshold);
   svq::core::ShotTable shots(models.recognizer.get());
   const svq::core::ClipPredicates predicates =
-      svq::core::PrepareClipPredicates(query, &frames);
+      svq::core::PrepareClipPredicates(query, &frames, &shots);
   svq::core::ClipEvaluation eval;
   size_t i = 0;
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #include "svq/core/clip_indicator.h"
 
 #include <bit>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -49,52 +50,98 @@ std::vector<FramePredicate> FramePredicatesOf(const Query& query) {
   return predicates;
 }
 
+namespace {
+
+/// Maps each vocabulary index to the slot registered for its label, or -1.
+std::vector<int> MapSlots(const std::vector<std::string>& vocabulary,
+                          const std::vector<std::string>& slot_labels) {
+  std::vector<int> slot_of(vocabulary.size(), -1);
+  for (size_t v = 0; v < vocabulary.size(); ++v) {
+    for (size_t s = 0; s < slot_labels.size(); ++s) {
+      if (vocabulary[v] == slot_labels[s]) {
+        slot_of[v] = static_cast<int>(s);
+        break;
+      }
+    }
+  }
+  return slot_of;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // FrameTable
 
 FrameTable::FrameTable(models::ObjectDetector* detector, double threshold)
-    : detector_(detector), threshold_(threshold) {}
+    : detector_(detector), threshold_(threshold) {
+  slot_of_ = MapSlots(detector_->SupportedLabels(), labels_);
+}
 
 int FrameTable::Slot(const std::string& label) {
   for (size_t s = 0; s < labels_.size(); ++s) {
     if (labels_[s] == label) return static_cast<int>(s);
   }
   labels_.push_back(label);
+  slot_of_ = MapSlots(detector_->SupportedLabels(), labels_);
   held_ = false;
   return static_cast<int>(labels_.size() - 1);
 }
 
+void FrameTable::KeepDetections() {
+  if (keep_detections_) return;
+  keep_detections_ = true;
+  held_ = false;
+}
+
 void FrameTable::Reset(models::ObjectDetector* detector) {
   detector_ = detector;
+  slot_of_ = MapSlots(detector_->SupportedLabels(), labels_);
   held_ = false;
 }
 
 Status FrameTable::Fill(const video::ClipRef& clip,
                         models::InferenceStats* charge) {
-  if (!held_ || clip.frames.begin != frames_.begin ||
-      clip.frames.end != frames_.end) {
+  if (!held_ || clip.frames != frames_) {
     held_ = false;
     const int64_t n = clip.frames.length();
     words_ = static_cast<size_t>((n + 63) / 64);
-    if (detections_.size() < static_cast<size_t>(n)) {
-      detections_.resize(static_cast<size_t>(n));
-    }
     masks_.assign(labels_.size() * words_, 0);
+    emissions_.clear();
+    boxes_.clear();
     const models::InferenceStats before = detector_->stats();
-    for (int64_t f = 0; f < n; ++f) {
-      std::vector<models::ObjectDetection>& detections =
-          detections_[static_cast<size_t>(f)];
-      SVQ_ASSIGN_OR_RETURN(detections,
-                           detector_->Detect(clip.frames.begin + f));
-      for (const models::ObjectDetection& det : detections) {
-        if (det.score < threshold_) continue;
-        for (size_t s = 0; s < labels_.size(); ++s) {
-          if (det.label == labels_[s]) {
-            masks_[s * words_ + static_cast<size_t>(f >> 6)] |=
-                uint64_t{1} << (f & 63);
-            break;
-          }
-        }
+    SVQ_RETURN_NOT_OK(detector_->Detect(clip.frames, &emissions_,
+                                        keep_detections_ ? &boxes_ : nullptr));
+    for (const models::Emission& e : emissions_) {
+      SVQ_RETURN_NOT_OK(
+          models::CheckEmission(e, slot_of_.size(), clip.frames));
+      const int slot = slot_of_[static_cast<size_t>(e.label)];
+      if (slot < 0 || e.score < threshold_) continue;
+      const int64_t f = e.unit - clip.frames.begin;
+      masks_[static_cast<size_t>(slot) * words_ +
+             static_cast<size_t>(f >> 6)] |= uint64_t{1} << (f & 63);
+    }
+    if (keep_detections_) {
+      if (boxes_.size() != emissions_.size()) {
+        return Status::Internal("detector returned " +
+                                std::to_string(boxes_.size()) + " boxes for " +
+                                std::to_string(emissions_.size()) +
+                                " detections");
+      }
+      if (detections_.size() < static_cast<size_t>(n)) {
+        detections_.resize(static_cast<size_t>(n));
+      }
+      for (int64_t f = 0; f < n; ++f) {
+        detections_[static_cast<size_t>(f)].clear();
+      }
+      // Emissions come label by label, so each frame lists its detections
+      // in vocabulary order.
+      const std::vector<std::string>& vocabulary =
+          detector_->SupportedLabels();
+      for (size_t i = 0; i < emissions_.size(); ++i) {
+        const models::Emission& e = emissions_[i];
+        detections_[static_cast<size_t>(e.unit - clip.frames.begin)]
+            .push_back({vocabulary[static_cast<size_t>(e.label)], e.score,
+                        boxes_[i]});
       }
     }
     const models::InferenceStats& after = detector_->stats();
@@ -113,29 +160,49 @@ Status FrameTable::Fill(const video::ClipRef& clip,
 // ShotTable
 
 ShotTable::ShotTable(models::ActionRecognizer* recognizer)
-    : recognizer_(recognizer) {}
+    : recognizer_(recognizer) {
+  slot_of_ = MapSlots(recognizer_->SupportedLabels(), labels_);
+}
+
+int ShotTable::Slot(const std::string& label) {
+  for (size_t s = 0; s < labels_.size(); ++s) {
+    if (labels_[s] == label) return static_cast<int>(s);
+  }
+  labels_.push_back(label);
+  slot_of_ = MapSlots(recognizer_->SupportedLabels(), labels_);
+  held_ = false;
+  return static_cast<int>(labels_.size() - 1);
+}
 
 void ShotTable::Reset(models::ActionRecognizer* recognizer) {
   recognizer_ = recognizer;
+  slot_of_ = MapSlots(recognizer_->SupportedLabels(), labels_);
   held_ = false;
 }
 
 Status ShotTable::Fill(const video::ClipRef& clip,
                        models::InferenceStats* charge) {
-  if (!held_ || clip.frames.begin != frames_.begin ||
-      clip.frames.end != frames_.end) {
+  if (!held_ || clip.frames != frames_) {
     held_ = false;
-    const size_t n = clip.shots.size();
-    if (scores_.size() < n) scores_.resize(n);
+    const video::Interval shots = clip.ShotRange();
+    const int64_t n = shots.length();
+    scores_.assign(labels_.size() * static_cast<size_t>(n),
+                   std::numeric_limits<double>::quiet_NaN());
+    emissions_.clear();
     const models::InferenceStats before = recognizer_->stats();
-    for (size_t s = 0; s < n; ++s) {
-      SVQ_ASSIGN_OR_RETURN(scores_[s], recognizer_->Recognize(clip.shots[s]));
+    SVQ_RETURN_NOT_OK(recognizer_->Recognize(shots, &emissions_));
+    for (const models::Emission& e : emissions_) {
+      SVQ_RETURN_NOT_OK(models::CheckEmission(e, slot_of_.size(), shots));
+      const int slot = slot_of_[static_cast<size_t>(e.label)];
+      if (slot < 0) continue;
+      scores_[static_cast<size_t>(slot) * static_cast<size_t>(n) +
+              static_cast<size_t>(e.unit - shots.begin)] = e.score;
     }
     const models::InferenceStats& after = recognizer_->stats();
     bill_.units = after.units - before.units;
     bill_.simulated_ms = after.simulated_ms - before.simulated_ms;
     frames_ = clip.frames;
-    num_shots_ = static_cast<int64_t>(n);
+    num_shots_ = n;
     held_ = true;
   }
   *charge += bill_;
@@ -146,19 +213,25 @@ Status ShotTable::Fill(const video::ClipRef& clip,
 // ---------------------------------------------------------------------------
 // Evaluation
 
-ClipPredicates PrepareClipPredicates(const Query& query, FrameTable* table) {
+ClipPredicates PrepareClipPredicates(const Query& query, FrameTable* frames,
+                                     ShotTable* shots) {
   ClipPredicates prepared;
   prepared.frames = FramePredicatesOf(query);
   for (const FramePredicate& predicate : prepared.frames) {
     std::vector<int> slots;
-    if (predicate.kind != FramePredicate::Kind::kRelationship) {
+    if (predicate.kind == FramePredicate::Kind::kRelationship) {
+      frames->KeepDetections();
+    } else {
       for (const std::string& label : predicate.labels) {
-        slots.push_back(table->Slot(label));
+        slots.push_back(frames->Slot(label));
       }
     }
     prepared.slots.push_back(std::move(slots));
   }
   prepared.actions = query.AllActions();
+  for (const std::string& action : prepared.actions) {
+    prepared.action_slots.push_back(shots->Slot(action));
+  }
   return prepared;
 }
 
@@ -191,7 +264,8 @@ Status EvaluateClip(const video::ClipRef& clip,
         "frame_kcrits size mismatch: " + std::to_string(frame_kcrits.size()) +
         " vs " + std::to_string(num_predicates) + " predicates");
   }
-  if (action_kcrits.size() != num_actions) {
+  if (action_kcrits.size() != num_actions ||
+      predicates.action_slots.size() != num_actions) {
     return Status::InvalidArgument(
         "action_kcrits size mismatch: " +
         std::to_string(action_kcrits.size()) + " vs " +
@@ -267,16 +341,10 @@ Status EvaluateClip(const video::ClipRef& clip,
     const size_t words = static_cast<size_t>((eval->num_shots + 63) / 64);
     for (size_t a = 0; a < num_actions; ++a) {
       eval->action_events[a].assign(words, 0);
-    }
-    for (int64_t s = 0; s < eval->num_shots; ++s) {
-      const std::vector<models::ActionScore>& scores = shots->scores(s);
-      for (size_t a = 0; a < num_actions; ++a) {
-        for (const models::ActionScore& score : scores) {
-          if (score.label == predicates.actions[a] &&
-              score.score >= config.action_threshold) {
-            SetBit(&eval->action_events[a], s);
-            break;
-          }
+      const double* scores = shots->scores(predicates.action_slots[a]);
+      for (int64_t s = 0; s < eval->num_shots; ++s) {
+        if (scores[s] >= config.action_threshold) {
+          SetBit(&eval->action_events[a], s);
         }
       }
     }

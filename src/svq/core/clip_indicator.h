@@ -44,19 +44,20 @@ inline bool UnitBit(const UnitBits& bits, int64_t i) {
 }
 
 /// One clip's detector output, shared by every predicate evaluation of
-/// that clip: the detections by frame offset, plus one frame-hit mask per
-/// registered label marking the frames with a detection of that label
-/// scoring at least the table's threshold.
+/// that clip: one frame-hit mask per registered label marking the frames
+/// with a detection of that label scoring at least the table's threshold,
+/// plus — once a relationship predicate registered as their reader — the
+/// detections by frame offset with their boxes.
 ///
-/// The table runs its detector once per frame of a clip, on the first
-/// Fill for that clip; later Fills of the same clip — by the same engine
-/// or by other standing queries sharing the table (stream::SharedModelPool)
-/// — read what is held. Every Fill charges its caller the clip's bill: the
-/// units the detector ran over the clip and the simulated ms it accrued
-/// for them. A caller is thus charged what a dedicated detector accrues;
-/// exactly so, to the bit, whenever the per-unit cost sums exactly in
-/// floating point, as the whole-millisecond costs of every preset profile
-/// do.
+/// The table runs its detector once per clip, as one range call over the
+/// clip's frames, on the first Fill for that clip; later Fills of the same
+/// clip — by the same engine or by other standing queries sharing the
+/// table (stream::SharedModelPool) — read what is held. Every Fill charges
+/// its caller the clip's bill: the units the detector ran over the clip and
+/// the simulated ms it accrued for them. A caller is thus charged what a
+/// dedicated detector accrues; exactly so, to the bit, whenever the
+/// per-unit cost sums exactly in floating point, as the whole-millisecond
+/// costs of every preset profile do.
 ///
 /// Not thread-safe: one engine, or one feed's serialized dispatch, uses a
 /// table at a time.
@@ -74,20 +75,26 @@ class FrameTable {
   /// held clip so that the next Fill builds its mask.
   int Slot(const std::string& label);
 
+  /// Registers a reader of detections() (a relationship predicate): from
+  /// the next Fill on, the table keeps every detection with its box. The
+  /// first registration drops the held clip, which has none.
+  void KeepDetections();
+
   /// Replaces the detector (a rebuilt shared model) and drops the held
-  /// clip. Slots and the charged ledger are kept.
+  /// clip. Slots, the detection reader and the charged ledger are kept.
   void Reset(models::ObjectDetector* detector);
 
-  /// Makes the table hold `clip`'s frames, running the detector on each
+  /// Makes the table hold `clip`'s frames, running the detector over them
   /// unless the table already holds them, then adds the clip's detector
-  /// bill to `charge` and to charged(). Errors: the detector's; the table
-  /// then holds no clip and nothing is charged.
+  /// bill to `charge` and to charged(). Errors: the detector's, and
+  /// Internal for an emission outside the clip or the vocabulary; the
+  /// table then holds no clip and nothing is charged.
   Status Fill(const video::ClipRef& clip, models::InferenceStats* charge);
 
   /// Frames of the held clip.
   int64_t num_frames() const { return num_frames_; }
   /// Detections of the held clip's frame at `offset` (0-based within the
-  /// clip), regardless of score.
+  /// clip), regardless of score; kept only after KeepDetections().
   const std::vector<models::ObjectDetection>& detections(
       int64_t offset) const {
     return detections_[static_cast<size_t>(offset)];
@@ -105,19 +112,23 @@ class FrameTable {
   models::ObjectDetector* detector_;
   const double threshold_;
   std::vector<std::string> labels_;  // by slot
+  std::vector<int> slot_of_;  // by detector vocabulary index; -1: no slot
+  bool keep_detections_ = false;
 
   bool held_ = false;
   video::Interval frames_;  // the held clip's frames
   int64_t num_frames_ = 0;
   size_t words_ = 0;
+  std::vector<models::Emission> emissions_;  // the held clip's, in order
+  std::vector<models::BoundingBox> boxes_;   // with emissions_
   std::vector<std::vector<models::ObjectDetection>> detections_;
   std::vector<uint64_t> masks_;  // slot-major, words_ per slot
   models::InferenceStats bill_;  // what the held clip's detector pass accrued
   models::InferenceStats charged_;
 };
 
-/// One clip's recognizer output: the action scores by shot offset. Filled
-/// and charged like FrameTable.
+/// One clip's recognizer output: the scores of every registered action
+/// label by shot offset. Filled and charged like FrameTable.
 class ShotTable {
  public:
   explicit ShotTable(models::ActionRecognizer* recognizer);
@@ -125,42 +136,55 @@ class ShotTable {
   ShotTable(const ShotTable&) = delete;
   ShotTable& operator=(const ShotTable&) = delete;
 
+  /// The score slot of action `label`, registered like FrameTable::Slot.
+  int Slot(const std::string& label);
+
   void Reset(models::ActionRecognizer* recognizer);
 
-  /// Makes the table hold `clip`'s shots, running the recognizer on each
+  /// Makes the table hold `clip`'s shots, running the recognizer over them
   /// unless it already holds them, then adds the clip's recognizer bill to
-  /// `charge` and to charged().
+  /// `charge` and to charged(). Errors as FrameTable::Fill's.
   Status Fill(const video::ClipRef& clip, models::InferenceStats* charge);
 
   int64_t num_shots() const { return num_shots_; }
-  const std::vector<models::ActionScore>& scores(int64_t offset) const {
-    return scores_[static_cast<size_t>(offset)];
+  /// Scores of `slot`'s label over the held clip by shot offset: NaN
+  /// where the recognizer emitted none, which no threshold admits.
+  const double* scores(int slot) const {
+    return scores_.data() +
+           static_cast<size_t>(slot) * static_cast<size_t>(num_shots_);
   }
   const models::InferenceStats& charged() const { return charged_; }
 
  private:
   models::ActionRecognizer* recognizer_;
+  std::vector<std::string> labels_;  // by slot
+  std::vector<int> slot_of_;  // by recognizer vocabulary index; -1: no slot
 
   bool held_ = false;
   video::Interval frames_;  // the held clip's frames
   int64_t num_shots_ = 0;
-  std::vector<std::vector<models::ActionScore>> scores_;
+  std::vector<models::Emission> emissions_;  // the held clip's, in order
+  std::vector<double> scores_;  // slot-major, num_shots_ per slot
   models::InferenceStats bill_;
   models::InferenceStats charged_;
 };
 
 /// A query's frame predicates and actions, prepared once for evaluating
-/// every clip against one FrameTable: object and any-of predicates carry
-/// the table's mask slots of their labels.
+/// every clip against one FrameTable and one ShotTable: object and any-of
+/// predicates carry the frame table's mask slots of their labels, actions
+/// the shot table's score slots.
 struct ClipPredicates {
   std::vector<FramePredicate> frames;  ///< FramePredicatesOf(query)
   /// Mask slots per frame predicate; empty for relationships.
   std::vector<std::vector<int>> slots;
   std::vector<std::string> actions;  ///< query.AllActions()
+  std::vector<int> action_slots;     ///< score slot per action
 };
 
-/// Prepares `query` for `table`, registering its object labels as slots.
-ClipPredicates PrepareClipPredicates(const Query& query, FrameTable* table);
+/// Prepares `query` for `frames` and `shots`, registering its object labels
+/// and actions as slots, and its relationships as readers of detections.
+ClipPredicates PrepareClipPredicates(const Query& query, FrameTable* frames,
+                                     ShotTable* shots);
 
 /// Outcome of evaluating one clip against a query (paper Algorithm 2,
 /// generalized to the footnote extensions).

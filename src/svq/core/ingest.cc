@@ -228,30 +228,35 @@ double NowMs() {
       .count();
 }
 
-/// Deterministic label -> dense-id interning in first-seen (stream) order.
-/// The dense ids index the per-label accumulator arrays of the parallel
-/// aggregation phase; final outputs are keyed by label string again, so the
-/// intern order never leaks into results.
+/// Dense ids for the labels of one model's vocabulary, in first-emitted
+/// (stream) order. The dense ids index the per-label accumulator arrays of
+/// the parallel aggregation phase, so a label the model never emits gets no
+/// array and no table; final outputs are keyed by label string again, so
+/// the intern order never leaks into results.
 struct LabelIntern {
-  std::map<std::string, int> index;
-  std::vector<std::string> labels;
+  explicit LabelIntern(const std::vector<std::string>& vocabulary)
+      : vocabulary(vocabulary), dense(vocabulary.size(), -1) {}
 
-  int Intern(const std::string& label) {
-    auto [it, inserted] =
-        index.try_emplace(label, static_cast<int>(labels.size()));
-    if (inserted) labels.push_back(label);
-    return it->second;
+  /// Rewrites the label of every emission of one range call over `range`
+  /// from its vocabulary index to its dense id, checking each emission
+  /// before an aggregation array is indexed with it.
+  Status Intern(const video::Interval& range,
+                std::vector<models::Emission>* emissions) {
+    for (models::Emission& e : *emissions) {
+      SVQ_RETURN_NOT_OK(models::CheckEmission(e, dense.size(), range));
+      int32_t& id = dense[static_cast<size_t>(e.label)];
+      if (id < 0) {
+        id = static_cast<int32_t>(labels.size());
+        labels.push_back(vocabulary[static_cast<size_t>(e.label)]);
+      }
+      e.label = id;
+    }
+    return Status::OK();
   }
-};
 
-/// One model prediction flattened to (dense label, occurrence unit, score).
-/// Units are frames for objects and shots for actions; each unit belongs to
-/// exactly one clip, which is what makes the per-clip aggregation phase
-/// race-free.
-struct UnitPrediction {
-  int32_t label = 0;
-  int64_t unit = 0;
-  double score = 0.0;
+  const std::vector<std::string>& vocabulary;
+  std::vector<int32_t> dense;       // by vocabulary index; -1 until emitted
+  std::vector<std::string> labels;  // by dense id
 };
 
 }  // namespace
@@ -442,41 +447,32 @@ Result<IngestedVideo> IngestVideo(
   runtime::ThreadPool* pool_ptr = pool ? &*pool : nullptr;
   out.ingest_stats.runtime.threads_used = threads;
 
-  // Phase A — model scoring, strictly in stream order: trackers carry
-  // temporal identity state, so inference cannot fan out within one video
-  // (cross-video parallelism lives in VideoQueryEngine::IngestAll and
-  // RunRepositoryTopK). Predictions are flattened to compact per-clip
-  // records so every later phase is model-free and parallel.
+  // Phase A — model inference in stream order, one tracker and one
+  // recognizer range call per clip (ingest.h's runtime note says why it
+  // does not fan out within one video; cross-video parallelism lives in
+  // VideoQueryEngine::IngestAll and RunRepositoryTopK). Each call appends
+  // (label, unit, score) straight to its clip's compact record: no box,
+  // track id, label string or per-frame vector is built, and no buffer
+  // beside the records, as one call over the whole video would need. Every
+  // later phase is model-free and parallel.
   const int64_t num_shots = video->NumShots();
-  LabelIntern object_labels;
-  LabelIntern action_labels;
-  std::vector<std::vector<UnitPrediction>> object_raw(
+  LabelIntern object_labels(tracker->SupportedLabels());
+  LabelIntern action_labels(recognizer->SupportedLabels());
+  std::vector<std::vector<models::Emission>> object_raw(
       static_cast<size_t>(out.num_clips));
-  std::vector<std::vector<UnitPrediction>> action_raw(
+  std::vector<std::vector<models::Emission>> action_raw(
       static_cast<size_t>(out.num_clips));
   double phase_start = NowMs();
   video::SyntheticVideoStream stream(video, id);
   while (auto clip = stream.NextClip()) {
     const size_t clip_index = static_cast<size_t>(clip->clip);
-    for (video::FrameIndex frame = clip->frames.begin;
-         frame < clip->frames.end; ++frame) {
-      SVQ_ASSIGN_OR_RETURN(const std::vector<models::ObjectDetection> dets,
-                           tracker->Track(frame));
-      for (const models::ObjectDetection& det : dets) {
-        object_raw[clip_index].push_back(
-            {static_cast<int32_t>(object_labels.Intern(det.label)),
-             static_cast<int64_t>(frame), det.score});
-      }
-    }
-    for (const video::ShotRef& shot : clip->shots) {
-      SVQ_ASSIGN_OR_RETURN(const std::vector<models::ActionScore> scores,
-                           recognizer->Recognize(shot));
-      for (const models::ActionScore& s : scores) {
-        action_raw[clip_index].push_back(
-            {static_cast<int32_t>(action_labels.Intern(s.label)),
-             static_cast<int64_t>(shot.shot), s.score});
-      }
-    }
+    const video::Interval shots = clip->ShotRange();
+    SVQ_RETURN_NOT_OK(tracker->Track(clip->frames, &object_raw[clip_index],
+                                     nullptr, nullptr));
+    SVQ_RETURN_NOT_OK(
+        object_labels.Intern(clip->frames, &object_raw[clip_index]));
+    SVQ_RETURN_NOT_OK(recognizer->Recognize(shots, &action_raw[clip_index]));
+    SVQ_RETURN_NOT_OK(action_labels.Intern(shots, &action_raw[clip_index]));
   }
   out.ingest_stats.inference_ms = NowMs() - phase_start;
 
@@ -503,7 +499,7 @@ Result<IngestedVideo> IngestVideo(
       [&](int64_t chunk_begin, int64_t chunk_end) {
         for (int64_t c = chunk_begin; c < chunk_end; ++c) {
           const size_t clip_index = static_cast<size_t>(c);
-          for (const UnitPrediction& p : object_raw[clip_index]) {
+          for (const models::Emission& p : object_raw[clip_index]) {
             object_scores[static_cast<size_t>(p.label)][clip_index] +=
                 p.score;
             if (p.score >= options.object_threshold) {
@@ -511,7 +507,7 @@ Result<IngestedVideo> IngestVideo(
                            [static_cast<size_t>(p.unit)] = 1;
             }
           }
-          for (const UnitPrediction& p : action_raw[clip_index]) {
+          for (const models::Emission& p : action_raw[clip_index]) {
             action_scores[static_cast<size_t>(p.label)][clip_index] +=
                 p.score;
             if (p.score >= options.action_threshold) {

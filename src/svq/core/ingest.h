@@ -66,9 +66,11 @@ struct IngestOptions {
 
   /// Parallel-execution knobs for the post-inference ingest phases
   /// (per-clip score aggregation, per-type sequence determination, per-type
-  /// table construction). Model inference itself always runs in stream
-  /// order: trackers are stateful by contract. The default of one thread is
-  /// the sequential reference path with byte-identical outputs.
+  /// table construction). Model inference itself runs in stream order, one
+  /// tracker and one recognizer range call per clip: a real tracker may
+  /// carry identity state from one clip into the next, so one video's
+  /// inference never fans out. The default of one thread is the sequential
+  /// reference path with byte-identical outputs.
   runtime::RuntimeOptions runtime;
 
   Status Validate() const;
@@ -77,7 +79,8 @@ struct IngestOptions {
 /// Wall-clock breakdown of one IngestVideo call, phase by phase, plus the
 /// pool counters of its parallel regions.
 struct IngestRunStats {
-  /// Sequential model scoring (tracker + recognizer over the stream).
+  /// Sequential model inference: one tracker and one recognizer range
+  /// call per clip, over the stream.
   double inference_ms = 0.0;
   /// Parallel per-clip aggregation of predictions into score/event arrays.
   double scoring_ms = 0.0;

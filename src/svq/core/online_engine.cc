@@ -86,7 +86,7 @@ OnlineEngine::OnlineEngine(Mode mode, Query query, OnlineConfig config,
       own_shots_(std::move(own_shots)),
       frames_(frames),
       shots_(shots),
-      predicates_(PrepareClipPredicates(query_, frames_)),
+      predicates_(PrepareClipPredicates(query_, frames_, shots_)),
       frame_critical_values_(&CriticalValueTable::For(
           layout.FramesPerClip(), config.reference_windows, config.alpha)),
       action_critical_values_(&CriticalValueTable::For(

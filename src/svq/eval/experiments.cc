@@ -1,5 +1,7 @@
 #include "svq/eval/experiments.h"
 
+#include <algorithm>
+
 #include "svq/models/synthetic_models.h"
 #include "svq/video/video_stream.h"
 
@@ -63,29 +65,37 @@ Result<FprOutcome> MeasureFpr(const QueryScenario& scenario,
     models::ModelSet models = models::MakeModelSet(
         v, suite, scenario.query.objects, {scenario.query.action});
 
-    // Raw model predictions over the whole video.
+    // Raw model predictions over the whole video, one range call per clip
+    // and model.
+    const auto label_index = [](const std::vector<std::string>& vocabulary,
+                                const std::string& label) {
+      return static_cast<int32_t>(
+          std::find(vocabulary.begin(), vocabulary.end(), label) -
+          vocabulary.begin());
+    };
+    const int32_t object_label =
+        label_index(models.detector->SupportedLabels(), object);
+    const int32_t action_label = label_index(
+        models.recognizer->SupportedLabels(), scenario.query.action);
     video::IntervalSet object_pred;
-    for (video::FrameIndex f = 0; f < v->num_frames(); ++f) {
-      SVQ_ASSIGN_OR_RETURN(const auto dets, models.detector->Detect(f));
-      for (const auto& det : dets) {
-        if (det.label == object && det.score >= config.object_threshold) {
-          object_pred.Add({f, f + 1});
-          break;
+    video::IntervalSet action_pred;
+    std::vector<models::Emission> emissions;
+    video::SyntheticVideoStream clips(v, id);
+    while (auto clip = clips.NextClip()) {
+      emissions.clear();
+      SVQ_RETURN_NOT_OK(
+          models.detector->Detect(clip->frames, &emissions, nullptr));
+      for (const models::Emission& e : emissions) {
+        if (e.label == object_label && e.score >= config.object_threshold) {
+          object_pred.Add({e.unit, e.unit + 1});
         }
       }
-    }
-    video::IntervalSet action_pred;
-    video::SyntheticVideoStream shot_stream(v, id);
-    while (auto clip = shot_stream.NextClip()) {
-      for (const video::ShotRef& shot : clip->shots) {
-        SVQ_ASSIGN_OR_RETURN(const auto scores,
-                             models.recognizer->Recognize(shot));
-        for (const auto& s : scores) {
-          if (s.label == scenario.query.action &&
-              s.score >= config.action_threshold) {
-            action_pred.Add({shot.shot, shot.shot + 1});
-            break;
-          }
+      emissions.clear();
+      SVQ_RETURN_NOT_OK(
+          models.recognizer->Recognize(clip->ShotRange(), &emissions));
+      for (const models::Emission& e : emissions) {
+        if (e.label == action_label && e.score >= config.action_threshold) {
+          action_pred.Add({e.unit, e.unit + 1});
         }
       }
     }

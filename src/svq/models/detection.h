@@ -1,8 +1,12 @@
 #ifndef SVQ_MODELS_DETECTION_H_
 #define SVQ_MODELS_DETECTION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "svq/common/status.h"
+#include "svq/video/interval_set.h"
 
 namespace svq::models {
 
@@ -14,24 +18,39 @@ struct BoundingBox {
   double height = 0.0;
 };
 
-/// One object detection on one frame: the label, the detector confidence
-/// score in [0, 1] (`S_{o_i}^{(v)}` of paper §2), the box, and — when a
-/// tracker produced it — a stable tracking identifier (`t` in the paper's
-/// `S_{o_i}^t(v)` notation).
+/// One model output of a range call (ObjectDetector::Detect,
+/// ObjectTracker::Track, ActionRecognizer::Recognize): the label, as an
+/// index into the emitting model's SupportedLabels(); the occurrence unit,
+/// a frame or a shot; and the confidence score in [0, 1]
+/// (`S_{o_i}^{(v)}` and `S_{a_j}^{(s)}` of paper §2).
+struct Emission {
+  int32_t label = 0;
+  int64_t unit = 0;
+  double score = 0.0;
+};
+
+/// Checks one emission of a range call against what its caller indexes
+/// with: a label inside the model's vocabulary of `vocabulary_size` labels
+/// and a unit inside the asked `range`. Errors: Internal.
+inline Status CheckEmission(const Emission& emission, size_t vocabulary_size,
+                            const video::Interval& range) {
+  if (emission.label < 0 ||
+      static_cast<size_t>(emission.label) >= vocabulary_size ||
+      !range.Contains(emission.unit)) {
+    return Status::Internal(
+        "model emitted label " + std::to_string(emission.label) +
+        " at unit " + std::to_string(emission.unit) +
+        " outside its vocabulary or the asked range");
+  }
+  return Status::OK();
+}
+
+/// One object detection on one frame with its label spelled out and its
+/// box: what a relationship predicate (paper footnote 2) reads.
 struct ObjectDetection {
   std::string label;
   double score = 0.0;
   BoundingBox box;
-  /// Stable instance id across frames; -1 when the producer is a plain
-  /// detector without tracking.
-  int64_t track_id = -1;
-};
-
-/// One action classification for one shot: label and confidence score
-/// (`S_{a_j}^{(s)}` of paper §2).
-struct ActionScore {
-  std::string label;
-  double score = 0.0;
 };
 
 }  // namespace svq::models

@@ -17,15 +17,92 @@ uint64_t MixHash(uint64_t a, uint64_t b) {
   return z ^ (z >> 31);
 }
 
-/// Deterministic RNG for one (seed, label, unit) triple; gives every
-/// occurrence unit an independent but reproducible score draw.
-Rng UnitRng(uint64_t seed, uint64_t label_hash, int64_t unit) {
-  return Rng(MixHash(MixHash(seed, label_hash),
-                     static_cast<uint64_t>(unit) + 0x51ed2701));
+/// Deterministic RNG for one (label, unit) pair, from the label's
+/// LabelStream::unit_seed; gives every occurrence unit an independent but
+/// reproducible score draw.
+Rng UnitRng(uint64_t unit_seed, int64_t unit) {
+  return Rng(MixHash(unit_seed, static_cast<uint64_t>(unit) + 0x51ed2701));
 }
 
 double DrawScore(const ScoreDistribution& dist, Rng& rng) {
   return rng.NextBeta(dist.alpha, dist.beta);
+}
+
+Status CheckRange(const Interval& range, int64_t num_units,
+                  const char* unit) {
+  if (range.begin < 0 || range.end < range.begin || range.end > num_units) {
+    return Status::OutOfRange(
+        std::string(unit) + " range [" + std::to_string(range.begin) + ", " +
+        std::to_string(range.end) + ") is outside the video's " +
+        std::to_string(num_units) + " " + unit + "s");
+  }
+  return Status::OK();
+}
+
+/// Builds every vocabulary label's stream once, on a model's first range
+/// call: the overlay over `truth(label)`, the label's presence in the
+/// model's unit domain, from the RNG stream that `seed` and the label
+/// select; the same value seeds the label's unit draws.
+template <typename Truth>
+void EnsureStreams(const std::vector<std::string>& vocabulary,
+                   int64_t num_units, const DetectorProfile& profile,
+                   uint64_t seed, Truth&& truth,
+                   std::vector<LabelStream>* streams) {
+  if (!streams->empty()) return;
+  streams->reserve(vocabulary.size());
+  for (const std::string& label : vocabulary) {
+    LabelStream stream;
+    stream.unit_seed = MixHash(seed, HashLabel(label));
+    stream.overlay = PresenceOverlay::Build(
+        truth(label), num_units, profile.TprFor(label), profile.FprFor(label),
+        profile.mean_miss_burst, profile.mean_fp_burst, profile.ideal,
+        Rng(stream.unit_seed));
+    streams->push_back(std::move(stream));
+  }
+}
+
+/// Index of the first interval of `runs` ending after `unit`.
+size_t FirstEndingAfter(const std::vector<Interval>& runs, int64_t unit) {
+  return static_cast<size_t>(
+      std::upper_bound(runs.begin(), runs.end(), unit,
+                       [](int64_t u, const Interval& run) {
+                         return u < run.end;
+                       }) -
+      runs.begin());
+}
+
+/// One label's pass over `range`: walks its true and false detections in
+/// unit order, merging the two disjoint interval lists of its overlay, and
+/// scores each emitted unit from the unit's own RNG. Calls
+/// `visit(unit, is_true, score, rng)` with the RNG the score was drawn
+/// from, which a false positive's box continues.
+template <typename Visit>
+void EmitLabel(const LabelStream& stream, const DetectorProfile& profile,
+               const Interval& range, Visit&& visit) {
+  const std::vector<Interval>& hits =
+      stream.overlay.true_detected().intervals();
+  const std::vector<Interval>& false_hits =
+      stream.overlay.false_detected().intervals();
+  size_t t = FirstEndingAfter(hits, range.begin);
+  size_t f = FirstEndingAfter(false_hits, range.begin);
+  while (true) {
+    const bool more_true = t < hits.size() && hits[t].begin < range.end;
+    const bool more_false =
+        f < false_hits.size() && false_hits[f].begin < range.end;
+    if (!more_true && !more_false) return;
+    const bool is_true =
+        more_true && (!more_false || hits[t].begin < false_hits[f].begin);
+    const Interval& run = is_true ? hits[t++] : false_hits[f++];
+    const ScoreDistribution& law =
+        is_true ? profile.true_score : profile.false_score;
+    const int64_t end = std::min(run.end, range.end);
+    for (int64_t unit = std::max(run.begin, range.begin); unit < end;
+         ++unit) {
+      Rng rng = UnitRng(stream.unit_seed, unit);
+      const double score = profile.ideal ? 1.0 : DrawScore(law, rng);
+      visit(unit, is_true, score, rng);
+    }
+  }
 }
 
 BoundingBox DrawBox(Rng& rng) {
@@ -48,6 +125,30 @@ std::vector<std::string> BuildVocabulary(
   }
   std::sort(vocab.begin(), vocab.end());
   return vocab;
+}
+
+/// EnsureStreams for an object model: overlays over frame presence.
+void EnsureObjectStreams(const video::SyntheticVideo& video,
+                         const std::vector<std::string>& vocabulary,
+                         const DetectorProfile& profile, uint64_t seed,
+                         std::vector<LabelStream>* streams) {
+  EnsureStreams(
+      vocabulary, video.num_frames(), profile, seed,
+      [&](const std::string& label) -> const IntervalSet& {
+        return video.ground_truth().ObjectPresence(label);
+      },
+      streams);
+}
+
+/// The box of an object emission: a true detection carries its instance's
+/// stable geometry, a false positive hallucinates a random box.
+BoundingBox EmissionBox(const InstanceLookup& lookup, const std::string& label,
+                        video::FrameIndex frame, bool is_true, uint64_t seed,
+                        Rng& rng) {
+  const video::TrackInstance* instance =
+      is_true ? lookup.At(label, frame) : nullptr;
+  return instance != nullptr ? InstanceBox(*instance, frame, seed)
+                             : DrawBox(rng);
 }
 
 }  // namespace
@@ -170,47 +271,24 @@ SyntheticObjectDetector::SyntheticObjectDetector(
       seed_(seed),
       lookup_(video_->ground_truth()) {}
 
-const PresenceOverlay& SyntheticObjectDetector::OverlayFor(
-    const std::string& label) {
-  auto it = overlays_.find(label);
-  if (it != overlays_.end()) return it->second;
-  Rng rng(MixHash(seed_, HashLabel(label)));
-  PresenceOverlay overlay = PresenceOverlay::Build(
-      video_->ground_truth().ObjectPresence(label), video_->num_frames(),
-      profile_.TprFor(label), profile_.FprFor(label),
-      profile_.mean_miss_burst, profile_.mean_fp_burst, profile_.ideal,
-      std::move(rng));
-  return overlays_.emplace(label, std::move(overlay)).first->second;
-}
-
-Result<std::vector<ObjectDetection>> SyntheticObjectDetector::Detect(
-    video::FrameIndex frame) {
-  if (frame < 0 || frame >= video_->num_frames()) {
-    return Status::OutOfRange("frame index out of range");
+Status SyntheticObjectDetector::Detect(const video::Interval& frames,
+                                       std::vector<Emission>* emissions,
+                                       std::vector<BoundingBox>* boxes) {
+  SVQ_RETURN_NOT_OK(CheckRange(frames, video_->num_frames(), "frame"));
+  EnsureObjectStreams(*video_, vocabulary_, profile_, seed_, &streams_);
+  stats_.Add(frames.length(), profile_.cost_ms);
+  for (size_t l = 0; l < streams_.size(); ++l) {
+    const int32_t label = static_cast<int32_t>(l);
+    EmitLabel(streams_[l], profile_, frames,
+              [&](int64_t frame, bool is_true, double score, Rng& rng) {
+                emissions->push_back({label, frame, score});
+                if (boxes != nullptr) {
+                  boxes->push_back(EmissionBox(lookup_, vocabulary_[l], frame,
+                                               is_true, seed_, rng));
+                }
+              });
   }
-  stats_.Add(1, profile_.cost_ms);
-  std::vector<ObjectDetection> detections;
-  for (const std::string& label : vocabulary_) {
-    const PresenceOverlay& overlay = OverlayFor(label);
-    if (!overlay.detected().Contains(frame)) continue;
-    Rng rng = UnitRng(seed_, HashLabel(label), frame);
-    ObjectDetection det;
-    det.label = label;
-    const bool is_true = overlay.true_detected().Contains(frame);
-    det.score = profile_.ideal
-                    ? 1.0
-                    : DrawScore(is_true ? profile_.true_score
-                                        : profile_.false_score,
-                                rng);
-    // True detections carry the instance's stable geometry; false
-    // positives hallucinate a random box.
-    const video::TrackInstance* instance =
-        is_true ? lookup_.At(label, frame) : nullptr;
-    det.box = instance != nullptr ? InstanceBox(*instance, frame, seed_)
-                                  : DrawBox(rng);
-    detections.push_back(std::move(det));
-  }
-  return detections;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -248,39 +326,21 @@ video::IntervalSet SyntheticActionRecognizer::ShotTruth(
   return shots;
 }
 
-const PresenceOverlay& SyntheticActionRecognizer::OverlayFor(
-    const std::string& label) {
-  auto it = overlays_.find(label);
-  if (it != overlays_.end()) return it->second;
-  Rng rng(MixHash(seed_ ^ 0xac7101ULL, HashLabel(label)));
-  PresenceOverlay overlay = PresenceOverlay::Build(
-      ShotTruth(label), video_->NumShots(), profile_.TprFor(label),
-      profile_.FprFor(label), profile_.mean_miss_burst,
-      profile_.mean_fp_burst, profile_.ideal, std::move(rng));
-  return overlays_.emplace(label, std::move(overlay)).first->second;
-}
-
-Result<std::vector<ActionScore>> SyntheticActionRecognizer::Recognize(
-    const video::ShotRef& shot) {
-  if (shot.shot < 0 || shot.shot >= video_->NumShots()) {
-    return Status::OutOfRange("shot index out of range");
+Status SyntheticActionRecognizer::Recognize(
+    const video::Interval& shots, std::vector<Emission>* emissions) {
+  SVQ_RETURN_NOT_OK(CheckRange(shots, video_->NumShots(), "shot"));
+  EnsureStreams(
+      vocabulary_, video_->NumShots(), profile_, seed_ ^ 0xac7101ULL,
+      [&](const std::string& label) { return ShotTruth(label); }, &streams_);
+  stats_.Add(shots.length(), profile_.cost_ms);
+  for (size_t l = 0; l < streams_.size(); ++l) {
+    const int32_t label = static_cast<int32_t>(l);
+    EmitLabel(streams_[l], profile_, shots,
+              [&](int64_t shot, bool, double score, Rng&) {
+                emissions->push_back({label, shot, score});
+              });
   }
-  stats_.Add(1, profile_.cost_ms);
-  std::vector<ActionScore> scores;
-  for (const std::string& label : vocabulary_) {
-    const PresenceOverlay& overlay = OverlayFor(label);
-    if (!overlay.detected().Contains(shot.shot)) continue;
-    Rng rng = UnitRng(seed_ ^ 0xac7101ULL, HashLabel(label), shot.shot);
-    const double score =
-        profile_.ideal
-            ? 1.0
-            : DrawScore(overlay.true_detected().Contains(shot.shot)
-                            ? profile_.true_score
-                            : profile_.false_score,
-                        rng);
-    scores.push_back({label, score});
-  }
-  return scores;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -296,118 +356,78 @@ SyntheticObjectTracker::SyntheticObjectTracker(
       vocabulary_(BuildVocabulary(video_->ground_truth().ObjectLabels(),
                                   extra_vocabulary)),
       seed_(seed),
-      lookup_(video_->ground_truth()) {
-  for (const video::TrackInstance& inst : video_->ground_truth().instances()) {
-    by_label_[inst.label].push_back(&inst);
-  }
-  for (auto& [label, instances] : by_label_) {
-    std::sort(instances.begin(), instances.end(),
-              [](const video::TrackInstance* a, const video::TrackInstance* b) {
-                return a->frames.begin < b->frames.begin;
-              });
-  }
-}
-
-const PresenceOverlay& SyntheticObjectTracker::OverlayFor(
-    const std::string& label) {
-  auto it = overlays_.find(label);
-  if (it != overlays_.end()) return it->second;
-  // Same noise stream as a detector with the same seed would use, so a
-  // paired detector/tracker see consistent emissions.
-  Rng rng(MixHash(seed_, HashLabel(label)));
-  PresenceOverlay overlay = PresenceOverlay::Build(
-      video_->ground_truth().ObjectPresence(label), video_->num_frames(),
-      detector_profile_.TprFor(label), detector_profile_.FprFor(label),
-      detector_profile_.mean_miss_burst, detector_profile_.mean_fp_burst,
-      detector_profile_.ideal, std::move(rng));
-  return overlays_.emplace(label, std::move(overlay)).first->second;
-}
+      lookup_(video_->ground_truth()) {}
 
 int64_t SyntheticObjectTracker::TrueTrackIdAt(const std::string& label,
                                               video::FrameIndex frame) {
-  auto it = by_label_.find(label);
-  if (it == by_label_.end()) return -1;
-  const auto& instances = it->second;
-  // Instances are sorted by begin; walk back from the last instance that
-  // begins at or before `frame`. Appearances of one label rarely overlap,
-  // so the scan is short in practice.
-  auto upper = std::upper_bound(
-      instances.begin(), instances.end(), frame,
-      [](video::FrameIndex f, const video::TrackInstance* inst) {
-        return f < inst->frames.begin;
-      });
-  for (auto rit = upper; rit != instances.begin();) {
-    --rit;
-    const video::TrackInstance* inst = *rit;
-    if (!inst->frames.Contains(frame)) continue;
-    // Identity churn: the instance fragments into geometric-length track
-    // segments, each with its own identifier (deterministic per instance).
-    auto bit = segment_boundaries_.find(inst->instance_id);
-    if (bit == segment_boundaries_.end()) {
-      std::vector<int64_t> boundaries;
-      Rng rng(MixHash(seed_ ^ 0x7eac4e7ULL,
-                      static_cast<uint64_t>(inst->instance_id)));
-      int64_t cursor = inst->frames.begin;
-      while (cursor < inst->frames.end) {
-        cursor += 1 + static_cast<int64_t>(rng.NextGeometric(
-                          1.0 / std::max(1.0,
-                                         tracker_profile_.mean_segment_frames)));
-        boundaries.push_back(std::min(cursor, inst->frames.end));
-      }
-      bit = segment_boundaries_
-                .emplace(inst->instance_id, std::move(boundaries))
-                .first;
+  const video::TrackInstance* inst = lookup_.At(label, frame);
+  if (inst == nullptr) return -1;
+  // Identity churn: the instance fragments into geometric-length track
+  // segments, each with its own identifier (deterministic per instance).
+  auto bit = segment_boundaries_.find(inst->instance_id);
+  if (bit == segment_boundaries_.end()) {
+    std::vector<int64_t> boundaries;
+    Rng rng(MixHash(seed_ ^ 0x7eac4e7ULL,
+                    static_cast<uint64_t>(inst->instance_id)));
+    int64_t cursor = inst->frames.begin;
+    while (cursor < inst->frames.end) {
+      cursor += 1 + static_cast<int64_t>(rng.NextGeometric(
+                        1.0 / std::max(1.0,
+                                       tracker_profile_.mean_segment_frames)));
+      boundaries.push_back(std::min(cursor, inst->frames.end));
     }
-    const std::vector<int64_t>& bounds = bit->second;
-    const int64_t segment =
-        std::upper_bound(bounds.begin(), bounds.end(), frame) -
-        bounds.begin();
-    return (inst->instance_id << 12) | (segment & 0xFFF);
+    bit = segment_boundaries_.emplace(inst->instance_id, std::move(boundaries))
+              .first;
   }
-  return -1;
+  const std::vector<int64_t>& bounds = bit->second;
+  const int64_t segment =
+      std::upper_bound(bounds.begin(), bounds.end(), frame) - bounds.begin();
+  return (inst->instance_id << 12) | (segment & 0xFFF);
 }
 
-int64_t SyntheticObjectTracker::FalseTrackIdAt(const std::string& label,
-                                               video::FrameIndex frame) {
-  const PresenceOverlay& overlay = OverlayFor(label);
-  const int64_t idx = overlay.false_detected().FindInterval(frame);
+int64_t SyntheticObjectTracker::FalseTrackIdAt(size_t index,
+                                               video::FrameIndex frame) const {
+  const int64_t idx =
+      streams_[index].overlay.false_detected().FindInterval(frame);
   if (idx < 0) return -1;
   // False tracks get identifiers in a disjoint high range, one per
   // false-positive burst.
   return (int64_t{1} << 40) |
-         (static_cast<int64_t>(HashLabel(label) & 0xFFFFF) << 16) |
+         (static_cast<int64_t>(HashLabel(vocabulary_[index]) & 0xFFFFF)
+          << 16) |
          (idx & 0xFFFF);
 }
 
-Result<std::vector<ObjectDetection>> SyntheticObjectTracker::Track(
-    video::FrameIndex frame) {
-  if (frame < 0 || frame >= video_->num_frames()) {
-    return Status::OutOfRange("frame index out of range");
+Status SyntheticObjectTracker::Track(const video::Interval& frames,
+                                     std::vector<Emission>* emissions,
+                                     std::vector<BoundingBox>* boxes,
+                                     std::vector<int64_t>* track_ids) {
+  SVQ_RETURN_NOT_OK(CheckRange(frames, video_->num_frames(), "frame"));
+  // Same noise streams as a detector with the same profile and seed, so a
+  // paired detector/tracker see consistent emissions.
+  EnsureObjectStreams(*video_, vocabulary_, detector_profile_, seed_,
+                      &streams_);
+  stats_.Add(frames.length(),
+             detector_profile_.cost_ms + tracker_profile_.cost_ms);
+  for (size_t l = 0; l < streams_.size(); ++l) {
+    const int32_t label = static_cast<int32_t>(l);
+    const std::string& name = vocabulary_[l];
+    EmitLabel(streams_[l], detector_profile_, frames,
+              [&](int64_t frame, bool is_true, double score, Rng& rng) {
+                emissions->push_back({label, frame, score});
+                if (boxes != nullptr) {
+                  boxes->push_back(EmissionBox(lookup_, name, frame, is_true,
+                                               seed_, rng));
+                }
+                if (track_ids != nullptr) {
+                  int64_t id = is_true ? TrueTrackIdAt(name, frame)
+                                       : FalseTrackIdAt(l, frame);
+                  if (id < 0) id = FalseTrackIdAt(l, frame);
+                  track_ids->push_back(id);
+                }
+              });
   }
-  stats_.Add(1, detector_profile_.cost_ms + tracker_profile_.cost_ms);
-  std::vector<ObjectDetection> detections;
-  for (const std::string& label : vocabulary_) {
-    const PresenceOverlay& overlay = OverlayFor(label);
-    if (!overlay.detected().Contains(frame)) continue;
-    Rng rng = UnitRng(seed_, HashLabel(label), frame);
-    ObjectDetection det;
-    det.label = label;
-    const bool is_true = overlay.true_detected().Contains(frame);
-    det.score = detector_profile_.ideal
-                    ? 1.0
-                    : DrawScore(is_true ? detector_profile_.true_score
-                                        : detector_profile_.false_score,
-                                rng);
-    const video::TrackInstance* instance =
-        is_true ? lookup_.At(label, frame) : nullptr;
-    det.box = instance != nullptr ? InstanceBox(*instance, frame, seed_)
-                                  : DrawBox(rng);
-    det.track_id =
-        is_true ? TrueTrackIdAt(label, frame) : FalseTrackIdAt(label, frame);
-    if (det.track_id < 0) det.track_id = FalseTrackIdAt(label, frame);
-    detections.push_back(std::move(det));
-  }
-  return detections;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

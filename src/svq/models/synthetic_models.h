@@ -66,7 +66,7 @@ class InstanceLookup {
  public:
   explicit InstanceLookup(const video::GroundTruth& ground_truth);
 
-  /// The earliest-starting instance of `label` covering `frame`; nullptr
+  /// The latest-starting instance of `label` covering `frame`; nullptr
   /// when none does.
   const video::TrackInstance* At(const std::string& label,
                                  video::FrameIndex frame) const;
@@ -75,7 +75,17 @@ class InstanceLookup {
   std::map<std::string, std::vector<const video::TrackInstance*>> by_label_;
 };
 
+/// What a synthetic model resolves once per vocabulary label for its range
+/// calls: the label's noise overlay and the seed of its per-unit score
+/// draws.
+struct LabelStream {
+  PresenceOverlay overlay;
+  uint64_t unit_seed = 0;
+};
+
 /// Object detector emulation over a synthetic video; see DetectorProfile.
+/// A range call makes one pass per vocabulary label over that label's
+/// overlay intervals inside the range.
 class SyntheticObjectDetector final : public ObjectDetector {
  public:
   /// `extra_vocabulary` extends the model vocabulary beyond the labels in
@@ -85,22 +95,21 @@ class SyntheticObjectDetector final : public ObjectDetector {
                           std::vector<std::string> extra_vocabulary,
                           uint64_t seed);
 
-  Result<std::vector<ObjectDetection>> Detect(video::FrameIndex frame) override;
+  Status Detect(const video::Interval& frames,
+                std::vector<Emission>* emissions,
+                std::vector<BoundingBox>* boxes) override;
   const std::vector<std::string>& SupportedLabels() const override {
     return vocabulary_;
   }
   const std::string& name() const override { return profile_.name; }
   const InferenceStats& stats() const override { return stats_; }
 
-  /// The noise overlay of `label` (exposed for tests and white-box metrics).
-  const PresenceOverlay& OverlayFor(const std::string& label);
-
  private:
   std::shared_ptr<const video::SyntheticVideo> video_;
   DetectorProfile profile_;
   std::vector<std::string> vocabulary_;
   uint64_t seed_;
-  std::map<std::string, PresenceOverlay> overlays_;
+  std::vector<LabelStream> streams_;  // by vocabulary index, on first call
   InstanceLookup lookup_;
   InferenceStats stats_;
 };
@@ -115,15 +124,13 @@ class SyntheticActionRecognizer final : public ActionRecognizer {
                             std::vector<std::string> extra_vocabulary,
                             uint64_t seed);
 
-  Result<std::vector<ActionScore>> Recognize(
-      const video::ShotRef& shot) override;
+  Status Recognize(const video::Interval& shots,
+                   std::vector<Emission>* emissions) override;
   const std::vector<std::string>& SupportedLabels() const override {
     return vocabulary_;
   }
   const std::string& name() const override { return profile_.name; }
   const InferenceStats& stats() const override { return stats_; }
-
-  const PresenceOverlay& OverlayFor(const std::string& label);
 
   /// Shot-domain ground truth for `label` under the half-coverage rule.
   video::IntervalSet ShotTruth(const std::string& label) const;
@@ -133,13 +140,14 @@ class SyntheticActionRecognizer final : public ActionRecognizer {
   DetectorProfile profile_;
   std::vector<std::string> vocabulary_;
   uint64_t seed_;
-  std::map<std::string, PresenceOverlay> overlays_;
+  std::vector<LabelStream> streams_;  // by vocabulary index, on first call
   InferenceStats stats_;
 };
 
 /// Tracker emulation: detector noise plus identity churn — long instances
 /// fragment into several track ids with geometric segment lengths
-/// (CenterTrack-style behaviour).
+/// (CenterTrack-style behaviour). Its emissions and boxes are those of a
+/// SyntheticObjectDetector with the same profile and seed.
 class SyntheticObjectTracker final : public ObjectTracker {
  public:
   SyntheticObjectTracker(std::shared_ptr<const video::SyntheticVideo> video,
@@ -148,7 +156,10 @@ class SyntheticObjectTracker final : public ObjectTracker {
                          std::vector<std::string> extra_vocabulary,
                          uint64_t seed);
 
-  Result<std::vector<ObjectDetection>> Track(video::FrameIndex frame) override;
+  Status Track(const video::Interval& frames,
+               std::vector<Emission>* emissions,
+               std::vector<BoundingBox>* boxes,
+               std::vector<int64_t>* track_ids) override;
   const std::vector<std::string>& SupportedLabels() const override {
     return vocabulary_;
   }
@@ -156,21 +167,19 @@ class SyntheticObjectTracker final : public ObjectTracker {
   const InferenceStats& stats() const override { return stats_; }
 
  private:
-  struct InstanceIndex;
-
-  const PresenceOverlay& OverlayFor(const std::string& label);
   /// Track id of the ground-truth instance covering `frame`, after identity
   /// churn; -1 when no instance covers it.
   int64_t TrueTrackIdAt(const std::string& label, video::FrameIndex frame);
-  int64_t FalseTrackIdAt(const std::string& label, video::FrameIndex frame);
+  /// Track id of the false-positive burst of vocabulary label `index`
+  /// covering `frame`; -1 when none does.
+  int64_t FalseTrackIdAt(size_t index, video::FrameIndex frame) const;
 
   std::shared_ptr<const video::SyntheticVideo> video_;
   DetectorProfile detector_profile_;
   TrackerProfile tracker_profile_;
   std::vector<std::string> vocabulary_;
   uint64_t seed_;
-  std::map<std::string, PresenceOverlay> overlays_;
-  std::map<std::string, std::vector<const video::TrackInstance*>> by_label_;
+  std::vector<LabelStream> streams_;  // by vocabulary index, on first call
   std::map<int64_t, std::vector<int64_t>> segment_boundaries_;
   InstanceLookup lookup_;
   InferenceStats stats_;

@@ -24,6 +24,12 @@ struct ClipRef {
   ClipIndex clip = 0;
   Interval frames;
   std::vector<ShotRef> shots;
+
+  /// The shot indices of `shots` as one range.
+  Interval ShotRange() const {
+    return shots.empty() ? Interval{}
+                         : Interval{shots.front().shot, shots.back().shot + 1};
+  }
 };
 
 /// Builds the ClipRef for `clip` in a video of `num_frames` frames.

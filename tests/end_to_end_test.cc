@@ -6,6 +6,7 @@
 
 #include <filesystem>
 
+#include "svq/core/clip_indicator.h"
 #include "svq/core/engine.h"
 #include "svq/query/executor.h"
 #include "svq/video/annotation.h"
@@ -120,13 +121,14 @@ class FailingDetector final : public models::ObjectDetector {
                   video::FrameIndex fail_at)
       : inner_(std::move(inner)), fail_at_(fail_at) {}
 
-  Result<std::vector<models::ObjectDetection>> Detect(
-      video::FrameIndex frame) override {
-    if (frame == fail_at_) {
+  Status Detect(const video::Interval& frames,
+                std::vector<models::Emission>* emissions,
+                std::vector<models::BoundingBox>* boxes) override {
+    if (frames.Contains(fail_at_)) {
       return Status::IOError("decoder hiccup at frame " +
-                             std::to_string(frame));
+                             std::to_string(fail_at_));
     }
-    return inner_->Detect(frame);
+    return inner_->Detect(frames, emissions, boxes);
   }
   const std::vector<std::string>& SupportedLabels() const override {
     return inner_->SupportedLabels();
@@ -147,13 +149,13 @@ class FailingRecognizer final : public models::ActionRecognizer {
                     video::ShotIndex fail_at)
       : inner_(std::move(inner)), fail_at_(fail_at) {}
 
-  Result<std::vector<models::ActionScore>> Recognize(
-      const video::ShotRef& shot) override {
-    if (shot.shot == fail_at_) {
+  Status Recognize(const video::Interval& shots,
+                   std::vector<models::Emission>* emissions) override {
+    if (shots.Contains(fail_at_)) {
       return Status::Internal("model crash at shot " +
-                              std::to_string(shot.shot));
+                              std::to_string(fail_at_));
     }
-    return inner_->Recognize(shot);
+    return inner_->Recognize(shots, emissions);
   }
   const std::vector<std::string>& SupportedLabels() const override {
     return inner_->SupportedLabels();
@@ -222,6 +224,116 @@ TEST(FailureInjectionTest, EngineKeepsWorkingAfterFailedRun) {
   auto healthy = engine.ExecuteOnline(query, "cafe");
   ASSERT_TRUE(healthy.ok());
   EXPECT_FALSE(healthy->sequences.empty());
+}
+
+TEST(FailureInjectionTest, FailedTableFillHoldsNoClipAndChargesNothing) {
+  // A range call that contains the failing unit fails whole: the error
+  // surfaces from Fill, the table drops the clip it held, and nothing is
+  // charged for the failed clip.
+  auto video = Footage("cafe", 7);
+  const video::VideoLayout& layout = video->layout();
+  models::ModelSet models = models::MakeModelSet(
+      video, models::MaskRcnnI3dSuite(), {"cup"}, {"smoking"});
+  FailingDetector detector(std::move(models.detector),
+                           5 * layout.FramesPerClip() + 3);
+  FailingRecognizer recognizer(std::move(models.recognizer),
+                               5 * layout.shots_per_clip + 1);
+  core::FrameTable frames(&detector, 0.5);
+  core::ShotTable shots(&recognizer);
+  frames.Slot("cup");
+  shots.Slot("smoking");
+  const video::ClipRef healthy =
+      video::MakeClipRef(layout, 0, 4, video->num_frames());
+  const video::ClipRef broken =
+      video::MakeClipRef(layout, 0, 5, video->num_frames());
+
+  models::InferenceStats charge;
+  ASSERT_TRUE(frames.Fill(healthy, &charge).ok());
+  ASSERT_TRUE(shots.Fill(healthy, &charge).ok());
+  const models::InferenceStats bill = charge;
+  ASSERT_EQ(bill.units, layout.FramesPerClip() + layout.shots_per_clip);
+
+  const Status frame_error = frames.Fill(broken, &charge);
+  EXPECT_TRUE(frame_error.IsIOError()) << frame_error;
+  EXPECT_EQ(shots.Fill(broken, &charge).code(), StatusCode::kInternal);
+  EXPECT_EQ(charge.units, bill.units);
+  EXPECT_EQ(charge.simulated_ms, bill.simulated_ms);
+  EXPECT_EQ(frames.charged().units + shots.charged().units, bill.units);
+
+  // The healthy clip is no longer held: filling it again runs both models
+  // over it again.
+  const int64_t run = detector.stats().units + recognizer.stats().units;
+  ASSERT_TRUE(frames.Fill(healthy, &charge).ok());
+  ASSERT_TRUE(shots.Fill(healthy, &charge).ok());
+  EXPECT_EQ(detector.stats().units + recognizer.stats().units - run,
+            bill.units);
+  EXPECT_EQ(charge.units, 2 * bill.units);
+}
+
+/// Appends one emission past what it was asked for — a unit past the
+/// range, or a label past its vocabulary — to a healthy model's output.
+class StrayModel final : public models::ObjectDetector,
+                         public models::ObjectTracker {
+ public:
+  StrayModel(std::unique_ptr<models::ObjectDetector> inner, bool stray_label)
+      : inner_(std::move(inner)), stray_label_(stray_label) {}
+
+  Status Detect(const video::Interval& frames,
+                std::vector<models::Emission>* emissions,
+                std::vector<models::BoundingBox>* boxes) override {
+    SVQ_RETURN_NOT_OK(inner_->Detect(frames, emissions, boxes));
+    const int32_t vocabulary =
+        static_cast<int32_t>(inner_->SupportedLabels().size());
+    emissions->push_back(
+        stray_label_ ? models::Emission{vocabulary, frames.begin, 0.9}
+                     : models::Emission{0, frames.end, 0.9});
+    if (boxes != nullptr) boxes->push_back({});
+    return Status::OK();
+  }
+  Status Track(const video::Interval& frames,
+               std::vector<models::Emission>* emissions,
+               std::vector<models::BoundingBox>* boxes,
+               std::vector<int64_t>*) override {
+    return Detect(frames, emissions, boxes);
+  }
+  const std::vector<std::string>& SupportedLabels() const override {
+    return inner_->SupportedLabels();
+  }
+  const std::string& name() const override { return inner_->name(); }
+  const models::InferenceStats& stats() const override {
+    return inner_->stats();
+  }
+
+ private:
+  std::unique_ptr<models::ObjectDetector> inner_;
+  bool stray_label_;
+};
+
+TEST(FailureInjectionTest, StrayEmissionIsAnInternalError) {
+  // An emission outside the asked range or the model's vocabulary is
+  // refused before a table or an ingest array is indexed with it.
+  auto video = Footage("cafe", 7);
+  for (const bool stray_label : {false, true}) {
+    SCOPED_TRACE(stray_label);
+    models::ModelSet models = models::MakeModelSet(
+        video, models::MaskRcnnI3dSuite(), {"cup"}, {"smoking"});
+    StrayModel stray(std::move(models.detector), stray_label);
+    auto ingested = core::IngestVideo(video, 0, &stray,
+                                      models.recognizer.get(),
+                                      core::IngestOptions());
+    ASSERT_FALSE(ingested.ok());
+    EXPECT_EQ(ingested.status().code(), StatusCode::kInternal);
+
+    core::FrameTable frames(&stray, 0.5);
+    frames.Slot("cup");
+    models::InferenceStats charge;
+    const Status filled = frames.Fill(
+        video::MakeClipRef(video->layout(), 0, 3, video->num_frames()),
+        &charge);
+    EXPECT_EQ(filled.code(), StatusCode::kInternal) << filled;
+    EXPECT_EQ(charge.units, 0);
+    EXPECT_EQ(frames.charged().units, 0);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "svq/core/engine.h"
 #include "svq/core/online_engine.h"
 #include "svq/eval/workloads.h"
@@ -195,6 +197,51 @@ TEST(RelationshipTest, MutuallyExclusiveOperatorsRarelyCooccur) {
                   static_cast<double>(smaller),
               0.5);
   }
+}
+
+TEST(RelationshipTest, EventsArePinned) {
+  // A relationship predicate reads the detector's boxes, so the sequences
+  // and statistics of relationship statements under a noisy suite pin the
+  // boxes that decide them; the digest was recorded from the per-frame
+  // model calls that the range calls replaced.
+  auto video = MakeVideo();
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&digest](uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (value >> (8 * i)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  size_t sequences = 0;
+  for (const RelOp op : {RelOp::kLeftOf, RelOp::kOverlaps, RelOp::kAbove}) {
+    for (const auto mode :
+         {OnlineEngine::Mode::kSvaq, OnlineEngine::Mode::kSvaqd}) {
+      Query query;
+      query.action = "jumping";
+      query.relationships = {{op, "human", "car"}};
+      models::ModelSet models = models::MakeModelSet(
+          video, models::MaskRcnnI3dSuite(), query.AllObjectLabels(),
+          query.AllActions());
+      auto engine = OnlineEngine::Create(
+          mode, query, OnlineConfig(), video->layout(),
+          models.detector.get(), models.recognizer.get());
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      video::SyntheticVideoStream stream(video, 0);
+      auto result = (*engine)->Run(stream);
+      ASSERT_TRUE(result.ok()) << result.status();
+      for (const video::Interval& seq : result->sequences.intervals()) {
+        mix(static_cast<uint64_t>(seq.begin));
+        mix(static_cast<uint64_t>(seq.end));
+      }
+      sequences += result->sequences.size();
+      mix(static_cast<uint64_t>(result->stats.clips_positive));
+      uint64_t model_ms = 0;
+      std::memcpy(&model_ms, &result->stats.model_ms, sizeof(model_ms));
+      mix(model_ms);
+    }
+  }
+  EXPECT_GT(sequences, 0u);
+  EXPECT_EQ(digest, 0x8d8bbddc083eacb9ULL);
 }
 
 TEST(OfflineExtensionsTest, ExtraActionsSupported) {

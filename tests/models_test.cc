@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <filesystem>
 #include <set>
+#include <tuple>
+
+#include "svq/core/ingest.h"
+#include "svq/io/env.h"
 
 namespace svq::models {
 namespace {
@@ -86,17 +93,23 @@ TEST(PresenceOverlayTest, FalsePositivesOutsideTruth) {
                 overlay.false_detected().TotalLength());
 }
 
+/// One frame's detections: a one-frame range call.
+std::vector<Emission> DetectFrame(ObjectDetector& det,
+                                  video::FrameIndex frame) {
+  std::vector<Emission> emissions;
+  EXPECT_TRUE(det.Detect({frame, frame + 1}, &emissions, nullptr).ok());
+  return emissions;
+}
+
 TEST(ObjectDetectorTest, DeterministicPerFrame) {
   auto video = MakeVideo();
   SyntheticObjectDetector det(video, MaskRcnnProfile(), {"bus"}, 9);
-  auto first = det.Detect(1234);
-  auto second = det.Detect(1234);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(first->size(), second->size());
-  for (size_t i = 0; i < first->size(); ++i) {
-    EXPECT_EQ((*first)[i].label, (*second)[i].label);
-    EXPECT_DOUBLE_EQ((*first)[i].score, (*second)[i].score);
+  const std::vector<Emission> first = DetectFrame(det, 1234);
+  const std::vector<Emission> second = DetectFrame(det, 1234);
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].label, second[i].label);
+    EXPECT_DOUBLE_EQ(first[i].score, second[i].score);
   }
 }
 
@@ -111,8 +124,13 @@ TEST(ObjectDetectorTest, VocabularyIncludesExtraLabels) {
 TEST(ObjectDetectorTest, RejectsOutOfRangeFrame) {
   auto video = MakeVideo();
   SyntheticObjectDetector det(video, MaskRcnnProfile(), {}, 9);
-  EXPECT_FALSE(det.Detect(-1).ok());
-  EXPECT_FALSE(det.Detect(video->num_frames()).ok());
+  std::vector<Emission> emissions;
+  const video::FrameIndex n = video->num_frames();
+  EXPECT_FALSE(det.Detect({-1, 0}, &emissions, nullptr).ok());
+  EXPECT_FALSE(det.Detect({n, n + 1}, &emissions, nullptr).ok());
+  EXPECT_FALSE(det.Detect({5, 4}, &emissions, nullptr).ok());
+  EXPECT_TRUE(emissions.empty());
+  EXPECT_EQ(det.stats().units, 0);
 }
 
 TEST(ObjectDetectorTest, IdealDetectorMatchesGroundTruth) {
@@ -120,11 +138,9 @@ TEST(ObjectDetectorTest, IdealDetectorMatchesGroundTruth) {
   SyntheticObjectDetector det(video, IdealObjectProfile(), {}, 9);
   const IntervalSet& truth = video->ground_truth().ObjectPresence("car");
   for (video::FrameIndex f = 0; f < 2000; ++f) {
-    auto dets = det.Detect(f);
-    ASSERT_TRUE(dets.ok());
     bool has_car = false;
-    for (const auto& d : *dets) {
-      if (d.label == "car") {
+    for (const Emission& d : DetectFrame(det, f)) {
+      if (det.SupportedLabels()[d.label] == "car") {
         has_car = true;
         EXPECT_DOUBLE_EQ(d.score, 1.0);
       }
@@ -136,8 +152,8 @@ TEST(ObjectDetectorTest, IdealDetectorMatchesGroundTruth) {
 TEST(ObjectDetectorTest, AccruesInferenceCost) {
   auto video = MakeVideo();
   SyntheticObjectDetector det(video, MaskRcnnProfile(), {}, 9);
-  ASSERT_TRUE(det.Detect(0).ok());
-  ASSERT_TRUE(det.Detect(1).ok());
+  DetectFrame(det, 0);
+  DetectFrame(det, 1);
   EXPECT_EQ(det.stats().units, 2);
   EXPECT_DOUBLE_EQ(det.stats().simulated_ms,
                    2.0 * MaskRcnnProfile().cost_ms);
@@ -149,10 +165,8 @@ TEST(ObjectDetectorTest, ScoresAboveThresholdMostlyInTruth) {
   const IntervalSet& truth = video->ground_truth().ObjectPresence("car");
   int64_t positives = 0, true_positives = 0;
   for (video::FrameIndex f = 0; f < video->num_frames(); f += 3) {
-    auto dets = det.Detect(f);
-    ASSERT_TRUE(dets.ok());
-    for (const auto& d : *dets) {
-      if (d.label == "car" && d.score >= 0.5) {
+    for (const Emission& d : DetectFrame(det, f)) {
+      if (det.SupportedLabels()[d.label] == "car" && d.score >= 0.5) {
         ++positives;
         if (truth.Contains(f)) ++true_positives;
       }
@@ -182,23 +196,40 @@ TEST(ActionRecognizerTest, IdealRecognizerScoresTruthShots) {
   auto video = MakeVideo();
   SyntheticActionRecognizer rec(video, IdealActionProfile(), {}, 9);
   const IntervalSet shots = rec.ShotTruth("jumping");
-  video::ShotRef shot;
-  shot.shot = shots.intervals().front().begin;
-  const int fps = video->layout().frames_per_shot;
-  shot.frames = {shot.shot * fps, (shot.shot + 1) * fps};
-  auto scores = rec.Recognize(shot);
-  ASSERT_TRUE(scores.ok());
-  ASSERT_EQ(scores->size(), 1u);
-  EXPECT_EQ((*scores)[0].label, "jumping");
-  EXPECT_DOUBLE_EQ((*scores)[0].score, 1.0);
+  const video::ShotIndex shot = shots.intervals().front().begin;
+  std::vector<Emission> scores;
+  ASSERT_TRUE(rec.Recognize({shot, shot + 1}, &scores).ok());
+  ASSERT_EQ(scores.size(), 1u);
+  EXPECT_EQ(rec.SupportedLabels()[scores[0].label], "jumping");
+  EXPECT_EQ(scores[0].unit, shot);
+  EXPECT_DOUBLE_EQ(scores[0].score, 1.0);
 }
 
 TEST(ActionRecognizerTest, RejectsOutOfRangeShot) {
   auto video = MakeVideo();
   SyntheticActionRecognizer rec(video, I3dProfile(), {}, 9);
-  video::ShotRef shot;
-  shot.shot = video->NumShots();
-  EXPECT_FALSE(rec.Recognize(shot).ok());
+  const video::ShotIndex shot = video->NumShots();
+  std::vector<Emission> scores;
+  EXPECT_FALSE(rec.Recognize({shot, shot + 1}, &scores).ok());
+  EXPECT_FALSE(rec.Recognize({-1, 1}, &scores).ok());
+  EXPECT_TRUE(scores.empty());
+  EXPECT_EQ(rec.stats().units, 0);
+}
+
+/// One frame's tracked detections: a one-frame range call.
+struct Tracked {
+  std::vector<Emission> emissions;
+  std::vector<BoundingBox> boxes;
+  std::vector<int64_t> track_ids;
+};
+
+Tracked TrackFrame(ObjectTracker& tracker, video::FrameIndex frame) {
+  Tracked out;
+  EXPECT_TRUE(tracker
+                  .Track({frame, frame + 1}, &out.emissions, &out.boxes,
+                         &out.track_ids)
+                  .ok());
+  return out;
 }
 
 TEST(ObjectTrackerTest, StableIdsWithinASegment) {
@@ -212,10 +243,12 @@ TEST(ObjectTrackerTest, StableIdsWithinASegment) {
   const video::TrackInstance& inst = instances.front();
   std::set<int64_t> ids;
   for (video::FrameIndex f = inst.frames.begin; f < inst.frames.end; ++f) {
-    auto dets = tracker.Track(f);
-    ASSERT_TRUE(dets.ok());
-    for (const auto& d : *dets) {
-      if (d.label == inst.label) ids.insert(d.track_id);
+    const Tracked tracked = TrackFrame(tracker, f);
+    for (size_t i = 0; i < tracked.emissions.size(); ++i) {
+      if (tracker.SupportedLabels()[tracked.emissions[i].label] ==
+          inst.label) {
+        ids.insert(tracked.track_ids[i]);
+      }
     }
   }
   // Without churn and possibly overlapping instances, the id set is small
@@ -242,10 +275,12 @@ TEST(ObjectTrackerTest, ChurnSplitsLongTracks) {
   std::set<int64_t> ids;
   for (video::FrameIndex f = longest->frames.begin; f < longest->frames.end;
        ++f) {
-    auto dets = tracker.Track(f);
-    ASSERT_TRUE(dets.ok());
-    for (const auto& d : *dets) {
-      if (d.label == longest->label) ids.insert(d.track_id);
+    const Tracked tracked = TrackFrame(tracker, f);
+    for (size_t i = 0; i < tracked.emissions.size(); ++i) {
+      if (tracker.SupportedLabels()[tracked.emissions[i].label] ==
+          longest->label) {
+        ids.insert(tracked.track_ids[i]);
+      }
     }
   }
   EXPECT_GT(ids.size(), 1u);
@@ -255,14 +290,225 @@ TEST(ObjectTrackerTest, DeterministicPerFrame) {
   auto video = MakeVideo();
   SyntheticObjectTracker tracker(video, MaskRcnnProfile(),
                                  CenterTrackProfile(), {}, 9);
-  auto a = tracker.Track(5000);
-  auto b = tracker.Track(5000);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), b->size());
-  for (size_t i = 0; i < a->size(); ++i) {
-    EXPECT_EQ((*a)[i].track_id, (*b)[i].track_id);
-    EXPECT_DOUBLE_EQ((*a)[i].score, (*b)[i].score);
+  const Tracked a = TrackFrame(tracker, 5000);
+  const Tracked b = TrackFrame(tracker, 5000);
+  ASSERT_EQ(a.emissions.size(), b.emissions.size());
+  for (size_t i = 0; i < a.emissions.size(); ++i) {
+    EXPECT_EQ(a.track_ids[i], b.track_ids[i]);
+    EXPECT_DOUBLE_EQ(a.emissions[i].score, b.emissions[i].score);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned output. The digests below were recorded from the per-frame model
+// calls that the range calls replaced, and must not move: every (label,
+// unit, score, box, track id) a synthetic model emits, its InferenceStats,
+// and the bytes of a disk-ingested video file.
+
+/// 64-bit FNV-1a over raw bytes.
+struct Fnv {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void Value(T v) {
+    Bytes(&v, sizeof(v));
+  }
+};
+
+/// One emission with its label spelled out, in a form that sorts and
+/// compares bit for bit.
+struct Record {
+  std::string label;
+  int64_t unit = 0;
+  double score = 0.0;
+  BoundingBox box;
+  int64_t track_id = -1;
+};
+
+bool operator<(const Record& a, const Record& b) {
+  return std::tie(a.label, a.unit) < std::tie(b.label, b.unit);
+}
+
+bool SameBits(const Record& a, const Record& b) {
+  return a.label == b.label && a.unit == b.unit &&
+         std::memcmp(&a.score, &b.score, sizeof(double)) == 0 &&
+         std::memcmp(&a.box, &b.box, sizeof(BoundingBox)) == 0 &&
+         a.track_id == b.track_id;
+}
+
+/// Every output of the detector, tracker or recognizer of `suite` over
+/// `ranges` of `video`, sorted by (label, unit), plus the model's stats.
+struct Outputs {
+  std::vector<Record> detector, tracker, recognizer;
+  InferenceStats detector_stats, tracker_stats, recognizer_stats;
+};
+
+Outputs RunModels(const std::shared_ptr<const SyntheticVideo>& video,
+                  const ModelSuite& suite,
+                  const std::vector<Interval>& frame_ranges,
+                  const std::vector<Interval>& shot_ranges) {
+  Outputs out;
+  SyntheticObjectDetector det(video, suite.object_profile, {"zebra"},
+                              suite.seed);
+  SyntheticObjectTracker tracker(video, suite.object_profile,
+                                 suite.tracker_profile, {"zebra"}, suite.seed);
+  SyntheticActionRecognizer rec(video, suite.action_profile, {"juggling"},
+                                suite.seed);
+  for (const Interval& range : frame_ranges) {
+    std::vector<Emission> emissions;
+    std::vector<BoundingBox> boxes;
+    EXPECT_TRUE(det.Detect(range, &emissions, &boxes).ok());
+    EXPECT_EQ(boxes.size(), emissions.size());
+    for (size_t i = 0; i < emissions.size(); ++i) {
+      out.detector.push_back({det.SupportedLabels()[emissions[i].label],
+                              emissions[i].unit, emissions[i].score,
+                              boxes[i], -1});
+    }
+    emissions.clear();
+    boxes.clear();
+    std::vector<int64_t> ids;
+    EXPECT_TRUE(tracker.Track(range, &emissions, &boxes, &ids).ok());
+    EXPECT_EQ(ids.size(), emissions.size());
+    for (size_t i = 0; i < emissions.size(); ++i) {
+      out.tracker.push_back({tracker.SupportedLabels()[emissions[i].label],
+                             emissions[i].unit, emissions[i].score, boxes[i],
+                             ids[i]});
+    }
+  }
+  for (const Interval& range : shot_ranges) {
+    std::vector<Emission> emissions;
+    EXPECT_TRUE(rec.Recognize(range, &emissions).ok());
+    for (const Emission& e : emissions) {
+      out.recognizer.push_back(
+          {rec.SupportedLabels()[e.label], e.unit, e.score, {}, -1});
+    }
+  }
+  std::sort(out.detector.begin(), out.detector.end());
+  std::sort(out.tracker.begin(), out.tracker.end());
+  std::sort(out.recognizer.begin(), out.recognizer.end());
+  out.detector_stats = det.stats();
+  out.tracker_stats = tracker.stats();
+  out.recognizer_stats = rec.stats();
+  return out;
+}
+
+uint64_t DigestOf(const std::vector<Record>& records,
+                  const InferenceStats& stats) {
+  Fnv fnv;
+  for (const Record& r : records) {
+    fnv.Value<uint64_t>(r.label.size());
+    fnv.Bytes(r.label.data(), r.label.size());
+    fnv.Value(r.unit);
+    fnv.Value(r.score);
+    fnv.Value(r.box.x);
+    fnv.Value(r.box.y);
+    fnv.Value(r.box.width);
+    fnv.Value(r.box.height);
+    fnv.Value(r.track_id);
+  }
+  fnv.Value(stats.units);
+  fnv.Value(stats.simulated_ms);
+  return fnv.h;
+}
+
+const std::vector<ModelSuite>& PinnedSuites() {
+  static const std::vector<ModelSuite> suites = {
+      MaskRcnnI3dSuite(), YoloV3I3dSuite(), IdealSuite()};
+  return suites;
+}
+
+TEST(PinnedOutputTest, ModelsEmitThePinnedDigest) {
+  // Both videos lack "zebra" and "juggling", which the models still score
+  // (as false positives, except under the ideal profiles).
+  Fnv all;
+  for (const uint64_t video_seed : {3u, 11u}) {
+    auto video = MakeVideo(video_seed);
+    for (const ModelSuite& suite : PinnedSuites()) {
+      const Outputs out = RunModels(video, suite, {{0, video->num_frames()}},
+                                    {{0, video->NumShots()}});
+      all.Value(DigestOf(out.detector, out.detector_stats));
+      all.Value(DigestOf(out.tracker, out.tracker_stats));
+      all.Value(DigestOf(out.recognizer, out.recognizer_stats));
+    }
+  }
+  EXPECT_EQ(all.h, 0xeb64a000c80f6bb8ULL);
+}
+
+TEST(PinnedOutputTest, DiskIngestWritesThePinnedFile) {
+  auto video = MakeVideo(3);
+  ModelSet models =
+      MakeModelSet(video, MaskRcnnI3dSuite(), {"zebra"}, {"juggling"});
+  const std::string dir = ::testing::TempDir() + "/models_test_pinned_file";
+  std::filesystem::remove_all(dir);
+  core::IngestOptions options;
+  options.backend = core::IngestOptions::TableBackend::kDisk;
+  options.directory = dir;
+  auto ingested = core::IngestVideo(video, 7, models.tracker.get(),
+                                    models.recognizer.get(), options);
+  ASSERT_TRUE(ingested.ok()) << ingested.status();
+  auto bytes = io::ReadFileToString(dir + "/models_test");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  EXPECT_EQ(bytes->size(), 8482u);
+  Fnv file;
+  file.Bytes(bytes->data(), bytes->size());
+  file.Value(ingested->ingest_inference.units);
+  file.Value(ingested->ingest_inference.simulated_ms);
+  EXPECT_EQ(file.h, 0x309488164a854c2aULL);
+}
+
+/// Splits [0, n) into consecutive ranges: single units first, then
+/// empty and random-length ranges.
+std::vector<Interval> SplitRange(int64_t n, uint64_t seed) {
+  std::vector<Interval> ranges;
+  int64_t cursor = 0;
+  for (; cursor < std::min<int64_t>(n, 200); ++cursor) {
+    ranges.push_back({cursor, cursor + 1});
+  }
+  Rng rng(seed);
+  while (cursor < n) {
+    const int64_t length = std::min<int64_t>(
+        n - cursor, static_cast<int64_t>(rng.NextUint64(400)));
+    ranges.push_back({cursor, cursor + length});
+    cursor += length;
+  }
+  return ranges;
+}
+
+TEST(PinnedOutputTest, SplitRangesEmitWhatTheWholeRangeEmits) {
+  auto video = MakeVideo(3);
+  for (const ModelSuite& suite : PinnedSuites()) {
+    SCOPED_TRACE(suite.object_profile.name);
+    const Outputs whole = RunModels(video, suite, {{0, video->num_frames()}},
+                                    {{0, video->NumShots()}});
+    const Outputs split =
+        RunModels(video, suite, SplitRange(video->num_frames(), 5),
+                  SplitRange(video->NumShots(), 6));
+    const auto same = [](const std::vector<Record>& a,
+                         const std::vector<Record>& b) {
+      if (a.size() != b.size()) return false;
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (!SameBits(a[i], b[i])) return false;
+      }
+      return true;
+    };
+    EXPECT_FALSE(whole.detector.empty());
+    EXPECT_TRUE(same(whole.detector, split.detector));
+    EXPECT_TRUE(same(whole.tracker, split.tracker));
+    EXPECT_TRUE(same(whole.recognizer, split.recognizer));
+    for (const auto& [a, b] :
+         {std::pair{whole.detector_stats, split.detector_stats},
+          std::pair{whole.tracker_stats, split.tracker_stats},
+          std::pair{whole.recognizer_stats, split.recognizer_stats}}) {
+      EXPECT_EQ(a.units, b.units);
+      EXPECT_EQ(a.simulated_ms, b.simulated_ms);
+    }
   }
 }
 

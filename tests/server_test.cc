@@ -49,10 +49,11 @@ constexpr const char* kStreamingStatement =
     "ObjectDetector, act USING ActionRecognizer) "
     "WHERE act='smoking' AND obj.include('cup')";
 
-std::shared_ptr<const video::SyntheticVideo> ServingVideo(int index) {
+std::shared_ptr<const video::SyntheticVideo> ServingVideo(
+    int index, int64_t num_frames = 36000) {
   video::SyntheticVideoSpec spec;
   spec.name = "serving_" + std::to_string(index);
-  spec.num_frames = 36000;
+  spec.num_frames = num_frames;
   spec.seed = 9100 + static_cast<uint64_t>(index);
   spec.actions.push_back({"smoking", 350.0, 4500.0});
   video::SyntheticObjectSpec cup;
@@ -261,15 +262,20 @@ TEST_F(ServerTest, OverloadBurstGetsCleanRejections) {
 TEST_F(ServerTest, ClientTimeoutSurfacesAsDeadlineExceeded) {
   ServerOptions options;
   options.max_in_flight = 1;
-  StartServer(options);
-
   // The streaming path pays real per-clip work — milliseconds of wall time
-  // over this fixture — and the engine polls the ExecutionContext at the
-  // top of every clip, so a 1 ms budget expires mid-query deterministically
-  // and the server cancels it rather than running to completion. (The
-  // ranked path resolves in microseconds here, too fast to time out.)
+  // over this 4500-clip video, where the fixture's 450-clip one can finish
+  // within a millisecond — and the engine polls the ExecutionContext at
+  // the top of every clip, so a 1 ms budget expires mid-query and the
+  // server cancels it rather than running to completion. (The ranked path
+  // resolves in microseconds here, too fast to time out.)
+  ASSERT_TRUE(engine_.AddVideo(ServingVideo(1, /*num_frames=*/360000)).ok());
+  StartServer(options);
+  const std::string statement =
+      "SELECT MERGE(clipID) FROM (PROCESS serving_1 PRODUCE clipID, obj "
+      "USING ObjectDetector, act USING ActionRecognizer) "
+      "WHERE act='smoking' AND obj.include('cup')";
   Client client = Connected();
-  auto response = client.Execute(kStreamingStatement, /*timeout_ms=*/1);
+  auto response = client.Execute(statement, /*timeout_ms=*/1);
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_TRUE(response->status.IsDeadlineExceeded()) << response->status;
   const observability::MetricsSnapshot stats = server_->Metrics();

@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -221,10 +223,13 @@ class RecordingDetector final : public models::ObjectDetector {
                     std::set<video::FrameIndex>* frames)
       : inner_(inner), frames_(frames) {}
 
-  Result<std::vector<models::ObjectDetection>> Detect(
-      video::FrameIndex frame) override {
-    frames_->insert(frame);
-    return inner_->Detect(frame);
+  Status Detect(const video::Interval& frames,
+                std::vector<models::Emission>* emissions,
+                std::vector<models::BoundingBox>* boxes) override {
+    for (video::FrameIndex f = frames.begin; f < frames.end; ++f) {
+      frames_->insert(f);
+    }
+    return inner_->Detect(frames, emissions, boxes);
   }
   const std::vector<std::string>& SupportedLabels() const override {
     return inner_->SupportedLabels();
@@ -246,10 +251,12 @@ class RecordingRecognizer final : public models::ActionRecognizer {
                       std::set<video::ShotIndex>* shots)
       : inner_(inner), shots_(shots) {}
 
-  Result<std::vector<models::ActionScore>> Recognize(
-      const video::ShotRef& shot) override {
-    shots_->insert(shot.shot);
-    return inner_->Recognize(shot);
+  Status Recognize(const video::Interval& shots,
+                   std::vector<models::Emission>* emissions) override {
+    for (video::ShotIndex s = shots.begin; s < shots.end; ++s) {
+      shots_->insert(s);
+    }
+    return inner_->Recognize(shots, emissions);
   }
   const std::vector<std::string>& SupportedLabels() const override {
     return inner_->SupportedLabels();
@@ -554,6 +561,27 @@ TEST_F(StreamTest, PerFeedSubscriptionCapEnforced) {
                   .IsResourceExhausted());
 }
 
+/// Forwards to `inner`, but its first NextClip waits for `gate`.
+class GatedStream final : public video::VideoStream {
+ public:
+  GatedStream(std::unique_ptr<video::VideoStream> inner,
+              std::future<void> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+
+  std::optional<video::ClipRef> NextClip() override {
+    if (gate_.valid()) gate_.get();
+    return inner_->NextClip();
+  }
+  const video::VideoLayout& layout() const override {
+    return inner_->layout();
+  }
+  video::VideoId video_id() const override { return inner_->video_id(); }
+
+ private:
+  std::unique_ptr<video::VideoStream> inner_;
+  std::future<void> gate_;
+};
+
 TEST_F(StreamTest, AttachedSourceWithConcurrentPollersMatchesOracle) {
   // The TSan-sensitive path: the dispatcher worker pumps an attached
   // VideoStream while one thread per subscriber polls concurrently and
@@ -593,11 +621,17 @@ TEST_F(StreamTest, AttachedSourceWithConcurrentPollersMatchesOracle) {
       }
     });
   }
+  // The first source holds its first clip until the second attach has
+  // been tried, so that attach always meets a source still pumping: a fast
+  // pump could otherwise finish the whole video, close the feed and let
+  // the second attach open a new one.
+  std::promise<void> release;
+  auto source = std::make_unique<video::SyntheticVideoStream>(
+      video_, engine_.Pin()->Find("stream_0")->id);
   ASSERT_TRUE(dispatcher
                   .AttachSource("live", "stream_0",
-                                std::make_unique<video::SyntheticVideoStream>(
-                                    video_, engine_.Pin()->Find("stream_0")
-                                                ->id))
+                                std::make_unique<GatedStream>(
+                                    std::move(source), release.get_future()))
                   .ok());
   // A second attach on the same feed is refused while the first pumps.
   const Status again = dispatcher.AttachSource(
@@ -605,6 +639,7 @@ TEST_F(StreamTest, AttachedSourceWithConcurrentPollersMatchesOracle) {
       std::make_unique<video::SyntheticVideoStream>(
           video_, engine_.Pin()->Find("stream_0")->id));
   EXPECT_TRUE(again.IsFailedPrecondition()) << again;
+  release.set_value();
   while (dispatcher.HasFeed("live")) {
     (void)dispatcher.Stats();  // racing reads must be clean under TSan
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
