@@ -17,7 +17,7 @@ namespace svq::cluster {
 ///                Probe success closes the breaker, probe failure re-opens
 ///                it for another cooldown.
 ///
-/// Thread safe: the router's IO thread and its health checker share one
+/// Thread safe: the router's loop and its health checker share one
 /// breaker per backend. Callers pass their own `now` so tests can drive time.
 class CircuitBreaker {
  public:

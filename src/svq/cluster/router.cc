@@ -31,7 +31,7 @@ constexpr int kMaxConnections = 64;
 /// Requests admitted and unfinished at once: the connection cap, so a
 /// client that keeps one request per connection is never turned away while
 /// it stays under the cap. A routed request holds no thread while it waits
-/// on its backends — the transport's IO thread drives every one — so this
+/// on its backends — the transport's one loop drives every one — so this
 /// bound, not a thread count, is what limits requests in flight.
 constexpr int kMaxAdmitted = kMaxConnections;
 /// How long Shutdown lets admitted requests finish before cancelling them.
@@ -137,7 +137,7 @@ void MergeQueryMetrics(const server::WireQueryMetrics& in,
 /// The router's one backend call, for QUERY, EXPLAIN, STATS and the health
 /// probe: per shard a primary leg and, once the shard is hedge_after late,
 /// a hedge leg. Each leg runs the retry loop on its own pooled connection.
-/// A routed request's gather is a transport task, driven by the IO thread
+/// A routed request's gather is a transport task, driven by the loop
 /// beside every other request; the health checker drives its probe itself
 /// with Run.
 class Router::Gather : public server::Task {
@@ -575,7 +575,7 @@ Router::Router(ShardMap map, RouterOptions options)
       "svq_router_connections_opened_total", "Client connections accepted");
   rejected_ = registry_.counter(
       "svq_router_rejected_total",
-      "Requests turned away (admission queue full or draining)");
+      "Requests turned away (admission bound reached or draining)");
   backends_total_ =
       registry_.gauge("svq_router_backends_total", "Configured backends");
   backends_available_ = registry_.gauge(
@@ -596,7 +596,7 @@ Router::Router(ShardMap map, RouterOptions options)
   transport.bind_address = options_.bind_address;
   transport.port = options_.port;
   transport.max_connections = kMaxConnections;
-  transport.workers = 0;  // every routed request is a driven task
+  transport.loops = 1;  // every routed request is a task this loop drives
   transport.max_admitted = kMaxAdmitted;
   transport.max_frame_bytes = options_.max_frame_bytes;
   server::TransportMetrics metrics;
@@ -720,7 +720,7 @@ Dispatch Router::Call(std::vector<size_t> shards, BackendRequest request,
 }
 
 // ---------------------------------------------------------------------------
-// Routing (IO thread).
+// Routing (the transport's loop).
 
 Dispatch Router::Decode(const server::Frame& frame) {
   switch (frame.type) {

@@ -96,11 +96,11 @@ struct RouterOptions {
 ///
 /// Threading: the router is a handler set on server::Transport, and a
 /// routed request holds no thread while it waits on its backends. The
-/// transport's IO thread decodes each frame, sends each shard's request on
-/// a pooled connection and polls those connections beside the client
-/// sockets, so one poll loop drives every routed request; at most 64 are
-/// admitted at once, the connection cap (constants in router.cc). The only
-/// other thread is the health checker. No thread is started per
+/// transport's one event loop decodes each frame, sends each shard's
+/// request on a pooled connection and polls those connections beside the
+/// client sockets, so one poll loop drives every routed request; at most
+/// 64 are admitted at once, the connection cap (constants in router.cc).
+/// The only other thread is the health checker. No thread is started per
 /// connection, per shard or per hedge. A client that disconnects cancels
 /// its request's backend calls.
 class Router : private server::Handler {
@@ -179,14 +179,14 @@ class Router : private server::Handler {
   /// retries, breaker accounting and hedging.
   class Gather;
 
-  // Handler: everything below runs on the transport's IO thread.
+  // Handler: everything below runs on the transport's one loop.
   server::Dispatch Decode(const server::Frame& frame) override;
   server::Dispatch RouteQuery(server::QueryRequest request,
                               Clock::time_point received);
   server::Dispatch RouteExplain(server::ExplainRequest request,
                                 Clock::time_point received);
   server::Dispatch RouteStats();
-  /// Admits a Gather of `request` over `shards`, driven by the IO thread;
+  /// Admits a Gather of `request` over `shards`, driven by the loop;
   /// `respond` turns the replies into the response.
   server::Dispatch Call(std::vector<size_t> shards, BackendRequest request,
                         Respond respond, Reject reject);
@@ -241,7 +241,7 @@ class Router : private server::Handler {
 
   std::unique_ptr<server::Transport> transport_;
   /// The last STATS response built from the backends' replies: the answer
-  /// to a STATS that admission turns away (IO thread only).
+  /// to a STATS that admission turns away (the loop only).
   std::string last_stats_;
 
   std::atomic<bool> running_{false};

@@ -1,6 +1,9 @@
 #include "svq/query/parser.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "svq/query/lexer.h"
 
@@ -8,7 +11,8 @@ namespace svq::query {
 
 namespace {
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser over the token stream. Tokens view the
+/// statement, so the parser copies only the texts the SelectStatement keeps.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -38,7 +42,7 @@ class Parser {
       if (Peek().type != TokenType::kNumber) {
         return Error("expected a number after LIMIT");
       }
-      stmt.limit = std::strtoll(Peek().text.c_str(), nullptr, 10);
+      stmt.limit = ParseLimit(Peek().text);
       Advance();
     }
     if (Peek().type != TokenType::kEnd) {
@@ -48,6 +52,15 @@ class Parser {
   }
 
  private:
+  /// A number token's value, saturating at INT64_MAX as strtoll does.
+  static int64_t ParseLimit(std::string_view digits) {
+    int64_t value = 0;
+    if (std::from_chars(digits.data(), digits.data() + digits.size(), value)
+            .ec == std::errc::result_out_of_range) {
+      value = std::numeric_limits<int64_t>::max();
+    }
+    return value;
+  }
   const Token& Peek(size_t ahead = 0) const {
     const size_t i = std::min(pos_ + ahead, tokens_.size() - 1);
     return tokens_[i];
@@ -62,7 +75,8 @@ class Parser {
     return Status::InvalidArgument(
         message + " at position " + std::to_string(Peek().position) +
         " (found " + TokenTypeName(Peek().type) +
-        (Peek().text.empty() ? "" : " '" + Peek().text + "'") + ")");
+        (Peek().text.empty() ? "" : " '" + std::string(Peek().text) + "'") +
+        ")");
   }
   Status Expect(TokenType type) {
     if (Peek().type != type) {
@@ -82,7 +96,7 @@ class Parser {
     if (Peek().type != TokenType::kIdentifier) {
       return Error("expected an identifier");
     }
-    std::string text = Peek().text;
+    std::string text(Peek().text);
     Advance();
     return text;
   }
@@ -101,7 +115,7 @@ class Parser {
       if (Peek().type != TokenType::kString) {
         return Error("expected a string literal");
       }
-      out->push_back(Peek().text);
+      out->emplace_back(Peek().text);
       Advance();
       if (Peek().type != TokenType::kComma) return Status::OK();
       Advance();
@@ -178,7 +192,7 @@ class Parser {
         if (Peek().type == TokenType::kString) {
           // act = 'jumping'
           pred.kind = Predicate::Kind::kEquals;
-          pred.args.push_back(Peek().text);
+          pred.args.emplace_back(Peek().text);
           Advance();
         } else if (PeekKeyword("ACTION")) {
           // det = Action('robot_dancing', 'car', 'human')

@@ -1,6 +1,6 @@
 #include "svq/server/server.h"
 
-#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "svq/query/executor.h"
@@ -217,8 +217,8 @@ Server::Server(core::VideoQueryEngine* engine, ServerOptions options)
   transport.bind_address = options_.bind_address;
   transport.port = options_.port;
   transport.max_connections = options_.max_connections;
-  transport.workers = std::max(1, options_.max_in_flight);
-  transport.max_admitted = transport.workers + options_.max_queue;
+  transport.loops = options_.max_in_flight;
+  transport.max_admitted = options_.max_in_flight + options_.max_queue;
   transport.max_frame_bytes = options_.max_frame_bytes;
   TransportMetrics metrics;
   metrics.connections_opened = connections_opened_;
@@ -237,6 +237,26 @@ Server::~Server() { Shutdown(std::chrono::milliseconds(0)); }
 
 Status Server::Start() {
   if (engine_ == nullptr) return Status::InvalidArgument("engine must be set");
+  if (options_.max_in_flight < 1) {
+    return Status::InvalidArgument("max_in_flight must be at least 1, got " +
+                                   std::to_string(options_.max_in_flight));
+  }
+  if (options_.max_queue < 0) {
+    return Status::InvalidArgument("max_queue must not be negative, got " +
+                                   std::to_string(options_.max_queue));
+  }
+  if (options_.max_connections < 1) {
+    return Status::InvalidArgument(
+        "max_connections must be at least 1, got " +
+        std::to_string(options_.max_connections));
+  }
+  if (options_.max_in_flight > options_.max_connections) {
+    return Status::InvalidArgument(
+        "max_in_flight (" + std::to_string(options_.max_in_flight) +
+        " loops) exceeds max_connections (" +
+        std::to_string(options_.max_connections) +
+        "): a loop could never own a connection");
+  }
   return transport_->Start();
 }
 
@@ -245,7 +265,7 @@ void Server::Shutdown(std::chrono::milliseconds drain_timeout) {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding (IO thread).
+// Decoding (on the connection's loop).
 
 Dispatch Server::Decode(const Frame& frame) {
   const Clock::time_point received = frame.received;
@@ -259,8 +279,8 @@ Dispatch Server::Decode(const Frame& frame) {
     case MessageType::kQueryRequest:
       // Pin the catalog at request entry: everything this query observes —
       // binding, USING resolution, execution — is the catalog as of this
-      // moment, no matter how long it waits in the queue or what writers do
-      // meanwhile. (Streaming verbs don't pin here: a feed pins its own
+      // moment, no matter how long it waits behind other jobs or what
+      // writers do meanwhile. (Streaming verbs don't pin here: a feed pins its own
       // snapshot at creation and keeps it for the feed's whole life.)
       return AdmitRequest(
           frame, DecodeQueryRequest, EncodeQueryResponse,
@@ -269,8 +289,8 @@ Dispatch Server::Decode(const Frame& frame) {
             return RunQuery(request, snapshot, received, cancel);
           });
     case MessageType::kExplainRequest:
-      // EXPLAIN rides the same admission queue as QUERY: under ANALYZE the
-      // statement genuinely executes, so it must compete for workers like
+      // EXPLAIN passes the same admission bound as QUERY: under ANALYZE the
+      // statement genuinely executes, so it must compete for the loops like
       // any query instead of bypassing admission control.
       return AdmitRequest(
           frame, DecodeExplainRequest, EncodeExplainResponse,
@@ -307,12 +327,12 @@ Dispatch Server::Decode(const Frame& frame) {
 }
 
 // ---------------------------------------------------------------------------
-// Execution (workers).
+// Execution (on the connection's loop).
 
 namespace {
 
-/// The context a worker runs a statement under: the client's budget counted
-/// from frame receipt, so queue wait spends it, plus the transport's
+/// The context a statement runs under: the client's budget counted from
+/// frame receipt, so time behind other jobs spends it, plus the transport's
 /// cancellation and the per-query trace.
 ExecutionContext StatementContext(uint32_t timeout_ms,
                                   ExecutionContext::Clock::time_point received,
@@ -335,7 +355,7 @@ std::string Server::RunQuery(const QueryRequest& request,
                              const CancellationToken& cancel) {
   const Clock::time_point exec_begin = Clock::now();
   const double queue_ms = ElapsedMs(received, exec_begin);
-  // Per-query trace: recorded only from this worker (the engine detaches it
+  // Per-query trace: recorded only from this thread (the engine detaches it
   // before any parallel fan-out), folded into the phase histograms below.
   observability::QueryTrace trace;
   const ExecutionContext context =
@@ -440,13 +460,13 @@ std::string Server::RunSubscribe(ConnectionId connection,
     response.subscription_id = (*sub)->id();
     response.feed = (*sub)->feed();
     std::lock_guard<std::mutex> lock(mu_);
-    // The transport fires `cancel` before OnClose takes mu_, so either
-    // OnClose sees this subscription or this check sees the disconnect.
+    // The connection's loop runs this job and its OnClose, so a
+    // disconnect before this point dropped the job; `cancel` here means
+    // drain gave up on the request.
     if (cancel.cancelled()) {
-      // The client vanished between admission and execution: nobody will
-      // ever poll this subscription, so tear it down right away.
+      // Nobody will poll this subscription: tear it down right away.
       (void)dispatcher_->Unsubscribe((*sub)->id());
-      response.status = Status::Cancelled("client disconnected");
+      response.status = Status::Cancelled("server shutting down");
     } else {
       conn_subs_[connection].insert((*sub)->id());
       sub_conn_[(*sub)->id()] = connection;
@@ -520,7 +540,7 @@ void Server::OnClose(ConnectionId connection) {
   auto it = conn_subs_.find(connection);
   if (it == conn_subs_.end()) return;
   // Unsubscribe is cheap (cancel + detach flag; the dispatch loop prunes
-  // lazily), so it is safe from the IO thread — this is
+  // lazily), so it is safe from the connection's loop — this is
   // cancellation-on-disconnect for feeds.
   for (const uint64_t subscription_id : it->second) {
     (void)dispatcher_->Unsubscribe(subscription_id);

@@ -30,11 +30,11 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Accepted connections beyond this are closed immediately.
   int max_connections = 64;
-  /// Admission control: queries executing concurrently (also the worker
-  /// thread count) ...
+  /// Admission control: the transport's event loops, one thread each, so
+  /// also the jobs running at once ...
   int max_in_flight = 4;
-  /// ... plus at most this many queued behind them; anything beyond is
-  /// rejected with kResourceExhausted instead of queueing unboundedly.
+  /// ... plus at most this many jobs read but not yet run; anything beyond
+  /// is rejected with kResourceExhausted instead of queueing unboundedly.
   int max_queue = 16;
   /// Per-query engine fan-out (OfflineOptions::runtime.num_threads). The
   /// default keeps each query sequential and lets concurrency come from
@@ -59,19 +59,20 @@ struct ServerOptions {
 /// svqd: a VideoQueryEngine served over the svqd wire protocol
 /// (docs/server.md), as one handler set on the shared server::Transport.
 ///
-/// Threading model: the transport's IO thread owns every socket (accept,
-/// frame assembly, close) and decodes each request; STATS is answered
-/// right there, every other verb is admitted to the bounded queue that
-/// `max_in_flight` worker threads drain. A worker writes its response
-/// straight to the socket unless the connection has a backlog, which the
-/// IO thread flushes. A request is pinned to a catalog snapshot at entry —
-/// on the IO thread, before it ever waits in the admission queue — so the
-/// results a client sees correspond to the catalog as of request arrival,
-/// exactly like an in-process ExecuteTopKOn caller. The client's
-/// timeout_ms becomes the query's ExecutionContext deadline, so an expired
-/// request unwinds server-side (cooperatively, within one clip / iterator
-/// step) instead of burning a worker; a client that disconnects mid-query
-/// fires the query's cancellation the same way.
+/// Threading model: `max_in_flight` transport event loops each own the
+/// connections they are given (loop 0 also accepts). A loop reads and
+/// decodes its connections' requests; STATS is answered right there, every
+/// other verb is admitted against one bound over all loops and run inline
+/// by the same loop, which writes the response itself — no request crosses
+/// a thread. A request is pinned to a catalog snapshot at entry — when its
+/// loop decodes it, before it waits behind other jobs — so the results a
+/// client sees correspond to the catalog as of request arrival, exactly
+/// like an in-process ExecuteTopKOn caller. The client's timeout_ms
+/// becomes the query's ExecutionContext deadline, so an expired request
+/// unwinds server-side (cooperatively, within one clip / iterator step)
+/// instead of holding its loop. A client that disconnects has its requests
+/// not yet run dropped when its loop next polls; one already running
+/// finishes, and its response is dropped.
 ///
 /// Shutdown(drain) implements graceful drain: stop accepting connections,
 /// reject new queries with kResourceExhausted, let in-flight queries finish
@@ -86,8 +87,11 @@ class Server : private Handler {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the IO + worker threads. Errors: IOError
-  /// (socket/bind failures), FailedPrecondition (already started).
+  /// Binds, listens, and starts the transport's loops. Errors:
+  /// InvalidArgument (max_in_flight < 1, max_queue < 0, max_connections <
+  /// 1, or more loops than max_connections; checked before any thread
+  /// starts), IOError (socket/bind failures), FailedPrecondition (already
+  /// started).
   Status Start();
 
   /// The bound port (valid after Start; resolves port 0 requests).
@@ -111,15 +115,15 @@ class Server : private Handler {
  private:
   using Clock = ExecutionContext::Clock;
 
-  // Handler: every verb is decoded on the transport's IO thread.
+  // Handler: every call comes from the loop that owns the connection.
   Dispatch Decode(const Frame& frame) override;
   /// Cancellation-on-disconnect for standing queries.
   void OnClose(ConnectionId connection) override;
   /// Resumes event forwarding that the outbox cap paused.
   void OnDrained(ConnectionId connection) override;
 
-  /// Worker-side execution of the admitted verbs; each returns the encoded
-  /// response frame. Statements run on the snapshot pinned at arrival,
+  /// Execution of the admitted verbs on the connection's loop; each
+  /// returns the encoded response frame. Statements run on the snapshot pinned at arrival,
   /// with `timeout_ms` counted from `received`.
   std::string RunQuery(const QueryRequest& request,
                        const core::SnapshotPtr& snapshot,
@@ -165,7 +169,7 @@ class Server : private Handler {
                           const observability::QueryTrace& trace);
 
   /// All server metrics live here; recording is relaxed-atomic, so the
-  /// worker hot path never serializes on a stats lock. The named pointers
+  /// loops' hot path never serializes on a stats lock. The named pointers
   /// below are registered once in the constructor and stable for the
   /// server's lifetime.
   observability::MetricsRegistry registry_;

@@ -63,7 +63,12 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--host A] [--port N] [--videos N] [--scale S]\n"
-      "          [--max-in-flight N] [--max-queue N] [--max-connections N]\n"
+      "          [--max-in-flight N]     event loops, one thread each: jobs\n"
+      "                                  running at once (default 4)\n"
+      "          [--max-queue N]         jobs read but not yet run beyond\n"
+      "                                  those (default 16)\n"
+      "          [--max-connections N]   open connections over all loops\n"
+      "                                  (default 64)\n"
       "          [--threads-per-query N] [--port-file PATH] [--drain-ms N]\n"
       "          [--cache-mb N]          query cache budget, 0 disables\n"
       "                                  (default 64)\n"
@@ -227,7 +232,7 @@ int main(int argc, char** argv) {
                  status.ToString().c_str());
     return 1;
   }
-  std::printf("svqd: listening on %s:%u (%d in flight, %d queued)\n",
+  std::printf("svqd: listening on %s:%u (%d loops, %d queued)\n",
               options.bind_address.c_str(), server.port(),
               options.max_in_flight, options.max_queue);
   std::fflush(stdout);

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
+#include <thread>
 #include <utility>
 
 namespace svq::server {
@@ -31,7 +33,7 @@ bool IsRequest(MessageType type) {
   }
 }
 
-/// The IO thread's longest sleep: how soon it notices a drain or stop.
+/// A loop's longest sleep: how soon it notices a drain or stop.
 constexpr std::chrono::milliseconds kIoPollInterval{100};
 
 /// Sends `data` from `*offset` until it is all out or the socket is full.
@@ -54,28 +56,50 @@ bool WriteSome(int fd, const std::string& data, size_t* offset) {
 }  // namespace
 
 struct Transport::Connection {
-  Connection(ConnectionId id, int fd, size_t max_frame_bytes)
-      : id(id), assembler(max_frame_bytes), fd(fd) {}
+  Connection(ConnectionId id, int fd, size_t max_frame_bytes, Loop* loop)
+      : id(id), loop(loop), assembler(max_frame_bytes), fd(fd) {}
 
   const ConnectionId id;
-  /// IO thread only.
+  /// The loop that owns the connection.
+  Loop* const loop;
+  /// Owning loop only.
   FrameAssembler assembler;
   bool close_after_flush = false;
+  bool closed = false;
   /// Cancellation of this connection's admitted, unfinished jobs, by job
-  /// id (guarded by Transport::mu_); fired on disconnect.
-  std::map<uint64_t, CancellationSource> inflight;
+  /// id (guarded by Transport::mu_); fired on disconnect and by drain.
+  std::vector<std::pair<uint64_t, CancellationSource>> inflight;
 
-  /// Guards the socket and its write side. The IO thread closes `fd` under
-  /// it, so a writer on another thread never touches a closed (or reused)
-  /// descriptor.
+  /// Guards the socket and its write side. The owning loop closes `fd`
+  /// under it, so a writer on another thread never touches a closed (or
+  /// reused) descriptor.
   std::mutex mu;
   int fd;
   /// Frames the socket has not taken, oldest first; the front may be
   /// partly written (`write_offset` bytes).
   std::deque<std::string> outbox;
   size_t write_offset = 0;
-  /// A write failed; the IO thread closes the connection.
+  /// A write failed; the owning loop closes the connection.
   bool broken = false;
+};
+
+struct Transport::Loop {
+  explicit Loop(size_t index) : index(index) {}
+
+  const size_t index;
+  int wake_read_fd = -1;
+  int wake_write_fd = -1;
+  /// Connections placed on this loop and not closed (guarded by
+  /// Transport::mu_).
+  int open = 0;
+  /// Connections loop 0 handed over and this loop has not taken yet.
+  std::mutex inbox_mu;
+  std::vector<ConnectionPtr> inbox;
+  /// This loop's thread only.
+  std::vector<ConnectionPtr> connections;
+  std::vector<Entry> batch;
+  std::vector<Driven> driven;
+  std::thread thread;
 };
 
 Transport::Transport(TransportOptions options, TransportMetrics metrics,
@@ -84,15 +108,20 @@ Transport::Transport(TransportOptions options, TransportMetrics metrics,
 
 Transport::~Transport() {
   Shutdown(std::chrono::milliseconds(0));
-  // The wake pipe outlives Shutdown: a thread outside the transport may
+  // The wake pipes outlive Shutdown: a thread outside the transport may
   // still be inside Send while it runs.
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    if (loop->wake_read_fd >= 0) ::close(loop->wake_read_fd);
+    if (loop->wake_write_fd >= 0) ::close(loop->wake_write_fd);
+  }
 }
 
 Status Transport::Start() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (started_) return Status::FailedPrecondition("server already started");
+  if (options_.loops < 1) {
+    return Status::InvalidArgument("a transport needs at least one loop");
+  }
 
   listen_fd_ =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -128,27 +157,29 @@ Status Transport::Start() {
                     &bound_len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
-  int pipe_fds[2];
-  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) < 0) {
-    return fail(Status::IOError(std::string("pipe2: ") + std::strerror(errno)));
+  for (int i = 0; i < options_.loops; ++i) {
+    auto loop = std::make_unique<Loop>(static_cast<size_t>(i));
+    int pipe_fds[2];
+    if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) < 0) {
+      return fail(
+          Status::IOError(std::string("pipe2: ") + std::strerror(errno)));
+    }
+    loop->wake_read_fd = pipe_fds[0];
+    loop->wake_write_fd = pipe_fds[1];
+    loops_.push_back(std::move(loop));
   }
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
 
   started_ = true;
-  workers_.reserve(static_cast<size_t>(std::max(0, options_.workers)));
-  for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    loop->thread = std::thread([this, &loop = *loop]() { RunLoop(loop); });
   }
-  io_thread_ = std::thread([this]() { IoLoop(); });
   return Status::OK();
 }
 
-void Transport::WakeIo() {
-  if (wake_write_fd_ < 0) return;
+void Transport::Wake(Loop& loop) {
   const char byte = 1;
   // EAGAIN means a wake is already pending — exactly what we need.
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
+  [[maybe_unused]] const ssize_t n = ::write(loop.wake_write_fd, &byte, 1);
 }
 
 void Transport::RefreshGaugesLocked() {
@@ -156,17 +187,17 @@ void Transport::RefreshGaugesLocked() {
     metrics_.connections_open->Set(static_cast<double>(connections_.size()));
   }
   if (metrics_.queue_depth != nullptr) {
-    metrics_.queue_depth->Set(static_cast<double>(queue_.size()));
+    metrics_.queue_depth->Set(static_cast<double>(admitted_ - running_));
   }
   if (metrics_.in_flight != nullptr) {
-    metrics_.in_flight->Set(static_cast<double>(in_flight_));
+    metrics_.in_flight->Set(static_cast<double>(running_));
   }
 }
 
 // ---------------------------------------------------------------------------
-// IO thread.
+// The loops.
 
-void Transport::IoLoop() {
+void Transport::RunLoop(Loop& loop) {
   std::vector<pollfd> fds;
   std::vector<ConnectionPtr> polled;
   std::vector<ConnectionPtr> broken;
@@ -174,43 +205,37 @@ void Transport::IoLoop() {
     fds.clear();
     polled.clear();
     broken.clear();
-    bool listening = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (draining_ && listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-      }
-      fds.push_back({wake_read_fd_, POLLIN, 0});
-      if (listen_fd_ >= 0) {
-        listening = true;
-        fds.push_back({listen_fd_, POLLIN, 0});
-      }
-      bool pending = false;
-      for (const auto& [id, conn] : connections_) {
-        short events = POLLIN;
-        {
-          std::lock_guard<std::mutex> conn_lock(conn->mu);
-          if (conn->broken) {
-            broken.push_back(conn);
-            continue;
-          }
-          if (!conn->outbox.empty()) {
-            events |= POLLOUT;
-            pending = true;
-          }
+    const bool stopping = stop_.load(std::memory_order_acquire);
+    if (loop.index == 0 && listen_fd_ >= 0 &&
+        draining_.load(std::memory_order_acquire)) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+    }
+    fds.push_back({loop.wake_read_fd, POLLIN, 0});
+    const bool listening = loop.index == 0 && listen_fd_ >= 0;
+    if (listening) fds.push_back({listen_fd_, POLLIN, 0});
+    bool pending = false;
+    for (const ConnectionPtr& conn : loop.connections) {
+      short events = POLLIN;
+      {
+        std::lock_guard<std::mutex> conn_lock(conn->mu);
+        if (conn->broken) {
+          broken.push_back(conn);
+          continue;
         }
-        fds.push_back({conn->fd, events, 0});
-        polled.push_back(conn);
+        if (!conn->outbox.empty()) {
+          events |= POLLOUT;
+          pending = true;
+        }
       }
-      if (stop_io_ && (!pending || Clock::now() >= io_flush_deadline_)) {
-        break;
-      }
+      fds.push_back({conn->fd, events, 0});
+      polled.push_back(conn);
     }
     for (const ConnectionPtr& conn : broken) Close(conn);
+    if (stopping && (!pending || Clock::now() >= flush_deadline_)) break;
     const Clock::time_point now = Clock::now();
     Clock::time_point wake = now + kIoPollInterval;
-    PrepareTasks(now, &fds, &wake);
+    PrepareTasks(loop, now, &fds, &wake);
     const auto timeout =
         std::chrono::ceil<std::chrono::milliseconds>(wake - now).count();
     if (::poll(fds.data(), fds.size(),
@@ -221,26 +246,28 @@ void Transport::IoLoop() {
       continue;
     }
     // Driven tasks first: what they were waiting for may finish a request.
-    AdvanceTasks(fds);
+    AdvanceTasks(loop, fds);
     if (fds[0].revents & POLLIN) {
       char scratch[256];
-      while (::read(wake_read_fd_, scratch, sizeof(scratch)) > 0) {
+      while (::read(loop.wake_read_fd, scratch, sizeof(scratch)) > 0) {
       }
+      TakeInbox(loop);
     }
-    if (listening && (fds[1].revents & POLLIN)) AcceptPending();
+    if (listening && (fds[1].revents & POLLIN)) AcceptPending(loop);
     const size_t base = 1 + (listening ? 1 : 0);
     for (size_t i = 0; i < polled.size(); ++i) {
-      const ConnectionPtr& conn = polled[i];
-      if ((fds[base + i].revents & (POLLIN | POLLHUP | POLLERR)) &&
-          !ReadFrom(conn)) {
-        continue;  // closed
+      if (fds[base + i].revents & (POLLIN | POLLHUP | POLLERR)) {
+        ReadFrom(loop, polled[i]);
       }
-      if (Flush(conn)) Close(conn);
+    }
+    RunBatch(loop);
+    for (const ConnectionPtr& conn : polled) {
+      if (!conn->closed && Flush(conn)) Close(conn);
     }
   }
 }
 
-void Transport::AcceptPending() {
+void Transport::AcceptPending(Loop& loop) {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -248,24 +275,51 @@ void Transport::AcceptPending() {
       if (errno == EINTR) continue;  // interrupted: retry immediately
       return;  // EAGAIN or a transient error: try next poll round
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (static_cast<int>(connections_.size()) >= options_.max_connections) {
-      ::close(fd);
+    ConnectionPtr conn;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (static_cast<int>(connections_.size()) >= options_.max_connections) {
+        ::close(fd);
+        continue;
+      }
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      // The loop with the fewest open connections, lowest index on ties.
+      Loop* target = loops_.front().get();
+      for (const std::unique_ptr<Loop>& candidate : loops_) {
+        if (candidate->open < target->open) target = candidate.get();
+      }
+      ++target->open;
+      conn = std::make_shared<Connection>(next_connection_id_++, fd,
+                                          options_.max_frame_bytes, target);
+      connections_.emplace(conn->id, conn);
+      if (metrics_.connections_opened != nullptr) {
+        metrics_.connections_opened->Increment();
+      }
+      RefreshGaugesLocked();
+    }
+    if (conn->loop == &loop) {
+      loop.connections.push_back(std::move(conn));
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>(next_connection_id_++, fd,
-                                             options_.max_frame_bytes);
-    connections_.emplace(conn->id, std::move(conn));
-    if (metrics_.connections_opened != nullptr) {
-      metrics_.connections_opened->Increment();
+    Loop& target = *conn->loop;
+    {
+      std::lock_guard<std::mutex> lock(target.inbox_mu);
+      target.inbox.push_back(std::move(conn));
     }
-    RefreshGaugesLocked();
+    Wake(target);
   }
 }
 
-bool Transport::ReadFrom(const ConnectionPtr& conn) {
+void Transport::TakeInbox(Loop& loop) {
+  std::lock_guard<std::mutex> lock(loop.inbox_mu);
+  for (ConnectionPtr& conn : loop.inbox) {
+    loop.connections.push_back(std::move(conn));
+  }
+  loop.inbox.clear();
+}
+
+void Transport::ReadFrom(Loop& loop, const ConnectionPtr& conn) {
   char buffer[65536];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
@@ -278,7 +332,7 @@ bool Transport::ReadFrom(const ConnectionPtr& conn) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     // EOF or a hard error: the peer is gone.
     Close(conn);
-    return false;
+    return;
   }
   // Once a reply that ends the connection is out, later frames go unread.
   while (!conn->close_after_flush) {
@@ -287,15 +341,14 @@ bool Transport::ReadFrom(const ConnectionPtr& conn) {
     if (!conn->assembler.Next(&payload, &has_frame).ok()) {
       // Oversized frame: the stream cannot be resynchronized.
       Close(conn);
-      return false;
+      return;
     }
     if (!has_frame) break;
-    HandleFrame(conn, payload);
+    HandleFrame(loop, conn, payload);
   }
-  return true;
 }
 
-void Transport::HandleFrame(const ConnectionPtr& conn,
+void Transport::HandleFrame(Loop& loop, const ConnectionPtr& conn,
                             const std::string& payload) {
   const Clock::time_point received = Clock::now();
   WireCursor cursor(payload);
@@ -308,80 +361,129 @@ void Transport::HandleFrame(const ConnectionPtr& conn,
     // Unknown version or type: answer once, then drop the connection — the
     // peer speaks a different protocol.
     conn->close_after_flush = true;
-    SendTo(conn, EncodeFailure(EncodeQueryResponse, 0, header));
+    Entry entry;
+    entry.connection = conn;
+    entry.reply = EncodeFailure(EncodeQueryResponse, 0, header);
+    loop.batch.push_back(std::move(entry));
     return;
   }
   Dispatch dispatch = handler_->Decode({conn->id, type, &cursor, received});
   if (dispatch.job.run || dispatch.job.start) {
-    Admit(conn, std::move(dispatch.job));
+    Admit(loop, conn, std::move(dispatch.job));
     return;
   }
-  SendTo(conn, std::move(dispatch.reply));
+  Entry entry;
+  entry.connection = conn;
+  entry.reply = std::move(dispatch.reply);
+  loop.batch.push_back(std::move(entry));
 }
 
-void Transport::Admit(const ConnectionPtr& conn, Job job) {
+void Transport::Admit(Loop& loop, const ConnectionPtr& conn, Job job) {
+  Entry entry;
+  entry.connection = conn;
   std::string why;
-  Driven driven;
-  CancellationSource cancel;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
+    if (draining_.load(std::memory_order_relaxed)) {
       why = "server draining, not accepting new queries";
-    } else if (static_cast<int>(queue_.size()) + in_flight_ >=
-               options_.max_admitted) {
-      why = "admission queue full (" + std::to_string(in_flight_) +
-            " in flight + " + std::to_string(queue_.size()) +
-            " queued); retry later";
+    } else if (admitted_ >= options_.max_admitted) {
+      why = "admission bound reached (" + std::to_string(running_) +
+            " running + " + std::to_string(admitted_ - running_) +
+            " waiting); retry later";
     } else {
       if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
       if (job.admitted != nullptr) job.admitted->Increment();
-      const uint64_t id = next_job_id_++;
-      conn->inflight.emplace(id, cancel);
-      if (job.start) {
-        // Driven by this (the IO) thread from its next poll round on.
-        ++in_flight_;
-        driven.id = id;
-        driven.connection = conn;
-      } else {
-        Queued item;
-        item.id = id;
-        item.connection = conn;
-        item.job = std::move(job);
-        item.cancel = cancel;
-        queue_.push_back(std::move(item));
-      }
+      entry.id = next_job_id_++;
+      conn->inflight.emplace_back(entry.id, entry.cancel);
+      ++admitted_;
       RefreshGaugesLocked();
     }
     if (!why.empty() && metrics_.rejected != nullptr) {
       metrics_.rejected->Increment();
     }
   }
-  if (!why.empty()) {
-    SendTo(conn, job.reject(Status::ResourceExhausted(std::move(why))));
-  } else if (driven.connection != nullptr) {
-    driven.task = job.start(cancel.token());
-    driven_.push_back(std::move(driven));
+  if (why.empty()) {
+    entry.job = std::move(job);
   } else {
-    // Notified after unlocking, so the worker does not wake into a held
-    // mutex and sleep again.
-    work_cv_.notify_one();
+    entry.reply = job.reject(Status::ResourceExhausted(std::move(why)));
   }
+  loop.batch.push_back(std::move(entry));
 }
 
-void Transport::PrepareTasks(Clock::time_point now, std::vector<pollfd>* fds,
+void Transport::RunBatch(Loop& loop) {
+  for (Entry& entry : loop.batch) {
+    if (entry.job.run || entry.job.start) {
+      Execute(loop, entry);
+    } else {
+      SendTo(entry.connection, std::move(entry.reply));
+    }
+  }
+  loop.batch.clear();
+}
+
+void Transport::Execute(Loop& loop, Entry& entry) {
+  const ConnectionPtr& conn = entry.connection;
+  const CancellationToken cancel = entry.cancel.token();
+  if (cancel.cancelled()) {
+    // Its connection closed (nobody to answer), or drain gave up on it.
+    Release(conn, entry.id, /*ran=*/false);
+    if (!conn->closed) {
+      if (metrics_.cancelled != nullptr) metrics_.cancelled->Increment();
+      SendTo(conn, entry.job.reject(Status::Cancelled("server shutting down")));
+    }
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++running_;
+    RefreshGaugesLocked();
+  }
+  if (entry.job.start) {
+    // Driven by this loop from its next poll round on.
+    Driven driven;
+    driven.id = entry.id;
+    driven.connection = conn;
+    driven.task = entry.job.start(cancel);
+    loop.driven.push_back(std::move(driven));
+    return;
+  }
+  std::string frame = entry.job.run(cancel);
+  // The job no longer counts once its response exists, so a client that
+  // answers the response with its next request finds the slot free.
+  Release(conn, entry.id, /*ran=*/true);
+  SendTo(conn, std::move(frame));
+}
+
+void Transport::Release(const ConnectionPtr& conn, uint64_t id, bool ran) {
+  bool draining = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(conn->inflight,
+                  [id](const auto& job) { return job.first == id; });
+    --admitted_;
+    if (ran) --running_;
+    RefreshGaugesLocked();
+    draining = draining_.load(std::memory_order_relaxed);
+  }
+  if (draining) drain_cv_.notify_all();
+}
+
+void Transport::PrepareTasks(Loop& loop, Clock::time_point now,
+                             std::vector<pollfd>* fds,
                              Clock::time_point* wake) {
-  for (Driven& driven : driven_) {
+  for (Driven& driven : loop.driven) {
     driven.first_fd = fds->size();
     driven.finished = driven.task->Prepare(now, fds, wake);
     driven.num_fds = fds->size() - driven.first_fd;
     if (driven.finished) Complete(driven);
   }
-  std::erase_if(driven_, [](const Driven& driven) { return driven.finished; });
+  std::erase_if(loop.driven,
+                [](const Driven& driven) { return driven.finished; });
 }
 
-void Transport::AdvanceTasks(const std::vector<pollfd>& fds) {
+void Transport::AdvanceTasks(Loop& loop, const std::vector<pollfd>& fds) {
   const Clock::time_point now = Clock::now();
-  for (Driven& driven : driven_) {
+  for (Driven& driven : loop.driven) {
     if (driven.num_fds == 0) continue;
     const pollfd* first = fds.data() + driven.first_fd;
     const bool ready = std::any_of(
@@ -392,18 +494,13 @@ void Transport::AdvanceTasks(const std::vector<pollfd>& fds) {
       Complete(driven);
     }
   }
-  std::erase_if(driven_, [](const Driven& driven) { return driven.finished; });
+  std::erase_if(loop.driven,
+                [](const Driven& driven) { return driven.finished; });
 }
 
 void Transport::Complete(Driven& driven) {
   SendTo(driven.connection, driven.task->Finish());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    driven.connection->inflight.erase(driven.id);
-    --in_flight_;
-    RefreshGaugesLocked();
-  }
-  drain_cv_.notify_all();
+  Release(driven.connection, driven.id, /*ran=*/true);
 }
 
 void Transport::SendTo(const ConnectionPtr& conn, std::string frame) {
@@ -411,7 +508,7 @@ void Transport::SendTo(const ConnectionPtr& conn, std::string frame) {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->fd < 0 || conn->broken) return;
     if (!conn->outbox.empty()) {
-      // The IO thread is flushing a backlog; keep frames in order.
+      // The owning loop is flushing a backlog; keep frames in order.
       conn->outbox.push_back(std::move(frame));
       return;
     }
@@ -426,8 +523,8 @@ void Transport::SendTo(const ConnectionPtr& conn, std::string frame) {
       conn->write_offset = offset;
     }
   }
-  // A backlog or a dead socket: the IO thread takes it from here.
-  WakeIo();
+  // A backlog or a dead socket: the owning loop takes it from here.
+  Wake(*conn->loop);
 }
 
 bool Transport::Flush(const ConnectionPtr& conn) {
@@ -455,13 +552,16 @@ bool Transport::Flush(const ConnectionPtr& conn) {
 }
 
 void Transport::Close(const ConnectionPtr& conn) {
+  if (conn->closed) return;
+  conn->closed = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // A vanished client abandons its jobs: fire their cancellation so
-    // in-flight work unwinds instead of computing a result nobody reads.
+    // A vanished client abandons its jobs: its driven tasks unwind, and its
+    // loop drops the jobs it has not run yet.
     for (auto& [id, source] : conn->inflight) source.Cancel();
     conn->inflight.clear();
     connections_.erase(conn->id);
+    --conn->loop->open;
     RefreshGaugesLocked();
   }
   {
@@ -472,6 +572,7 @@ void Transport::Close(const ConnectionPtr& conn) {
     }
     conn->outbox.clear();
   }
+  std::erase(conn->loop->connections, conn);
   handler_->OnClose(conn->id);
 }
 
@@ -493,42 +594,6 @@ size_t Transport::Backlog(ConnectionId connection) const {
 }
 
 // ---------------------------------------------------------------------------
-// Workers.
-
-void Transport::WorkerLoop() {
-  for (;;) {
-    Queued item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [this]() { return stop_workers_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_workers_ with a drained queue
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-      RefreshGaugesLocked();
-    }
-    std::string frame = item.job.run(item.cancel.token());
-    {
-      // The job no longer holds a worker slot once its response exists, so
-      // a client that answers the response with its next request finds the
-      // slot free; drain still waits for the send.
-      std::lock_guard<std::mutex> lock(mu_);
-      item.connection->inflight.erase(item.id);
-      --in_flight_;
-      ++sending_;
-      RefreshGaugesLocked();
-    }
-    SendTo(item.connection, std::move(frame));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --sending_;
-    }
-    drain_cv_.notify_all();
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Lifecycle.
 
 void Transport::Shutdown(std::chrono::milliseconds drain_timeout) {
@@ -538,46 +603,31 @@ void Transport::Shutdown(std::chrono::milliseconds drain_timeout) {
     std::lock_guard<std::mutex> lock(mu_);
     draining_ = true;
   }
-  WakeIo();  // the IO loop closes the listen socket on its next pass
-  const auto idle = [this]() { return in_flight_ == 0 && sending_ == 0; };
-  std::deque<Queued> backlog;
+  Wake(*loops_.front());  // loop 0 closes the listen socket on its next pass
+  const auto idle = [this]() { return admitted_ == 0; };
   {
     std::unique_lock<std::mutex> lock(mu_);
     // Give admitted jobs the drain budget to finish on their own.
-    drain_cv_.wait_for(lock, drain_timeout,
-                       [&]() { return queue_.empty() && idle(); });
-    // Budget exhausted: take the backlog (answered below, unlocked) and
-    // fire cancellation on everything still running; jobs poll it
-    // cooperatively, so workers unwind promptly.
-    backlog.swap(queue_);
-    for (const Queued& item : backlog) {
-      item.connection->inflight.erase(item.id);
-    }
+    drain_cv_.wait_for(lock, drain_timeout, idle);
+    // Budget exhausted: fire the cancellation of every admitted job. Jobs
+    // poll it cooperatively, so running ones unwind promptly, and each loop
+    // answers the jobs it has not run yet with kCancelled.
     for (const auto& [id, conn] : connections_) {
       for (auto& [job, source] : conn->inflight) source.Cancel();
     }
-    RefreshGaugesLocked();
   }
-  WakeIo();  // driven tasks see their cancellation on the IO thread
-  for (Queued& item : backlog) {
-    if (metrics_.cancelled != nullptr) metrics_.cancelled->Increment();
-    SendTo(item.connection,
-           item.job.reject(Status::Cancelled("server shutting down")));
-  }
+  // Driven tasks see their cancellation on their loop.
+  for (const std::unique_ptr<Loop>& loop : loops_) Wake(*loop);
   {
     std::unique_lock<std::mutex> lock(mu_);
     drain_cv_.wait(lock, idle);
-    stop_workers_ = true;
-    stop_io_ = true;
-    io_flush_deadline_ = Clock::now() + std::chrono::seconds(1);
+    flush_deadline_ = Clock::now() + std::chrono::seconds(1);
+    stop_.store(true, std::memory_order_release);
     shut_down_ = true;
-    RefreshGaugesLocked();
   }
-  work_cv_.notify_all();
-  WakeIo();
-  for (std::thread& worker : workers_) worker.join();
-  if (io_thread_.joinable()) io_thread_.join();
-  // The IO thread has exited: sockets are single-owner again.
+  for (const std::unique_ptr<Loop>& loop : loops_) Wake(*loop);
+  for (const std::unique_ptr<Loop>& loop : loops_) loop->thread.join();
+  // The loops have exited: sockets are single-owner again.
   std::map<ConnectionId, ConnectionPtr> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);

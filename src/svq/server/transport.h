@@ -3,16 +3,15 @@
 
 #include <poll.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "svq/common/execution_context.h"
@@ -25,10 +24,10 @@ namespace svq::server {
 /// Names one accepted connection for the life of a Transport.
 using ConnectionId = uint64_t;
 
-/// An admitted request that the IO thread drives itself instead of handing
-/// it to a worker: one that spends its life waiting on other sockets (the
-/// router's backend calls), so no thread is held while it waits. Every
-/// call comes from the IO thread.
+/// An admitted request that the loop owning its connection drives instead
+/// of running inline: one that spends its life waiting on other sockets
+/// (the router's backend calls), so the loop serves its other connections
+/// while it waits. Every call comes from that loop.
 class Task {
  public:
   using Clock = ExecutionContext::Clock;
@@ -47,27 +46,27 @@ class Task {
   virtual std::string Finish() = 0;
 };
 
-/// One admitted request. A handler builds it on the IO thread; a transport
-/// worker runs it, or the IO thread drives it.
+/// One admitted request. A handler builds it on the loop that owns the
+/// connection, and that loop runs it inline or drives it.
 struct Job {
-  /// Runs on a worker and returns the encoded response frame. `cancel`
-  /// fires when the client disconnects or drain gives up on the request.
+  /// Runs on the loop and returns the encoded response frame. `cancel`
+  /// fires when drain gives up on the request.
   std::function<std::string(const CancellationToken& cancel)> run;
-  /// Set instead of `run` for a job the IO thread drives: builds its task
-  /// once the job is admitted. The task must finish promptly once `cancel`
-  /// has fired; the IO thread looks at it again right after.
+  /// Set instead of `run` for a job the loop drives: builds its task once
+  /// the loop reaches the job. The task must finish promptly once `cancel`
+  /// has fired (the client disconnected, or drain gave up on it); the loop
+  /// looks at it again right after.
   std::function<std::unique_ptr<Task>(const CancellationToken& cancel)>
       start;
   /// Encodes `status` in the verb's own response type: the answer to a
-  /// request the transport turns away (queue full, draining) or cancels in
-  /// drain before it ran.
+  /// request the transport turns away (bound reached, draining) or cancels
+  /// in drain before it ran.
   std::function<std::string(const Status& status)> reject;
   /// Per-verb counter bumped when the job is admitted (may be null).
   observability::Counter* admitted = nullptr;
 };
 
-/// What a handler makes of one request frame: a reply sent at once, or a
-/// job for the admission queue.
+/// What a handler makes of one request frame: a reply, or a job to admit.
 struct Dispatch {
   std::string reply;
   Job job;
@@ -84,7 +83,7 @@ struct Dispatch {
   }
 };
 
-/// One request frame as the IO thread received it.
+/// One request frame as the loop that owns its connection received it.
 struct Frame {
   ConnectionId connection = 0;
   /// A request verb (QUERY, STATS, EXPLAIN, SUBSCRIBE, FEED, UNSUBSCRIBE);
@@ -96,8 +95,8 @@ struct Frame {
 };
 
 /// The verbs a server speaks, plugged into a Transport. Every call comes
-/// from the IO thread with no transport lock held, so a handler may call
-/// back into the transport (Send, Backlog).
+/// from the loop that owns the connection, with no transport lock held, so
+/// a handler may call back into the transport (Send, Backlog).
 class Handler {
  public:
   virtual ~Handler() = default;
@@ -106,7 +105,7 @@ class Handler {
   /// The connection is gone; the cancellation of its unfinished jobs has
   /// already fired.
   virtual void OnClose(ConnectionId /*connection*/) {}
-  /// The IO thread flushed part of the connection's backlog.
+  /// The loop flushed part of the connection's backlog.
   virtual void OnDrained(ConnectionId /*connection*/) {}
 };
 
@@ -114,13 +113,12 @@ class Handler {
 struct TransportOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;
-  /// Accepted connections beyond this are closed at once.
+  /// Accepted connections beyond this, over all loops, are closed at once.
   int max_connections = 64;
-  /// Worker threads for `run` jobs (0 when every job is driven by the IO
-  /// thread).
-  int workers = 4;
-  /// Jobs admitted and unfinished — running, queued for a worker, or driven
-  /// by the IO thread; a job beyond this is rejected.
+  /// Event loops, at least 1. Loop 0 also accepts.
+  int loops = 4;
+  /// Jobs admitted and unfinished over all loops — read but not yet run,
+  /// running, or driven; a job beyond this is rejected.
   int max_admitted = 20;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
@@ -129,32 +127,45 @@ struct TransportOptions {
 struct TransportMetrics {
   observability::Counter* connections_opened = nullptr;
   observability::Gauge* connections_open = nullptr;
+  /// Admitted jobs not yet run, and jobs running or driven.
   observability::Gauge* queue_depth = nullptr;
   observability::Gauge* in_flight = nullptr;
   /// Jobs admitted and jobs turned away.
   observability::Counter* admitted = nullptr;
   observability::Counter* rejected = nullptr;
-  /// Queued jobs answered with kCancelled by drain.
+  /// Admitted jobs that drain answered with kCancelled before they ran.
   observability::Counter* cancelled = nullptr;
 };
 
 /// The socket layer shared by svqd and svq_router (docs/server.md).
 ///
-/// One IO thread owns listen and accept (with the connection cap), frame
-/// assembly, and every close. A handler decodes each frame on the IO thread
-/// into an immediate reply or a job; at most `max_admitted` jobs are
-/// admitted and unfinished at once. A `run` job waits in the queue for one
-/// of `workers` worker threads; a `start` job's task is driven by the IO
-/// thread itself, its sockets polled beside the clients'. The thread that
-/// produces a frame writes it straight to the socket when the connection
-/// has no backlog; the IO thread flushes whatever a short write leaves
-/// behind. A client that disconnects fires the cancellation of its
-/// unfinished jobs.
+/// `loops` event loops each own the connections they are given: a loop
+/// reads and assembles their frames, has the handler decode each into a
+/// reply or a job, runs each admitted `run` job inline, writes the
+/// response itself, and drives its connections' `start` tasks, polling
+/// their sockets beside the clients'. No request crosses a thread between
+/// its frame and its answer. Loop 0 also listens, and gives each new
+/// connection to the loop with the fewest open connections (lowest index
+/// on ties); that handover, through the loop's inbox and wake pipe, is the
+/// only one.
+///
+/// A loop reads every complete frame from its ready connections before it
+/// runs any of them: it admits them while fewer than `max_admitted` jobs
+/// are admitted and unfinished over all loops, rejects the rest, then runs
+/// the admitted ones in the order it read them, so a connection's
+/// responses leave in request order. A long job delays only the other
+/// connections of its own loop. A thread that sends on a connection writes
+/// straight to the socket when the connection has no backlog; the owning
+/// loop flushes whatever a short write leaves behind. A connection that
+/// hangs up is closed on its loop's next poll, which fires the
+/// cancellation of its driven tasks and drops its jobs not yet run; a job
+/// already running for it finishes, and its response is dropped.
 ///
 /// Shutdown(drain) stops accepting, rejects new jobs with
 /// kResourceExhausted, lets admitted jobs finish within the drain budget,
-/// answers the remaining backlog with kCancelled and fires the cancellation
-/// of running jobs, flushes responses (up to 1 s), then joins its threads.
+/// then fires the cancellation of what remains (each loop answers its jobs
+/// not yet run with kCancelled), flushes responses (up to 1 s), and joins
+/// the loops.
 class Transport {
  public:
   using Clock = ExecutionContext::Clock;
@@ -167,8 +178,9 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Binds, listens, and starts the IO and worker threads. Errors: IOError,
-  /// InvalidArgument (bad bind address), FailedPrecondition (started).
+  /// Binds, listens, and starts the loops. Errors: IOError,
+  /// InvalidArgument (bad bind address, fewer than one loop),
+  /// FailedPrecondition (started).
   Status Start();
 
   /// The bound port (valid after Start).
@@ -188,13 +200,17 @@ class Transport {
  private:
   struct Connection;
   using ConnectionPtr = std::shared_ptr<Connection>;
-  struct Queued {
-    uint64_t id = 0;
+  struct Loop;
+  /// A frame a loop read this round, in read order: a reply to send, or an
+  /// admitted job (`job.run` or `job.start` set) to run or start.
+  struct Entry {
     ConnectionPtr connection;
+    std::string reply;
     Job job;
+    uint64_t id = 0;
     CancellationSource cancel;
   };
-  /// A job the IO thread drives.
+  /// A job its loop drives.
   struct Driven {
     uint64_t id = 0;
     ConnectionPtr connection;
@@ -205,40 +221,49 @@ class Transport {
     bool finished = false;
   };
 
-  void IoLoop();
-  void WorkerLoop();
-  void AcceptPending();
-  /// Reads and handles every complete frame; false when the connection
-  /// closed.
-  bool ReadFrom(const ConnectionPtr& conn);
-  void HandleFrame(const ConnectionPtr& conn, const std::string& payload);
-  void Admit(const ConnectionPtr& conn, Job job);
-  /// IO thread: fires the driven tasks' timers and adds their sockets to
-  /// `*fds`; completes and drops the ones that finished.
-  void PrepareTasks(Clock::time_point now, std::vector<pollfd>* fds,
-                    Clock::time_point* wake);
-  /// IO thread: hands each driven task poll's verdict on its sockets.
-  void AdvanceTasks(const std::vector<pollfd>& fds);
-  /// IO thread: sends a finished task's response and frees its slot.
+  void RunLoop(Loop& loop);
+  /// Loop 0: accepts every pending connection and places each on a loop.
+  void AcceptPending(Loop& loop);
+  /// Takes the connections loop 0 handed over.
+  void TakeInbox(Loop& loop);
+  /// Reads every complete frame into the loop's batch; closes the
+  /// connection on a hang-up or a broken stream.
+  void ReadFrom(Loop& loop, const ConnectionPtr& conn);
+  void HandleFrame(Loop& loop, const ConnectionPtr& conn,
+                   const std::string& payload);
+  /// Admits `job` or appends its rejection to the batch.
+  void Admit(Loop& loop, const ConnectionPtr& conn, Job job);
+  /// Sends, runs or starts the batch's entries in read order.
+  void RunBatch(Loop& loop);
+  void Execute(Loop& loop, Entry& entry);
+  /// Fires the driven tasks' timers and adds their sockets to `*fds`;
+  /// completes and drops the ones that finished.
+  void PrepareTasks(Loop& loop, Clock::time_point now,
+                    std::vector<pollfd>* fds, Clock::time_point* wake);
+  /// Hands each driven task poll's verdict on its sockets.
+  void AdvanceTasks(Loop& loop, const std::vector<pollfd>& fds);
+  /// Sends a finished task's response and frees its slot.
   void Complete(Driven& driven);
+  /// Frees an admitted job's slot; `ran` when it was running or driven.
+  void Release(const ConnectionPtr& conn, uint64_t id, bool ran);
   /// Writes `frame` directly when the outbox is empty, else queues it.
   void SendTo(const ConnectionPtr& conn, std::string frame);
-  /// IO thread: writes the backlog; returns whether the connection must
-  /// close (write error, or a close was requested and the backlog is out).
+  /// Writes the backlog; returns whether the connection must close (write
+  /// error, or a close was requested and the backlog is out).
   bool Flush(const ConnectionPtr& conn);
+  /// On the owning loop.
   void Close(const ConnectionPtr& conn);
   ConnectionPtr Find(ConnectionId connection) const;
-  void WakeIo();
-  /// Gauges from queue/connection state (mu_ held).
+  void Wake(Loop& loop);
+  /// Gauges from the job and connection counts (mu_ held).
   void RefreshGaugesLocked();
 
   const TransportOptions options_;
   const TransportMetrics metrics_;
   Handler* const handler_;
 
+  /// Loop 0's, and Start's and Shutdown's when the loops are not running.
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
   uint16_t port_ = 0;
 
   /// Serializes Start/Shutdown (mu_ cannot be held across joins).
@@ -246,28 +271,23 @@ class Transport {
   bool started_ = false;
   bool shut_down_ = false;
 
-  /// Lock order: a handler's own lock, then mu_, then a Connection's mu.
+  /// Lock order: a handler's own lock, then mu_, then a Connection's mu (or
+  /// a loop's inbox lock).
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: queue_ or stop_workers_
-  std::condition_variable drain_cv_;  // Shutdown: queue and workers idle
+  std::condition_variable drain_cv_;  // Shutdown: every admitted job done
   std::map<ConnectionId, ConnectionPtr> connections_;
-  std::deque<Queued> queue_;
   ConnectionId next_connection_id_ = 1;
   uint64_t next_job_id_ = 1;
-  /// Jobs running (on a worker or driven), and finished jobs whose
-  /// response is still being sent.
-  int in_flight_ = 0;
-  int sending_ = 0;
-  bool draining_ = false;
-  bool stop_workers_ = false;
-  bool stop_io_ = false;
-  Clock::time_point io_flush_deadline_{};
+  /// Jobs admitted and unfinished, and the ones of them running or driven.
+  int admitted_ = 0;
+  int running_ = 0;
+  /// Written under mu_; the loops read them without it.
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> stop_{false};
+  /// Set before stop_.
+  Clock::time_point flush_deadline_{};
 
-  /// IO thread only.
-  std::vector<Driven> driven_;
-
-  std::thread io_thread_;
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<Loop>> loops_;
 };
 
 /// A `Response` carrying only `request_id` and `status`: how a handler

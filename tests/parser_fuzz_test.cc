@@ -6,9 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "statement_corpus.h"
 #include "svq/query/binder.h"
 #include "svq/query/lexer.h"
 #include "svq/query/parser.h"
@@ -16,72 +15,10 @@
 namespace svq::query {
 namespace {
 
-constexpr std::string_view kValidStatement =
-    "SELECT MERGE(clipID), RANK(act, obj) FROM (PROCESS inputVideo PRODUCE "
-    "clipID, obj USING ObjectDetector, act USING ActionRecognizer) "
-    "WHERE act='smoking' AND obj.include('cup') "
-    "ORDER BY RANK(act, obj) LIMIT 3";
-
-struct MalformedCase {
-  const char* name;
-  std::string statement;
-};
-
-std::vector<MalformedCase> MalformedStatements() {
-  std::vector<MalformedCase> cases = {
-      {"empty", ""},
-      {"whitespace_only", "   \t\n  "},
-      {"single_keyword", "SELECT"},
-      {"keyword_soup", "SELECT FROM WHERE ORDER BY LIMIT"},
-      {"not_a_statement", "DROP TABLE videos"},
-      {"bare_garbage", "!!!???"},
-      {"null_bytes", std::string("SELECT \0 FROM x", 15)},
-      {"high_bytes", "SELECT \xff\xfe\xfd FROM x"},
-      {"unterminated_string", "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE "
-                              "clipID, act USING A) WHERE act='smoking"},
-      {"unbalanced_parens", "SELECT MERGE(clipID FROM (PROCESS v PRODUCE "
-                            "clipID, act USING A) WHERE act='x'"},
-      {"missing_produce", "SELECT MERGE(clipID) FROM (PROCESS v) "
-                          "WHERE act='x'"},
-      {"predicate_on_undeclared_alias",
-       "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, act USING A) "
-       "WHERE ghost='x'"},
-      {"rank_without_limit",
-       "SELECT MERGE(clipID), RANK(act, obj) FROM (PROCESS v PRODUCE clipID, "
-       "obj USING O, act USING A) WHERE act='x' AND obj.include('y') "
-       "ORDER BY RANK(act, obj)"},
-      {"negative_limit",
-       "SELECT MERGE(clipID), RANK(act, obj) FROM (PROCESS v PRODUCE clipID, "
-       "obj USING O, act USING A) WHERE act='x' AND obj.include('y') "
-       "ORDER BY RANK(act, obj) LIMIT -3"},
-      {"limit_not_a_number",
-       "SELECT MERGE(clipID), RANK(act, obj) FROM (PROCESS v PRODUCE clipID, "
-       "obj USING O, act USING A) WHERE act='x' AND obj.include('y') "
-       "ORDER BY RANK(act, obj) LIMIT banana"},
-      {"trailing_tokens", std::string(kValidStatement) + " EXTRA TOKENS"},
-      {"statement_typed_twice",
-       std::string(kValidStatement) + " " + std::string(kValidStatement)},
-  };
-
-  // Oversized inputs: a multi-megabyte statement, a pathologically long
-  // identifier, a huge string literal, and a deep run of parentheses. These
-  // exercise allocation and recursion limits, not grammar rules.
-  cases.push_back({"megabyte_of_keywords", [] {
-                     std::string s;
-                     while (s.size() < (1u << 21)) s += "SELECT ";
-                     return s;
-                   }()});
-  cases.push_back(
-      {"long_identifier", "SELECT " + std::string(1 << 20, 'a') + " FROM x"});
-  cases.push_back({"huge_unterminated_literal",
-                   "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, act "
-                   "USING A) WHERE act='" +
-                       std::string(1 << 20, 'x')});
-  cases.push_back({"paren_nesting", "SELECT MERGE(clipID) FROM " +
-                                        std::string(4096, '(') + "PROCESS" +
-                                        std::string(4096, ')')});
-  return cases;
-}
+using corpus::kMutations;
+using corpus::kValidStatement;
+using corpus::MalformedCase;
+using corpus::MalformedStatements;
 
 TEST(ParserFuzzTest, MalformedStatementsReturnErrorStatus) {
   for (const MalformedCase& test_case : MalformedStatements()) {
@@ -115,9 +52,8 @@ TEST(ParserFuzzTest, ByteLevelMutationsNeverAbort) {
   // Flip each byte of a valid statement through a handful of hostile
   // values; parsing must terminate with ok-or-error, never crash. This is a
   // deterministic stand-in for a coverage-guided fuzzer.
-  const char mutations[] = {'\0', '\'', '(', ')', '\xff', ' '};
   for (size_t i = 0; i < kValidStatement.size(); ++i) {
-    for (const char mutation : mutations) {
+    for (const char mutation : kMutations) {
       std::string mutated(kValidStatement);
       mutated[i] = mutation;
       auto bound = ParseAndBind(mutated);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "statement_corpus.h"
 #include "svq/query/binder.h"
 #include "svq/query/lexer.h"
 #include "svq/query/parser.h"
@@ -136,6 +142,136 @@ TEST(ParserTest, RejectsMissingWhere) {
 TEST(ParserTest, RejectsBadLimit) {
   std::string sql = std::string(kOnlineSql) + " ORDER BY RANK(act) LIMIT x";
   EXPECT_FALSE(Parse(sql).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned lexer and parser output
+
+/// 64-bit FNV-1a.
+struct Fnv {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  void Bytes(const void* data, size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void Value(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void Text(std::string_view s) {
+    Value(s.size());
+    Bytes(s.data(), s.size());
+  }
+};
+
+/// Every statement of this file, parser_fuzz_test's malformed cases,
+/// truncations and byte mutations, and the character classes a lexer is
+/// easy to get wrong.
+std::vector<std::string> LexerCorpus() {
+  std::vector<std::string> corpus = {
+      "SELECT obj.include('car', \"human\") LIMIT 5",
+      "select FROM WhErE",
+      "WHERE act='jumping",
+      "SELECT #",
+      "a = b",
+      kOnlineSql,
+      kOfflineSql,
+      kVisionModelSql,
+      "SELECT FROM x",
+      std::string(kOnlineSql) + " extra",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID)",
+      std::string(kOnlineSql) + " ORDER BY RANK(act) LIMIT x",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND obj.inc('car')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj) "
+      "WHERE obj.include('car')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, act) "
+      "WHERE act='x' AND act='y'",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, act) "
+      "WHERE act='x' AND act='x'",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND act='z' AND act='y' AND "
+      "obj.include('human', 'car')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND act='y' AND act='z' AND "
+      "obj.include('car', 'human')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND obj.include_any('car', 'bus')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND rel.left_of('human', 'car')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND rel.left_of('human')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, act) "
+      "WHERE act='x' AND obj.include('car')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND obj.excludes('car')",
+      "SELECT MERGE(clipID), RANK(act, obj) "
+      "FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND obj.include('car')",
+      "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, obj, act) "
+      "WHERE act='x' AND obj.include('car', 'car')",
+      // Mixed-case keywords, and words that only start like one.
+      "sElEcT mErGe(clipID) aS Seq, RaNk(act) FrOm (pRoCeSs * pRoDuCe "
+      "clipID, act UsInG A) wHeRe act='x' AnD det = aCtIoN('y') oRdEr By "
+      "RaNk(act) LiMiT 4",
+      "SELECTED selector ASx AS_ _AS by1 ORDERBY limits Action actions",
+      // Identifier and number edges.
+      "_x9", "SELECT _x9 FROM _", "007abc", "LIMIT 007abc", "0", "x0 9y",
+      // Quotes.
+      "''", "\"\"", "act=''", "act=\"\"", "'a\"b'", "\"a'b\"", "'", "\"",
+      // Whitespace classes: \v and \f are whitespace, \0 is not.
+      "\v", "\f", "SELECT\vMERGE\f(x)\t\r\n", std::string("\0", 1),
+      std::string("a\0b", 3),
+      // Punctuation the dialect does not have.
+      "a;b", "a-b", "a+b", "a<b", "a>b", "a!b", "a@b", "a$b", "a[b]", "a{b}",
+      "a:b", "a/b", "a\\b", "a`b", "a~b", "a|b", "a&b", "a^b", "a%b", "a?b",
+  };
+  // Every byte above 0x7f, bare and inside a string literal.
+  for (int byte = 0x80; byte <= 0xff; ++byte) {
+    const char c = static_cast<char>(byte);
+    corpus.push_back(std::string("x") + c + " y");
+    corpus.push_back(std::string("act='") + c + "'");
+  }
+  for (const corpus::MalformedCase& test_case : corpus::MalformedStatements()) {
+    corpus.push_back(test_case.statement);
+  }
+  const std::string_view valid = corpus::kValidStatement;
+  for (size_t cut = 0; cut <= valid.size(); ++cut) {
+    corpus.emplace_back(valid.substr(0, cut));
+  }
+  for (size_t i = 0; i < valid.size(); ++i) {
+    for (const char mutation : corpus::kMutations) {
+      std::string mutated(valid);
+      mutated[i] = mutation;
+      corpus.push_back(std::move(mutated));
+    }
+  }
+  return corpus;
+}
+
+TEST(LexerTest, TokensAndErrorsMatchThePinnedDigest) {
+  // Each token's type, text and position (or Lex's error), then Parse's
+  // status, for every statement of the corpus.
+  Fnv fnv;
+  for (const std::string& statement : LexerCorpus()) {
+    const auto tokens = Lex(statement);
+    if (tokens.ok()) {
+      fnv.Value(tokens->size());
+      for (const Token& token : *tokens) {
+        fnv.Value(static_cast<uint64_t>(token.type));
+        fnv.Text(token.text);
+        fnv.Value(token.position);
+      }
+    } else {
+      fnv.Value(~uint64_t{0});
+      fnv.Value(static_cast<uint64_t>(tokens.status().code()));
+      fnv.Text(tokens.status().message());
+    }
+    const auto parsed = Parse(statement);
+    fnv.Value(static_cast<uint64_t>(parsed.status().code()));
+    fnv.Text(parsed.status().message());
+  }
+  EXPECT_EQ(fnv.h, 0x0a76b259847da489ULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 // kDeadlineExceeded, and drain must flush responses before the server exits.
 //
 // Runs under `ctest -L tsan` (with -DSVQ_SANITIZE=thread) to prove the
-// IO-thread / worker / stats locking discipline is race-free.
+// locking discipline between the event loops, the threads that send on
+// connections they do not own, and the stats bridge is race-free.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +17,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "svq/common/rng.h"
 #include "svq/core/engine.h"
 #include "svq/query/executor.h"
 #include "svq/query/explain.h"
@@ -67,6 +71,53 @@ std::shared_ptr<const video::SyntheticVideo> ServingVideo(
   auto video = video::SyntheticVideo::Generate(spec);
   EXPECT_TRUE(video.ok());
   return *video;
+}
+
+/// Polls `done` until it holds or `budget` runs out; returns its last value.
+template <typename Predicate>
+bool WaitFor(Predicate done,
+             std::chrono::milliseconds budget = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Empty when `got` is `want`: the same clips, bounds within 1e-9.
+std::string Mismatch(const QueryResponse& got,
+                     const query::StatementResult& want) {
+  std::vector<WireSequence> expected;
+  if (want.topk.has_value()) {
+    for (const core::RankedSequence& s : want.topk->sequences) {
+      expected.push_back(
+          {s.clips.begin, s.clips.end, s.lower_bound, s.upper_bound});
+    }
+  } else if (want.repo.has_value()) {
+    for (const core::RepositoryEntry& e : want.repo->sequences) {
+      expected.push_back({e.sequence.clips.begin, e.sequence.clips.end,
+                          e.sequence.lower_bound, e.sequence.upper_bound});
+    }
+  } else {
+    return "the oracle is not ranked";
+  }
+  if (!got.status.ok()) return "status " + got.status.ToString();
+  if (!got.ranked) return "unranked response";
+  if (got.sequences.size() != expected.size()) {
+    return std::to_string(got.sequences.size()) + " sequences, want " +
+           std::to_string(expected.size());
+  }
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const WireSequence& a = got.sequences[i];
+    const WireSequence& b = expected[i];
+    if (a.begin != b.begin || a.end != b.end ||
+        std::fabs(a.lower_bound - b.lower_bound) > 1e-9 ||
+        std::fabs(a.upper_bound - b.upper_bound) > 1e-9) {
+      return "sequence " + std::to_string(i) + " differs";
+    }
+  }
+  return "";
 }
 
 class ServerTest : public ::testing::Test {
@@ -661,6 +712,263 @@ TEST_F(ServerTest, DisconnectCancelsStandingSubscriptions) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_DOUBLE_EQ(active, 0.0);
+}
+
+TEST_F(ServerTest, StartRejectsOutOfRangeBounds) {
+  const auto start = [&](const ServerOptions& options) {
+    Server server(&engine_, options);
+    return server.Start();
+  };
+  ServerOptions options;
+  options.max_in_flight = 0;
+  EXPECT_TRUE(start(options).IsInvalidArgument());
+  options.max_in_flight = -1;
+  EXPECT_TRUE(start(options).IsInvalidArgument());
+
+  options = ServerOptions();
+  options.max_queue = -1;
+  EXPECT_TRUE(start(options).IsInvalidArgument());
+
+  options = ServerOptions();
+  options.max_connections = 0;
+  EXPECT_TRUE(start(options).IsInvalidArgument());
+  options.max_connections = -1;
+  EXPECT_TRUE(start(options).IsInvalidArgument());
+
+  // A loop that could never own a connection.
+  options = ServerOptions();
+  options.max_in_flight = 3;
+  options.max_connections = 2;
+  EXPECT_TRUE(start(options).IsInvalidArgument());
+
+  // The edges themselves are valid.
+  options.max_in_flight = 2;
+  options.max_queue = 0;
+  EXPECT_TRUE(start(options).ok());
+}
+
+TEST_F(ServerTest, LongJobOnOneConnectionDoesNotHoldBackAnother) {
+  ServerOptions options;
+  options.max_in_flight = 2;
+  StartServer(options);
+  // Forty times the fixture's video: A's streaming statement runs about 30
+  // times as long as B's whole batch. It is added after StartServer, so it
+  // is not ingested; a streaming statement needs no ingest.
+  ASSERT_TRUE(engine_.AddVideo(ServingVideo(1, /*num_frames=*/1440000)).ok());
+  auto reference = query::ExecuteStatementOn(engine_.Pin(), kRankedStatement);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  // A is placed on loop 0 and B on loop 1, both before A's job starts.
+  Client a = Connected();
+  Client b = Connected();
+  ASSERT_TRUE(WaitFor([&]() {
+    return server_->Metrics().ValueOf("svqd_connections_open") == 2.0;
+  }));
+  std::atomic<bool> a_answered{false};
+  Status a_status;
+  std::thread long_job([&]() {
+    auto response = a.Execute(
+        "SELECT MERGE(clipID) FROM (PROCESS serving_1 PRODUCE clipID, obj "
+        "USING ObjectDetector, act USING ActionRecognizer) "
+        "WHERE act='smoking' AND obj.include('cup')");
+    a_status = response.ok() ? response->status : response.status();
+    a_answered.store(true);
+  });
+  ASSERT_TRUE(WaitFor([&]() {
+    return server_->Metrics().ValueOf("svqd_in_flight") == 1.0 ||
+           a_answered.load();
+  }));
+  ASSERT_FALSE(a_answered.load()) << "A finished before B could start";
+
+  for (int i = 0; i < 20; ++i) {
+    auto response = b.Execute(kRankedStatement);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(Mismatch(*response, *reference), "") << i;
+  }
+  EXPECT_FALSE(a_answered.load())
+      << "B's answers waited behind A's job on another connection";
+  long_job.join();
+  EXPECT_TRUE(a_status.ok()) << a_status;
+}
+
+/// A video with two object labels, for statements over one or two objects.
+std::shared_ptr<const video::SyntheticVideo> MixedVideo(int index) {
+  video::SyntheticVideoSpec spec;
+  spec.name = "mixed_" + std::to_string(index);
+  spec.num_frames = 36000;
+  spec.seed = 9300 + static_cast<uint64_t>(index);
+  spec.actions.push_back({"smoking", 350.0, 4500.0});
+  for (const auto& [label, correlation] :
+       {std::pair{"cup", 0.9}, std::pair{"phone", 0.6}}) {
+    video::SyntheticObjectSpec object;
+    object.label = label;
+    object.correlate_with_action = "smoking";
+    object.correlation = correlation;
+    object.coverage = 0.9;
+    object.mean_on_frames = 250.0;
+    object.mean_off_frames = 2600.0;
+    spec.objects.push_back(object);
+  }
+  auto video = video::SyntheticVideo::Generate(spec);
+  EXPECT_TRUE(video.ok());
+  return *video;
+}
+
+std::string MixedStatement(const std::string& target,
+                           const std::string& objects, int k) {
+  return "SELECT MERGE(clipID), RANK(act, obj) FROM (PROCESS " + target +
+         " PRODUCE clipID, obj USING ObjectDetector, act USING "
+         "ActionRecognizer) WHERE act='smoking' AND obj.include(" + objects +
+         ") ORDER BY RANK(act, obj) LIMIT " + std::to_string(k);
+}
+
+/// Seeded ranked statements over the mixed catalog: per-video top-K and
+/// `PROCESS *` broadcasts, K in {1, 3, 5, 10}, over one or two objects.
+std::vector<std::string> MixedSequence(uint64_t seed, int count) {
+  static const char* const kObjects[] = {"'cup'", "'phone'", "'cup', 'phone'"};
+  static const int kK[] = {1, 3, 5, 10};
+  Rng rng(seed);
+  std::vector<std::string> statements;
+  for (int i = 0; i < count; ++i) {
+    const std::string target =
+        rng.NextUint64(4) == 0
+            ? "*"
+            : "mixed_" + std::to_string(rng.NextUint64(3));
+    statements.push_back(MixedStatement(target, kObjects[rng.NextUint64(3)],
+                                        kK[rng.NextUint64(4)]));
+  }
+  return statements;
+}
+
+TEST_F(ServerTest, MixedConcurrentStatementsMatchTheSerialOracle) {
+  core::VideoQueryEngine engine(models::ModelSuite(), core::OnlineConfig(),
+                                core::IngestOptions(),
+                                cache::CacheOptions::Enabled());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine.AddVideo(MixedVideo(i)).ok());
+  ASSERT_TRUE(engine.IngestAll().ok());
+
+  // The oracle: each statement run serially on this thread against the
+  // snapshot every request below pins, with every cache tier off.
+  const core::SnapshotPtr snapshot = engine.Pin();
+  query::StatementOptions uncached;
+  uncached.offline.runtime.num_threads = 1;
+  uncached.offline.cache.use_candidate_cache = false;
+  uncached.offline.cache.use_result_cache = false;
+  uncached.offline.cache.use_plan_cache = false;
+  constexpr int kRankedClients = 4;
+  constexpr int kStatementsPerClient = 40;
+  std::vector<std::vector<std::string>> sequences;
+  std::map<std::string, query::StatementResult> oracle;
+  for (int c = 0; c < kRankedClients; ++c) {
+    sequences.push_back(MixedSequence(100 + c, kStatementsPerClient));
+    for (const std::string& statement : sequences.back()) {
+      if (oracle.count(statement) > 0) continue;
+      auto result =
+          query::ExecuteStatementOn(snapshot, statement, {}, uncached);
+      ASSERT_TRUE(result.ok()) << result.status() << ": " << statement;
+      oracle.emplace(statement, std::move(*result));
+    }
+  }
+  const std::string standing[] = {
+      "SELECT MERGE(clipID) FROM (PROCESS mixed_0 PRODUCE clipID, obj USING "
+      "ObjectDetector, act USING ActionRecognizer) "
+      "WHERE act='smoking' AND obj.include('cup')",
+      "SELECT MERGE(clipID) FROM (PROCESS mixed_0 PRODUCE clipID, obj USING "
+      "ObjectDetector, act USING ActionRecognizer) "
+      "WHERE act='smoking' AND obj.include('cup', 'phone')"};
+  std::vector<std::vector<video::Interval>> standing_oracle;
+  for (const std::string& statement : standing) {
+    auto result = query::ExecuteStatementOn(snapshot, statement, {}, uncached);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->online.has_value());
+    standing_oracle.push_back(result->online->sequences.intervals());
+  }
+
+  for (const int loops : {1, 2}) {
+    SCOPED_TRACE("loops=" + std::to_string(loops));
+    ServerOptions options;
+    options.max_in_flight = loops;
+    Server server(&engine, options);
+    ASSERT_TRUE(server.Start().ok());
+    const auto connect = [&](Client* client) {
+      return client->Connect("127.0.0.1", server.port());
+    };
+
+    // The subscriber connects first and the feeder second, so at 2 loops
+    // they sit on different loops and every EVENT frame crosses loops.
+    Client subscriber;
+    ASSERT_TRUE(connect(&subscriber).ok());
+    std::vector<uint64_t> subscription_ids;
+    for (const std::string& statement : standing) {
+      auto subscribed = subscriber.Subscribe("mixed_feed", statement);
+      ASSERT_TRUE(subscribed.ok()) << subscribed.status();
+      ASSERT_TRUE(subscribed->status.ok()) << subscribed->status;
+      subscription_ids.push_back(subscribed->subscription_id);
+    }
+    Client feeder;
+    ASSERT_TRUE(connect(&feeder).ok());
+
+    std::vector<std::thread> threads;
+    std::vector<std::string> failures(kRankedClients + 2);
+    for (int c = 0; c < kRankedClients; ++c) {
+      threads.emplace_back([&, c]() {
+        Client client;
+        if (Status status = connect(&client); !status.ok()) {
+          failures[c] = status.ToString();
+          return;
+        }
+        for (const std::string& statement : sequences[c]) {
+          auto response = client.Execute(statement);
+          const std::string mismatch =
+              response.ok() ? Mismatch(*response, oracle.at(statement))
+                            : response.status().ToString();
+          if (!mismatch.empty()) {
+            failures[c] = mismatch + ": " + statement;
+            return;
+          }
+        }
+      });
+    }
+    threads.emplace_back([&]() {
+      for (bool closed = false; !closed;) {
+        auto fed = feeder.FeedClips("mixed_feed", 16);
+        if (!fed.ok() || !fed->status.ok()) {
+          failures[kRankedClients] =
+              fed.ok() ? fed->status.ToString() : fed.status().ToString();
+          return;
+        }
+        closed = fed->feed_closed;
+      }
+    });
+    std::map<uint64_t, std::vector<EventFrame>> events;
+    threads.emplace_back([&]() {
+      size_t ended = 0;
+      while (ended < subscription_ids.size()) {
+        auto event = subscriber.NextEvent();
+        if (!event.ok()) {
+          failures[kRankedClients + 1] = event.status().ToString();
+          return;
+        }
+        if (event->kind == 3) ++ended;
+        events[event->subscription_id].push_back(*event);
+      }
+    });
+    for (std::thread& thread : threads) thread.join();
+    for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+
+    for (size_t i = 0; i < subscription_ids.size(); ++i) {
+      const std::vector<EventFrame>& got = events[subscription_ids[i]];
+      const std::vector<video::Interval>& want = standing_oracle[i];
+      ASSERT_EQ(got.size(), want.size() + 1) << "subscription " << i;
+      for (size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(got[j].kind, 1) << i << "/" << j;
+        EXPECT_EQ(got[j].begin, want[j].begin) << i << "/" << j;
+        EXPECT_EQ(got[j].end, want[j].end) << i << "/" << j;
+      }
+      EXPECT_EQ(got.back().kind, 3) << i;  // end of stream
+    }
+    server.Shutdown();
+  }
 }
 
 }  // namespace
